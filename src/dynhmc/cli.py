@@ -55,11 +55,30 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
+    for key in ("target", "kernel"):
+        if not isinstance(config.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object")
+    return config
+
+
+def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; the error names ``key``."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must hold numbers: {exc}") from exc
+    if arr.size != math.prod(shape):
+        raise ConfigError(f"{key} has {arr.size} entries, expected {math.prod(shape)}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be finite")
+    return arr.reshape(shape)
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -83,12 +102,15 @@ def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
     if kind == "diagonal":
         if "diag" not in spec:
             raise ConfigError("mass.kind=diagonal requires key mass.diag")
-        return MassMatrix.diagonal(np.asarray(spec["diag"], dtype=float))
+        return MassMatrix.diagonal(_float_array(spec["diag"], "kernel.mass.diag", (dim,)))
     if kind == "dense":
         if "matrix" not in spec:
             raise ConfigError("mass.kind=dense requires key mass.matrix")
-        mat = np.asarray(spec["matrix"], dtype=float).reshape(dim, dim)
-        return MassMatrix.dense(mat)
+        mat = _float_array(spec["matrix"], "kernel.mass.matrix", (dim, dim))
+        try:
+            return MassMatrix.dense(mat)
+        except ValueError as exc:
+            raise ConfigError(f"kernel.mass.matrix: {exc}") from exc
     raise ConfigError(f"unknown mass.kind {kind!r}")
 
 
@@ -100,7 +122,7 @@ def _build_target(config: dict) -> Target:
         raise ConfigError(f"target.dim must be >= 1, got {dim}")
     sigma = spec.get("sigma")
     if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float).reshape(dim, dim)
+        sigma = _float_array(sigma, "target.sigma", (dim, dim))
     try:
         return builtin_target(kind, dim=dim, sigma=sigma, a5=float(spec.get("a5", 0.5)))
     except ValueError as exc:
@@ -143,9 +165,10 @@ def cmd_sample(args) -> int:
     if chains < 1 or iters < 0:
         raise ConfigError(f"chains/iters must be positive, got {chains}/{iters}")
     out_path = args.out or config.get("out")
+    d = target.dim
+    q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
 
     kernel = make_kernel(target, cfg)
-    d = target.dim
     header = (
         ["chain", "iter"] + [f"q{i + 1}" for i in range(d)] + ["jf", "kf", "ngrad", "diverged"]
     )
@@ -160,8 +183,7 @@ def cmd_sample(args) -> int:
     moments2 = np.zeros(d)
     for chain in range(chains):
         rng = np.random.default_rng(np.random.SeedSequence([seed, chain]))
-        q0 = config.get("q0")
-        q = np.zeros(d) if q0 is None else np.asarray(q0, dtype=float)
+        q = q0
         for it in range(iters):
             q, info = kernel(q, rng)
             depth_hist[info.k_f] = depth_hist.get(info.k_f, 0) + 1

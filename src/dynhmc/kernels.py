@@ -8,10 +8,11 @@ orbit selection with the doubling/U-turn rule and index selection with biased
 progressive sampling; HMC is the degenerate instance whose orbit is ``{0, T}``
 and whose index selection is the Metropolis coin.
 
-Per NUTS step the randomness stream is fixed: ``d`` normals for the momentum,
-then per doubling level exactly one direction uniform, one multinomial
-uniform and one swap uniform, whether or not the level is accepted.  This
-makes every run reproducible from ``(seed, config)`` independent of internal
+Per iterative NUTS step the randomness stream is fixed: ``d`` normals for
+the momentum, then per doubling level attempted exactly one direction
+uniform, one multinomial uniform and one swap uniform, whether or not the
+level is accepted and however many of its states are computed.  This makes
+every run reproducible from ``(seed, config)`` independent of internal
 control flow.
 
 ``nuts_exact_pmf`` computes the one-step law at a fixed phase point exactly
@@ -35,7 +36,9 @@ from .index_select import (
     multinomial_pick,
 )
 from .leapfrog import LeapfrogParams, leapfrog_iter, leapfrog_step_with_grad
-from .orbit import OrbitCache, no_uturns, orbit_select_pmf
+# no_uturns stays importable from here: perfbench/tracing.py wraps it under
+# this module as well as under orbit
+from .orbit import OrbitCache, no_uturns, orbit_select_pmf  # noqa: F401
 from .targets import MassMatrix, PhasePoint, Target, hamiltonian, momentum_refresh
 
 KERNEL_KINDS = ("nuts_iterative", "nuts_recursive", "hmc", "rhmc")
@@ -119,6 +122,36 @@ def _origin_interval() -> tuple[int, int]:
     return (0, 0)
 
 
+def _extend_checked(cache: OrbitCache, right: int, n: int) -> tuple[np.ndarray | None, bool]:
+    """Grow the orbit by ``n`` states on one side, checking each as it comes.
+
+    The i-th new state ends the growth if it diverged, or if it completes an
+    aligned block of the new half (size 2, 4, ..., n dividing i) whose
+    endpoints turn.  Returns ``(logw, diverged)``: the new states'
+    log-weights in index order, or None if the growth ended early.
+    """
+    logw = []
+    for i in range(1, n + 1):
+        if right:
+            cache.extend_right()
+            j = cache.hi
+        else:
+            cache.extend_left()
+            j = cache.lo
+        if cache.diverged(j):
+            return None, True
+        logw.append(cache.logw(j))
+        size = 2
+        while i % size == 0:
+            block = (j - size + 1, j) if right else (j, j + size - 1)
+            if cache.pair_uturn(*block):
+                return None, False
+            size <<= 1
+    if not right:
+        logw.reverse()
+    return np.array(logw), False
+
+
 def nuts_step_iterative(
     target: Target,
     cfg: KernelConfig,
@@ -130,7 +163,9 @@ def nuts_step_iterative(
 
     The index update runs interleaved with the doubling and only when the
     extended interval passes the U-turn checks, so a rejected final doubling
-    never contributes to the selection.
+    never contributes to the selection.  ``diverged`` is set only when a
+    divergent state is actually computed, i.e. reached before the first
+    failing U-turn check; the recursive sampler flags the same way.
     """
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
@@ -145,7 +180,16 @@ def nuts_transition_iterative(
     rng: np.random.Generator,
     mutate: str | None = None,
 ) -> tuple[np.ndarray, TransitionInfo]:
-    """The doubling loop at a fixed phase point (momentum already drawn)."""
+    """The doubling loop at a fixed phase point (momentum already drawn).
+
+    Runs the stage-``k + 1`` U-turn checks of :func:`no_uturns` in the order
+    the recursive sampler meets them and computes no state past the first
+    one that fails: first the current interval's endpoint pair (its smaller
+    blocks passed at earlier stages), then, one leapfrog step at a time, each
+    new state and the aligned blocks of the new half it completes.  So a
+    divergence is flagged only if it is reached before a U-turn.  Each stage
+    attempted draws three uniforms, however many states it computes.
+    """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
     cache = OrbitCache(target, cfg.params, x0)
@@ -161,22 +205,15 @@ def nuts_transition_iterative(
         u_dir = rng.random()
         u_mult = rng.random()
         u_swap = rng.random()
+        if k and cache.pair_uturn(cache.lo, cache.hi):
+            break
         v_k = 1 if u_dir < 0.5 else 0
-        step = 1 << k
-        if v_k:
-            seg = (cache.hi + 1, cache.hi + step)
-            cache.extend_right(step)
-        else:
-            seg = (cache.lo - step, cache.lo - 1)
-            cache.extend_left(step)
+        seg_lo = cache.hi + 1 if v_k else cache.lo - (1 << k)
+        seg_logw, diverged = _extend_checked(cache, v_k, 1 << k)
+        if seg_logw is None:
+            break
         bits |= v_k << k
-        if cache.any_diverged(*seg):
-            diverged = True
-            break
-        if not no_uturns(BinWord(k + 1, bits), cache):
-            break
-        seg_logw = cache.logw_range(*seg)
-        pick = seg[0] + multinomial_pick(seg_logw, u_mult)
+        pick = seg_lo + multinomial_pick(seg_logw, u_mult)
         logw_new = logsumexp(seg_logw)
         log_r = accept_log_ratio(logw_new, logw_tot)
         if mutate == "always-swap":
@@ -188,7 +225,7 @@ def nuts_transition_iterative(
         k_f = k + 1
 
     if k_f:
-        iv = interval(BinWord(k_f, bits & ((1 << k_f) - 1)))
+        iv = interval(BinWord(k_f, bits))
         i_f = (iv.lo, iv.hi)
     else:
         i_f = _origin_interval()

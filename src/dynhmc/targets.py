@@ -30,10 +30,6 @@ def flip(x: PhasePoint) -> PhasePoint:
     return PhasePoint(x.q, -x.p)
 
 
-def is_finite_state(x: PhasePoint) -> bool:
-    return bool(np.all(np.isfinite(x.q)) and np.all(np.isfinite(x.p)))
-
-
 class MassMatrix:
     """Symmetric positive definite mass matrix with cached factorizations.
 

@@ -63,6 +63,32 @@ class TestSample:
         assert rc == 2
         assert "kernel.h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"target": {"dim": 2}, "q0": [0.0, 1.0, 2.0]}, "q0"),
+            ({"target": {"dim": 2}, "q0": [float("nan"), 0.0]}, "q0"),
+            ({"target": {"kind": "gaussian", "dim": 2, "sigma": [1.0, 0.0, 1.0]}}, "target.sigma"),
+            ([{"target": {"dim": 2}}], "JSON object"),
+            ({"target": {"dim": 2}, "kernel": {"mass": {"kind": "dense", "matrix": [1.0]}}},
+             "kernel.mass.matrix"),
+            ({"target": {"dim": 2}, "kernel": {"mass": {"kind": "dense",
+                                                        "matrix": [1.0, 2.0, 2.0, 1.0]}}},
+             "kernel.mass.matrix"),
+            ({"target": 2}, "target"),
+        ],
+        ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
+             "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object"],
+    )
+    def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--config", str(path), "--iters", "5", "--out", str(out)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_out_exits_3(self, gauss2_config):
         rc = main(["sample", "--config", gauss2_config, "--out", "/nonexistent/dir/x.csv"])
         assert rc == 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dynhmc.kernels import (
     nuts_transition_recursive,
     rhmc_step,
 )
+from dynhmc.orbit import OrbitCache
 from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 from dynhmc.verify import chi2_gof
 
@@ -94,6 +96,128 @@ class TestIterativeNuts:
         q0 = np.array([1e100])  # potential overflows
         q1, info = nuts_step_iterative(dw, cfg, q0, np.random.default_rng(3))
         assert info.diverged and np.array_equal(q1, q0)
+
+
+def _spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T / d + np.eye(d)
+
+
+def _pin_config(name):
+    if name == "gauss2":
+        cfg = KernelConfig("nuts_iterative", h=0.7, mass=I2, k_m=6)
+        return STD2, cfg, np.zeros(2)
+    if name == "double_well":
+        cfg = KernelConfig("nuts_iterative", h=1.5, mass=I1, k_m=5)
+        return builtin_target("double_well", 1), cfg, np.array([1.0])
+    g = np.random.default_rng(5)
+    sigma = _spd(g, 5)
+    cfg = KernelConfig("nuts_iterative", h=0.6, mass=MassMatrix.dense(_spd(g, 5)), k_m=6)
+    return builtin_target("perturbed_gaussian", 5, sigma=sigma, a5=0.5), cfg, np.zeros(5)
+
+
+class TestIterativeStreamPin:
+    # Captured from the doubling loop that stepped through a whole doubling
+    # before checking it (it computed up to twice the states).  Checking
+    # only the blocks that are new must leave the draws, the selected
+    # intervals and the random stream exactly as they were.
+    PINS = {
+        "gauss2": (
+            "78c32b7a36f01213aa7f2bab21563c7843caa71ab824b52d57b174447d97559f",
+            "87275ad4d62d772ffd5ee27c8a4090e8b53140c8c563ddcf20dd230e464a9601",
+            0.8020640354064863,
+        ),
+        "double_well": (
+            "942e44651e4d886f356d8cc87c4031a0719469dbfd378eb228b800afc9cd0237",
+            "63cc91d6a48c83100303f3c842dfb0cf88cffca8bc53e295bbea56aca6c01a42",
+            0.11574394505611929,
+        ),
+        "perturbed5_dense_mass": (
+            "fcb1fe2eae37d6e3a05a173b791b97c1342f09522619dae945cf8ba747663938",
+            "8207f78108e8b8cd2ea69355d5fc31720b813d7773a2ac6f60e2be5a556d7e8f",
+            0.8874042854863939,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_draws_and_stream_pinned(self, name):
+        target, cfg, q = _pin_config(name)
+        rng = np.random.default_rng(2024)
+        q_digest = hashlib.sha256()
+        path = []
+        for _ in range(300):
+            q, info = nuts_step_iterative(target, cfg, q, rng)
+            q_digest.update(q.tobytes())
+            path.append((info.j_f, info.k_f, info.i_f))
+        got = (
+            q_digest.hexdigest(),
+            hashlib.sha256(repr(path).encode()).hexdigest(),
+            rng.random(),
+        )
+        assert got == self.PINS[name]
+
+
+class TestIterativeGradientAccounting:
+    @pytest.mark.parametrize("name", ["gauss2", "perturbed5_dense_mass"])
+    def test_exact_count_when_accepted_interval_turned(self, name):
+        target, cfg, _ = _pin_config(name)
+        rng = np.random.default_rng(31)
+        n_turned = 0
+        for _ in range(200):
+            x0 = PhasePoint(1.5 * rng.standard_normal(target.dim),
+                            cfg.mass.chol_mul(rng.standard_normal(target.dim)))
+            _, info = nuts_transition_iterative(target, cfg, x0, rng)
+            assert info.n_grad <= 1 << (info.k_f + 1)
+            lo, hi = info.i_f
+            fresh = OrbitCache(target, cfg.params, x0)
+            fresh.extend_to(lo, hi)
+            if info.k_f and fresh.pair_uturn(lo, hi):
+                # the stage after the last accepted one stops before stepping
+                assert info.n_grad == 1 << info.k_f
+                n_turned += 1
+        assert n_turned > 0
+
+
+class TestIterativeDivergenceSemantics:
+    """A divergence is flagged only if the sampler computes the divergent state.
+
+    The anchors sit on a double-well orbit from ``(q, p) = (5, 0)`` at
+    ``h = 0.25`` that overflows at its tenth state.  A constant generator
+    value below 1/2 makes every doubling go to the right in both samplers.
+    """
+
+    class _Constant:
+        def random(self):
+            return 0.25
+
+    DW = builtin_target("double_well", 1)
+    CFG = KernelConfig("nuts_iterative", h=0.25, mass=I1, k_m=5)
+
+    def _anchor(self, j):
+        cache = OrbitCache(self.DW, self.CFG.params, PhasePoint(np.array([5.0]), np.array([0.0])))
+        cache.extend_right(10)
+        assert cache.diverged(10) and not cache.diverged(9)
+        return cache.state(j)
+
+    @pytest.mark.parametrize("transition", [nuts_transition_iterative, nuts_transition_recursive])
+    def test_uturn_before_divergent_state_is_not_flagged(self, transition):
+        # state 7: interval {0, 1} turns, and its next doubling {2, 3} holds
+        # the divergent state 3, which is never computed
+        x0 = self._anchor(7)
+        fresh = OrbitCache(self.DW, self.CFG.params, x0)
+        fresh.extend_right(3)
+        assert fresh.pair_uturn(0, 1) and fresh.diverged(3)
+        _, info = transition(self.DW, self.CFG, x0, self._Constant())
+        assert not info.diverged
+        assert (info.k_f, info.i_f, info.n_grad) == (1, (0, 1), 2)
+
+    @pytest.mark.parametrize("transition", [nuts_transition_iterative, nuts_transition_recursive])
+    def test_divergent_state_reached_first_is_flagged(self, transition):
+        # state 9: the first doubling computes the divergent state 1
+        x0 = self._anchor(9)
+        _, info = transition(self.DW, self.CFG, x0, self._Constant())
+        assert info.diverged
+        assert (info.k_f, info.j_f, info.n_grad) == (0, 0, 2)
 
 
 class TestExactPmf:
