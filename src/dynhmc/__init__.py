@@ -35,7 +35,7 @@ from .orbit import (
     stopping_time,
     uturn_pair,
 )
-from .index_select import WeightTree, progressive_sample, q_h, qhat_row, rejection_product
+from .index_select import WeightTree, progressive_sample, q_h
 from .targets import (
     MassMatrix,
     PhasePoint,

@@ -81,6 +81,14 @@ def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
     return arr.reshape(shape)
 
 
+def _convert(value, key: str, convert=float):
+    """``convert(value)``; a value it rejects is a config error naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
@@ -91,7 +99,7 @@ def _resolve_seed(args, config: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"NUTS_SEED must be an integer, got {env!r}") from exc
     if "seed" in config:
-        return int(config["seed"])
+        return _convert(config["seed"], "seed", int)
     return DEFAULT_SEED
 
 
@@ -117,34 +125,35 @@ def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
 def _build_target(config: dict) -> Target:
     spec = config.get("target", {})
     kind = spec.get("kind", "standard_gaussian")
-    dim = int(spec.get("dim", 1))
+    dim = _convert(spec.get("dim", 1), "target.dim", int)
     if dim < 1:
         raise ConfigError(f"target.dim must be >= 1, got {dim}")
     sigma = spec.get("sigma")
     if sigma is not None:
         sigma = _float_array(sigma, "target.sigma", (dim, dim))
+    a5 = _convert(spec.get("a5", 0.5), "target.a5")
     try:
-        return builtin_target(kind, dim=dim, sigma=sigma, a5=float(spec.get("a5", 0.5)))
+        return builtin_target(kind, dim=dim, sigma=sigma, a5=a5)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
 
 
 def _build_kernel_config(config: dict, dim: int) -> KernelConfig:
     spec = config.get("kernel", {})
-    h = float(spec.get("h", 0.5))
+    h = _convert(spec.get("h", 0.5), "kernel.h")
     if not (h > 0 and math.isfinite(h)):
         raise ConfigError(f"kernel.h must be positive and finite, got {h}")
     mass = _build_mass(spec.get("mass"), dim)
     weights = spec.get("weights")
     if weights is not None:
-        weights = np.asarray(weights, dtype=float)
+        weights = _convert(weights, "kernel.weights", lambda w: np.asarray(w, dtype=float))
     try:
         return KernelConfig(
             kind=spec.get("kind", "nuts_iterative"),
             h=h,
             mass=mass,
-            k_m=int(spec.get("k_m", 10)),
-            t=int(spec.get("t", 1)),
+            k_m=_convert(spec.get("k_m", 10), "kernel.k_m", int),
+            t=_convert(spec.get("t", 1), "kernel.t", int),
             weights=weights,
         )
     except ValueError as exc:
@@ -160,8 +169,11 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args, config)
     target = _build_target(config)
     cfg = _build_kernel_config(config, target.dim)
-    chains = int(args.chains if args.chains is not None else config.get("chains", 1))
-    iters = int(args.iters if args.iters is not None else config.get("iters", 1000))
+    # the config's values are checked even where a flag overrides them
+    chains = _convert(config.get("chains", 1), "chains", int)
+    iters = _convert(config.get("iters", 1000), "iters", int)
+    chains = chains if args.chains is None else args.chains
+    iters = iters if args.iters is None else args.iters
     if chains < 1 or iters < 0:
         raise ConfigError(f"chains/iters must be positive, got {chains}/{iters}")
     out_path = args.out or config.get("out")

@@ -156,14 +156,6 @@ class IndexKernelRow:
             raise ValueError("negative probability in kernel row")
 
 
-def rejection_product(tree: WeightTree, a: int, t: int) -> float:
-    return tree.rejection_product(a, t)
-
-
-def qhat_row(tree: WeightTree, a: int) -> IndexKernelRow:
-    return tree.qhat_row(a)
-
-
 def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
     """Probability that progressive selection on ``iv`` lands on orbit index ``j``."""
     if 0 not in iv:

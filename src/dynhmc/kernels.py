@@ -18,6 +18,10 @@ control flow.
 ``nuts_exact_pmf`` computes the one-step law at a fixed phase point exactly
 (dyadic orbit probabilities times closed-form index rows); it is the oracle
 against which both samplers are tested.
+
+Every kernel steps and weighs states through :mod:`orbit` and so shares its
+divergence rule: non-finite states or energies, or a squared norm
+``|q|^2 + |p|^2`` that overflows.  A divergent state has weight zero.
 """
 
 from __future__ import annotations
@@ -35,11 +39,19 @@ from .index_select import (
     logsumexp,
     multinomial_pick,
 )
-from .leapfrog import LeapfrogParams, leapfrog_iter, leapfrog_step_with_grad
-# no_uturns stays importable from here: perfbench/tracing.py wraps it under
-# this module as well as under orbit
-from .orbit import OrbitCache, no_uturns, orbit_select_pmf  # noqa: F401
-from .targets import MassMatrix, PhasePoint, Target, hamiltonian, momentum_refresh
+# leapfrog_step_with_grad and no_uturns stay importable from here:
+# perfbench/tracing.py wraps them under this module as well as under orbit
+from .leapfrog import LeapfrogParams, leapfrog_iter, leapfrog_step_with_grad  # noqa: F401
+from .orbit import (  # noqa: F401
+    OrbitCache,
+    _Entry,
+    _make_entry,
+    is_uturn,
+    no_uturns,
+    orbit_select_pmf,
+    step_entry,
+)
+from .targets import MassMatrix, PhasePoint, Target, momentum_refresh
 
 KERNEL_KINDS = ("nuts_iterative", "nuts_recursive", "hmc", "rhmc")
 
@@ -120,6 +132,15 @@ class ExactPMF:
 
 def _origin_interval() -> tuple[int, int]:
     return (0, 0)
+
+
+def _swap(logw_new: float, logw_old: float, u: float, mutate: str | None) -> bool:
+    """The progressive swap coin: does the new half's candidate replace the
+    running one, with probability ``min(1, w_new / w_old)``?"""
+    log_r = accept_log_ratio(logw_new, logw_old)
+    if mutate == "always-swap":
+        return logw_new > -math.inf
+    return log_r > -math.inf and u < math.exp(log_r)
 
 
 def _extend_checked(cache: OrbitCache, right: int, n: int) -> tuple[np.ndarray | None, bool]:
@@ -215,11 +236,7 @@ def nuts_transition_iterative(
         bits |= v_k << k
         pick = seg_lo + multinomial_pick(seg_logw, u_mult)
         logw_new = logsumexp(seg_logw)
-        log_r = accept_log_ratio(logw_new, logw_tot)
-        if mutate == "always-swap":
-            if logw_new > -math.inf:
-                j = pick
-        elif log_r > -math.inf and u_swap < math.exp(log_r):
+        if _swap(logw_new, logw_tot, u_swap, mutate):
             j = pick
         logw_tot = np.logaddexp(logw_tot, logw_new)
         k_f = k + 1
@@ -240,12 +257,10 @@ def nuts_transition_iterative(
 class _RecState:
     """A single phase-space state held by the recursive builder."""
 
-    __slots__ = ("q", "p", "vel", "logw", "grad", "idx", "diverged")
+    __slots__ = ("entry", "grad", "idx")
 
-    def __init__(self, q, p, vel, logw, grad, idx, diverged):
-        self.q, self.p, self.vel = q, p, vel
-        self.logw, self.grad = logw, grad
-        self.idx, self.diverged = idx, diverged
+    def __init__(self, entry: _Entry, grad: np.ndarray, idx: int):
+        self.entry, self.grad, self.idx = entry, grad, idx
 
 
 class _LiveCounter:
@@ -274,45 +289,6 @@ class _GradCounter:
         self.n = 0
 
 
-def _rec_anchor(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray, gc: _GradCounter):
-    logw = -hamiltonian(target, mass, PhasePoint(q, p))
-    grad = target.gradient(q)
-    gc.n += 1
-    diverged = not math.isfinite(logw)
-    return _RecState(q, p, mass.inv_mul(p), logw, grad, 0, diverged)
-
-
-def _rec_step(
-    target: Target, cfg: KernelConfig, frm: _RecState, direction: int, gc: _GradCounter
-) -> _RecState:
-    # one leapfrog step away from the anchor; backward steps go through the
-    # momentum-flip identity so the cached gradient stays valid
-    mass = cfg.mass
-    if direction > 0:
-        x1, grad1 = leapfrog_step_with_grad(
-            target, cfg.params, PhasePoint(frm.q, frm.p), frm.grad
-        )
-        q1, p1 = x1
-    else:
-        x1, grad1 = leapfrog_step_with_grad(
-            target, cfg.params, PhasePoint(frm.q, -frm.p), frm.grad
-        )
-        q1, p1 = x1.q, -x1.p
-    gc.n += 1
-    idx = frm.idx + direction
-    if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(p1))):
-        return _RecState(q1, p1, p1, -math.inf, grad1, idx, True)
-    logw = -hamiltonian(target, mass, PhasePoint(q1, p1))
-    return _RecState(q1, p1, mass.inv_mul(p1), logw, grad1, idx, not math.isfinite(logw))
-
-
-def _states_uturn(left: _RecState, right: _RecState) -> bool:
-    if left.diverged or right.diverged:
-        return True
-    dq = right.q - left.q
-    return bool(float(right.vel @ dq) < 0.0 or float(left.vel @ dq) < 0.0)
-
-
 class _RecTree:
     __slots__ = ("lo", "hi", "end", "sel", "logw", "stop", "diverged")
 
@@ -323,7 +299,7 @@ class _RecTree:
 
 def _build_tree(
     target: Target,
-    cfg: KernelConfig,
+    params: LeapfrogParams,
     frm: _RecState,
     direction: int,
     depth: int,
@@ -332,14 +308,16 @@ def _build_tree(
     counter: _LiveCounter | None,
 ) -> _RecTree:
     if depth == 0:
-        st = _rec_step(target, cfg, frm, direction, gc)
+        entry, grad = step_entry(target, params, frm.entry, frm.grad, direction > 0)
+        gc.n += 1
+        st = _RecState(entry, grad, frm.idx + direction)
         if counter is not None:
             counter.note(st)
-        return _RecTree(st, st, st, st, st.logw, st.diverged, st.diverged)
-    t1 = _build_tree(target, cfg, frm, direction, depth - 1, rng, gc, counter)
+        return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged)
+    t1 = _build_tree(target, params, frm, direction, depth - 1, rng, gc, counter)
     if t1.stop:
         return t1
-    t2 = _build_tree(target, cfg, t1.end, direction, depth - 1, rng, gc, counter)
+    t2 = _build_tree(target, params, t1.end, direction, depth - 1, rng, gc, counter)
     if direction > 0:
         lo, hi = t1.lo, t2.hi
     else:
@@ -351,7 +329,7 @@ def _build_tree(
         sel = t2.sel
     else:
         sel = t1.sel
-    stop = t2.stop or _states_uturn(lo, hi)
+    stop = t2.stop or is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel)
     node = _RecTree(lo, hi, t2.end, sel, logw, stop, t1.diverged or t2.diverged)
     if counter is not None:
         keep = (node.lo, node.hi, node.end, node.sel)
@@ -393,34 +371,31 @@ def nuts_transition_recursive(
     """The tree recursion at a fixed phase point (momentum already drawn)."""
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
+    params = cfg.params
+    st0 = _RecState(_make_entry(target, cfg.mass, x0), target.gradient(x0.q), 0)
     gc = _GradCounter()
-    st0 = _rec_anchor(target, cfg.mass, x0.q, x0.p, gc)
+    gc.n = 1  # the anchor's gradient
     counter = _LiveCounter() if count_states else None
     if counter is not None:
         counter.note(st0)
-    if st0.diverged:
+    if st0.entry.diverged:
         return x0.q, TransitionInfo(0, _origin_interval(), 0, gc.n, True)
 
     sel = st0
     lo = hi = st0
-    logw_tot = st0.logw
+    logw_tot = st0.entry.logw
     k_f = 0
     diverged = False
     for k in range(cfg.k_m):
         v_k = 1 if rng.random() < 0.5 else 0
         frm = hi if v_k else lo
-        node = _build_tree(target, cfg, frm, 1 if v_k else -1, k, rng, gc, counter)
+        node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng, gc, counter)
         if node.stop:
             diverged = diverged or node.diverged
             if counter is not None:
                 counter.retain_only((lo, hi, sel), (node.lo, node.hi, node.end, node.sel))
             break
-        u_swap = rng.random()
-        log_r = accept_log_ratio(node.logw, logw_tot)
-        if mutate == "always-swap":
-            if node.logw > -math.inf:
-                sel = node.sel
-        elif log_r > -math.inf and u_swap < math.exp(log_r):
+        if _swap(node.logw, logw_tot, rng.random(), mutate):
             sel = node.sel
         if v_k:
             hi = node.hi
@@ -430,7 +405,7 @@ def nuts_transition_recursive(
         k_f = k + 1
         if counter is not None:
             counter.retain_only((lo, hi, sel), (node.lo, node.hi, node.end, node.sel))
-        if _states_uturn(lo, hi):
+        if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
             # the doubled interval as a whole has turned: the swap above
             # stands, but no further doubling happens
             break
@@ -443,7 +418,7 @@ def nuts_transition_recursive(
         diverged=diverged,
         peak_states=None if counter is None else counter.peak,
     )
-    return sel.q, info
+    return sel.entry.q, info
 
 
 def nuts_recursive_index_batch(
@@ -568,19 +543,16 @@ def hmc_accept_prob(
     two-point orbit ``{0, T}`` (accept with the weight ratio of the endpoint).
     They are cross-checked in the test suite.
     """
+    if formulation not in ("metropolis", "dynamic"):
+        raise ValueError(f"unknown formulation {formulation!r}")
     t = cfg.t if t is None else t
-    h0 = hamiltonian(target, cfg.mass, x0)
-    x_t = leapfrog_iter(target, cfg.params, x0, t)
-    if not (np.all(np.isfinite(x_t.q)) and np.all(np.isfinite(x_t.p))):
+    e0 = _make_entry(target, cfg.mass, x0)
+    e_t = _make_entry(target, cfg.mass, leapfrog_iter(target, cfg.params, x0, t))
+    if e_t.diverged:
         return 0.0
-    h_t = hamiltonian(target, cfg.mass, x_t)
     if formulation == "metropolis":
-        if not math.isfinite(h_t):
-            return 0.0
-        return min(1.0, math.exp(min(0.0, h0 - h_t)))
-    if formulation == "dynamic":
-        return math.exp(accept_log_ratio(-h_t, -h0))
-    raise ValueError(f"unknown formulation {formulation!r}")
+        return min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))
+    return math.exp(accept_log_ratio(e_t.logw, e0.logw))
 
 
 def hmc_step(
@@ -594,15 +566,13 @@ def hmc_step(
     t = cfg.t if t is None else t
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
-    h0 = hamiltonian(target, cfg.mass, x0)
-    x_t = leapfrog_iter(target, cfg.params, x0, t)
-    ok = bool(np.all(np.isfinite(x_t.q)) and np.all(np.isfinite(x_t.p)))
-    h_t = hamiltonian(target, cfg.mass, x_t) if ok else math.inf
-    diverged = not ok or not math.isfinite(h_t)
-    alpha = 0.0 if diverged else min(1.0, math.exp(min(0.0, h0 - h_t)))
+    e0 = _make_entry(target, cfg.mass, x0)
+    e_t = _make_entry(target, cfg.mass, leapfrog_iter(target, cfg.params, x0, t))
+    diverged = e_t.diverged
+    alpha = 0.0 if diverged else min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))
     accepted = bool(rng.random() < alpha)
     if accepted:
-        return x_t.q, TransitionInfo(t, (0, t), 0, t + 1, diverged, accepted=True, t=t)
+        return e_t.q, TransitionInfo(t, (0, t), 0, t + 1, diverged, accepted=True, t=t)
     return q, TransitionInfo(0, (0, t), 0, t + 1, diverged, accepted=False, t=t)
 
 

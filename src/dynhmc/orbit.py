@@ -16,6 +16,12 @@ the corresponding U-turn set.
 The resulting orbit-selection law is purely combinatorial: conditionally on
 the U-turn geometry, each final interval receives a dyadic rational mass, so
 :func:`orbit_select_pmf` enumerates it exactly with ``Fraction`` arithmetic.
+
+This module owns, for every sampler, how a state is weighed
+(:func:`_make_entry`), how one step is taken in either direction
+(:func:`step_entry`) and what a U-turn is (:func:`is_uturn`).  A state is
+divergent, with weight zero, on non-finite states or energies, or a squared
+norm ``|q|^2 + |p|^2`` that overflows.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ class _Entry(NamedTuple):
 
 
 def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
+    """Weigh one state: its velocity and ``-H``, or a divergent entry of weight zero."""
     # scalar finiteness probe: any nan/inf in (q, p) poisons the dot products
     with np.errstate(over="ignore", invalid="ignore"):
         norms = float(x.q @ x.q) + float(x.p @ x.p)
@@ -55,6 +62,32 @@ def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
     if not math.isfinite(logw):
         return _Entry(x.q, x.p, vel, -math.inf, True)
     return _Entry(x.q, x.p, vel, logw, False)
+
+
+def step_entry(
+    target: Target, params: LeapfrogParams, entry: _Entry, grad: np.ndarray, forward: bool
+) -> tuple[_Entry, np.ndarray]:
+    """One leapfrog step from ``entry`` away from the anchor, weighed.
+
+    ``grad`` is the gradient at ``entry.q``; the new state's gradient is
+    returned with it.  Backward steps use ``Phi^{(-1)} = flip . Phi^{(1)} .
+    flip``, for which the cached gradient stays valid.
+    """
+    p = entry.p if forward else -entry.p
+    x1, grad1 = leapfrog_step_with_grad(target, params, PhasePoint(entry.q, p), grad)
+    return _make_entry(target, params.mass, x1 if forward else flip(x1)), grad1
+
+
+def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.ndarray) -> bool:
+    """The U-turn criterion on the (left, right) pair of positions and velocities.
+
+    ``v_r . (q_r - q_l) < 0`` or ``v_l . (q_r - q_l) < 0`` with velocity
+    ``v = M^{-1} p`` (the whitened-coordinate form of the identity-mass
+    criterion).  Both inequalities are strict, so a zero displacement is not
+    a U-turn.
+    """
+    dq = q_hi - q_lo
+    return bool(float(vel_hi @ dq) < 0.0 or float(vel_lo @ dq) < 0.0)
 
 
 class OrbitCache:
@@ -77,8 +110,7 @@ class OrbitCache:
         self._right: list[_Entry] = []  # indices 1, 2, ...
         self._left: list[_Entry] = []  # indices -1, -2, ...
         grad0 = target.gradient(q0)
-        self._grad_hi = grad0
-        self._grad_lo = grad0
+        self._grad = [grad0, grad0]  # at the leftmost, the rightmost state
         self.n_grad = 1
         self._pair_memo: dict[tuple[int, int], bool] = {}
 
@@ -117,33 +149,22 @@ class OrbitCache:
     def any_diverged(self, lo: int, hi: int) -> bool:
         return any(self._entry(j).diverged for j in range(lo, hi + 1))
 
-    def extend_right(self, n: int = 1) -> None:
+    def _extend(self, forward: bool, n: int) -> None:
+        side = self._right if forward else self._left
         for _ in range(n):
-            top = self._right[-1] if self._right else self._anchor
-            if top.diverged:
-                self._right.append(top)
-                continue
-            x1, grad1 = leapfrog_step_with_grad(
-                self.target, self.params, PhasePoint(top.q, top.p), self._grad_hi
-            )
-            self.n_grad += 1
-            self._grad_hi = grad1
-            self._right.append(_make_entry(self.target, self.mass, x1))
+            top = side[-1] if side else self._anchor
+            if not top.diverged:
+                top, self._grad[forward] = step_entry(
+                    self.target, self.params, top, self._grad[forward], forward
+                )
+                self.n_grad += 1
+            side.append(top)
+
+    def extend_right(self, n: int = 1) -> None:
+        self._extend(True, n)
 
     def extend_left(self, n: int = 1) -> None:
-        # Phi^{(-1)} = flip . Phi^{(1)} . flip; the cached gradient at the
-        # current leftmost position is valid for the flipped forward step.
-        for _ in range(n):
-            bot = self._left[-1] if self._left else self._anchor
-            if bot.diverged:
-                self._left.append(bot)
-                continue
-            x1, grad1 = leapfrog_step_with_grad(
-                self.target, self.params, PhasePoint(bot.q, -bot.p), self._grad_lo
-            )
-            self.n_grad += 1
-            self._grad_lo = grad1
-            self._left.append(_make_entry(self.target, self.mass, flip(x1)))
+        self._extend(False, n)
 
     def extend_to(self, lo: int, hi: int) -> None:
         if hi > self.hi:
@@ -158,29 +179,18 @@ class OrbitCache:
         if hit is not None:
             return hit
         left, right = self._entry(i_lo), self._entry(i_hi)
-        if left.diverged or right.diverged:
-            self._pair_memo[key] = True
-            return True
-        dq = right.q - left.q
-        res = bool(float(right.vel @ dq) < 0.0 or float(left.vel @ dq) < 0.0)
+        res = left.diverged or right.diverged or is_uturn(left.q, left.vel, right.q, right.vel)
         self._pair_memo[key] = res
         return res
 
 
 def uturn_pair(left: PhasePoint, right: PhasePoint, mass: MassMatrix | None = None) -> bool:
-    """True iff the pair exhibits a U-turn.
-
-    The criterion is ``v_r . (q_r - q_l) < 0`` or ``v_l . (q_r - q_l) < 0``
-    with velocity ``v = M^{-1} p`` (the whitened-coordinate form of the
-    identity-mass criterion).  Both inequalities are strict, so a zero
-    displacement is not a U-turn.
-    """
+    """True iff the pair exhibits a U-turn (:func:`is_uturn`, ``v = M^{-1} p``)."""
     if left.q.shape != right.q.shape:
         raise ValueError("phase points have mismatched dimensions")
-    dq = right.q - left.q
     vr = right.p if mass is None or mass.is_identity else mass.inv_mul(right.p)
     vl = left.p if mass is None or mass.is_identity else mass.inv_mul(left.p)
-    return bool(float(vr @ dq) < 0.0 or float(vl @ dq) < 0.0)
+    return is_uturn(left.q, vl, right.q, vr)
 
 
 def no_uturns(v: BinWord, cache: OrbitCache) -> bool:

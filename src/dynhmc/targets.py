@@ -115,8 +115,9 @@ class MassMatrix:
         return scipy.linalg.cho_solve(self._cho_factor, np.eye(self.dim))
 
     def kinetic(self, p: np.ndarray) -> float:
-        """Kinetic energy ``p^T M^{-1} p / 2``."""
-        return 0.5 * float(p @ self.inv_mul(p))
+        """Kinetic energy ``p^T M^{-1} p / 2``; ``inf`` if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 0.5 * float(p @ self.inv_mul(p))
 
     def __repr__(self) -> str:
         return f"MassMatrix(kind={self.kind!r}, dim={self.dim})"
@@ -162,11 +163,6 @@ def hamiltonian(target: Target, mass: MassMatrix, x: PhasePoint) -> float:
     if not math.isfinite(k):
         return math.inf
     return u + k
-
-
-def neg_hamiltonian(target: Target, mass: MassMatrix, x: PhasePoint) -> float:
-    """Log of the unnormalized extended target, ``log pi~(q, p) = -H(q, p)``."""
-    return -hamiltonian(target, mass, x)
 
 
 def momentum_refresh(mass: MassMatrix, rng: np.random.Generator) -> np.ndarray:

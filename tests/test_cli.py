@@ -76,9 +76,21 @@ class TestSample:
                                                         "matrix": [1.0, 2.0, 2.0, 1.0]}}},
              "kernel.mass.matrix"),
             ({"target": 2}, "target"),
+            ({"target": {"dim": "two"}}, "target.dim"),
+            ({"iters": "many"}, "iters"),
+            ({"kernel": {"h": "big"}}, "kernel.h"),
+            ({"target": {"kind": "perturbed_gaussian", "a5": "half"}}, "target.a5"),
+            ({"kernel": {"k_m": [3]}}, "kernel.k_m"),
+            ({"kernel": {"t": None}}, "kernel.t"),
+            ({"kernel": {"kind": "rhmc", "weights": ["a", "b"]}}, "kernel.weights"),
+            ({"chains": "two"}, "chains"),
+            ({"seed": "abc"}, "seed"),
         ],
         ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
-             "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object"],
+             "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object",
+             "dim_not_a_number", "iters_not_a_number", "h_not_a_number", "a5_not_a_number",
+             "k_m_a_list", "t_null", "weights_not_numbers", "chains_not_a_number",
+             "seed_not_a_number"],
     )
     def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
         path = tmp_path / "bad.json"

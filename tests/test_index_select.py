@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynhmc.binwords import BinWord, IndexInterval
-from dynhmc.index_select import (
-    WeightTree,
-    progressive_sample,
-    q_h,
-    qhat_row,
-    rejection_product,
-)
+from dynhmc.index_select import WeightTree, progressive_sample, q_h
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
 from dynhmc.targets import MassMatrix, PhasePoint, builtin_target
@@ -52,18 +46,18 @@ class TestRejectionProduct:
     def test_t_zero_is_one(self):
         tree = WeightTree(np.random.default_rng(1).normal(size=8))
         for a in range(8):
-            assert rejection_product(tree, a, 0) == 1.0
+            assert tree.rejection_product(a, 0) == 1.0
 
     def test_uniform_weights_give_zero(self):
         tree = WeightTree(np.zeros(8))
         for a in range(8):
             for t in range(1, 4):
-                assert rejection_product(tree, a, t) == 0.0
+                assert tree.rejection_product(a, t) == 0.0
 
     def test_single_factor(self):
         # K=1, weights (old, new) = (1, 0.5): Pi = 1 - 0.5
         tree = WeightTree(np.log(np.array([1.0, 0.5])))
-        assert rejection_product(tree, 0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert tree.rejection_product(0, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_prefix_invariance_exact(self):
         rng = np.random.default_rng(2)
@@ -72,13 +66,13 @@ class TestRejectionProduct:
             for a in range(32):
                 for c in range(32):
                     if (a >> (5 - k)) == (c >> (5 - k)):
-                        assert rejection_product(tree, a, k) == rejection_product(tree, c, k)
+                        assert tree.rejection_product(a, k) == tree.rejection_product(c, k)
 
 
 class TestQhatRow:
     def test_uniform_k2_from_corner(self):
         tree = WeightTree(np.zeros(4))
-        row = qhat_row(tree, 0b00).probs
+        row = tree.qhat_row(0b00).probs
         assert row[0b10] == pytest.approx(0.5, abs=1e-15)
         assert row[0b11] == pytest.approx(0.5, abs=1e-15)
         assert row[0b01] == 0.0
@@ -86,7 +80,7 @@ class TestQhatRow:
 
     def test_k1_metropolis(self):
         tree = WeightTree(np.log(np.array([1.0, 0.5])))
-        row = qhat_row(tree, 0).probs
+        row = tree.qhat_row(0).probs
         assert row[1] == pytest.approx(0.5, abs=1e-15)
         assert row[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -95,7 +89,7 @@ class TestQhatRow:
     def test_rows_sum_to_one(self, leaves):
         tree = WeightTree(leaves)
         for a in range(leaves.size):
-            assert abs(float(np.sum(qhat_row(tree, a).probs)) - 1.0) <= 1e-12
+            assert abs(float(np.sum(tree.qhat_row(a).probs)) - 1.0) <= 1e-12
 
     @given(log_weight_arrays)
     @settings(max_examples=60, deadline=None)
@@ -114,7 +108,7 @@ class TestQhatRow:
     def test_db_uniform_example_normalized(self):
         # uniform K=2 orbit: normalized flow a->b is (1/4) * (1/2) = 1/8
         tree = WeightTree(np.zeros(4))
-        row = qhat_row(tree, 0).probs
+        row = tree.qhat_row(0).probs
         assert 0.25 * row[2] == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     @given(log_weight_arrays)
@@ -123,25 +117,25 @@ class TestQhatRow:
         tree = WeightTree(leaves)
         k = tree.k
         for a in range(leaves.size):
-            row = qhat_row(tree, a).probs
+            row = tree.qhat_row(a).probs
             for b in range(leaves.size):
                 if a == b:
                     continue
                 x = a ^ b
                 n = k - x.bit_length()
-                assert (row[b] > 0) == (rejection_product(tree, a, n) > 0)
+                assert (row[b] > 0) == (tree.rejection_product(a, n) > 0)
 
     def test_diverged_leaf_gets_zero_mass(self):
         leaves = np.array([0.0, -math.inf, 0.3, 0.1])
         tree = WeightTree(leaves)
         for a in (0, 2, 3):
-            assert qhat_row(tree, a).probs[1] == 0.0
+            assert tree.qhat_row(a).probs[1] == 0.0
 
     def test_all_diverged_new_half_stays(self):
         # 0/0 swap ratio means stay: all mass remains on the origin's side
         leaves = np.array([0.0, 0.5, -math.inf, -math.inf])
         tree = WeightTree(leaves)
-        row = qhat_row(tree, 0).probs
+        row = tree.qhat_row(0).probs
         assert row[2] == 0.0 and row[3] == 0.0
         assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -217,7 +211,7 @@ class TestProgressiveSample:
         v = int(rng.integers(0, 1 << k))
         tree = WeightTree(leaves)
         a = ((1 << k) - 1) - v
-        probs = qhat_row(tree, a).probs
+        probs = tree.qhat_row(a).probs
         n = 10000
         counts: dict[int, int] = {}
         for _ in range(n):

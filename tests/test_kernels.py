@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -157,6 +158,79 @@ class TestIterativeStreamPin:
         assert got == self.PINS[name]
 
 
+def _counted_stream_digests(step, name, **cfg_changes):
+    """Digests of 300 seeded steps: the draws, the (j_f, k_f, i_f, n_grad,
+    diverged) path, and the generator's next uniform."""
+    target, cfg, q = _pin_config(name)
+    cfg = dataclasses.replace(cfg, **cfg_changes)
+    rng = np.random.default_rng(2024)
+    q_digest = hashlib.sha256()
+    path = []
+    for _ in range(300):
+        q, info = step(target, cfg, q, rng)
+        q_digest.update(q.tobytes())
+        path.append((info.j_f, info.k_f, info.i_f, info.n_grad, info.diverged))
+    return (
+        q_digest.hexdigest(),
+        hashlib.sha256(repr(path).encode()).hexdigest(),
+        rng.random(),
+    )
+
+
+class TestRecursiveStreamPin:
+    # Captured from the recursive sampler with its own step, weight and
+    # U-turn helpers; routing it through the orbit primitives must leave
+    # the draws, the path, the gradient counts and the stream as they were.
+    PINS = {
+        "gauss2": (
+            "e4aabd74b83b155100d06fd94f5ed65d93419fd242c1ae9ec4b7820cc31badc2",
+            "dee594048db1b826a371373304e3ea8ef168a41f18767f9d3e3544105a0739e2",
+            0.3925457990043215,
+        ),
+        "double_well": (
+            "ead4395e8bd34a3b1825dec9c53031623c92ac56c2f78f6a67450cb1c081ecef",
+            "d35849b03964d44b317cb2c52e1c557c0ea68f42abf077592d7c0b9da63fa23d",
+            0.23291885724659334,
+        ),
+        "perturbed5_dense_mass": (
+            "8b505b0011a8c6bcaba73004d7a62e892b7523e23b3afc748fa42ad887160335",
+            "2936f967a2dae5414c3ef17b5add7b2e0097aafc68460a2e302a34d5d7672f14",
+            0.6903648220975553,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_draws_and_stream_pinned(self, name):
+        got = _counted_stream_digests(nuts_step_recursive, name, kind="nuts_recursive")
+        assert got == self.PINS[name]
+
+
+class TestHmcStreamPin:
+    # Captured from hmc_step with its own finiteness and energy checks.
+    PINS = {
+        "gauss2": (
+            "f3ecf46cbc521a4e79681ff6bf9bd6ce6e22abf9b30c503f4bc475ea6252742a",
+            "91c776fae426216f8996ad874086f6d21b73181171b2e8f9e87bf01e32ed8847",
+            0.8925244963780264,
+        ),
+        "double_well": (
+            "5b31fab08aed74c4cddf9e7c244b5f18d66e5079f30ff669d7a12a0259601bca",
+            "96d7d8240b8d96312a7f62de0b1fb6c9646b4da3d157ed0a22b675b7c8f598c5",
+            0.42248998017349115,
+        ),
+        "perturbed5_dense_mass": (
+            "4c76e5a2c7f735d98c3e6a8222c799248c0794b7836e71a79d1c21e7dbf9ab21",
+            "43c30185ebf4ce81264bae6509679b46b0b14d2b8a3948f6034a41d797fdd176",
+            0.4561862871930883,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_draws_and_stream_pinned(self, name):
+        got = _counted_stream_digests(hmc_step, name, kind="hmc", t=5)
+        assert got == self.PINS[name]
+
+
 class TestIterativeGradientAccounting:
     @pytest.mark.parametrize("name", ["gauss2", "perturbed5_dense_mass"])
     def test_exact_count_when_accepted_interval_turned(self, name):
@@ -218,6 +292,28 @@ class TestIterativeDivergenceSemantics:
         _, info = transition(self.DW, self.CFG, x0, self._Constant())
         assert info.diverged
         assert (info.k_f, info.j_f, info.n_grad) == (0, 0, 2)
+
+
+class TestDivergenceRule:
+    """Every sampler weighs states by the orbit rule: a squared norm
+    ``|q|^2 + |p|^2`` that overflows is divergent even where ``U`` is finite."""
+
+    TILT = Target(dim=1, potential=lambda q: 1e-300 * float(q[0]),
+                  gradient=lambda q: np.full(1, 1e-300), name="tilt")
+    X0 = PhasePoint(np.array([1e160]), np.array([1.0]))
+
+    @pytest.mark.parametrize("kind", ["nuts_iterative", "nuts_recursive", "hmc"])
+    def test_overflowing_norm_diverges_and_stays(self, kind):
+        cfg = KernelConfig(kind, h=0.5, mass=I1, k_m=3, t=4)
+        assert nuts_exact_pmf(self.TILT, cfg, self.X0).probs_dict() == {0: 1.0}
+        rng = np.random.default_rng(0)
+        if kind == "hmc":
+            q1, info = hmc_step(self.TILT, cfg, self.X0.q, rng)
+        elif kind == "nuts_iterative":
+            q1, info = nuts_transition_iterative(self.TILT, cfg, self.X0, rng)
+        else:
+            q1, info = nuts_transition_recursive(self.TILT, cfg, self.X0, rng)
+        assert info.diverged and np.array_equal(q1, self.X0.q)
 
 
 class TestExactPmf:

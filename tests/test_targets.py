@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ class TestHamiltonian:
         t = builtin_target("double_well", 1)
         mass = MassMatrix.identity(1)
         h = hamiltonian(t, mass, PhasePoint(np.array([1e200]), np.zeros(1)))
+        assert h == math.inf
+
+    def test_kinetic_overflow_flagged_without_warning(self):
+        t = builtin_target("double_well", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = hamiltonian(t, MassMatrix.identity(1), PhasePoint(np.zeros(1), np.array([1e200])))
         assert h == math.inf
 
     def test_dimension_mismatch(self):
