@@ -82,7 +82,13 @@ def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _convert(value, key: str, convert=float):
-    """``convert(value)``; a value it rejects is a config error naming ``key``."""
+    """``convert(value)``; a value it rejects is a config error naming ``key``.
+
+    An integer key does not truncate: a number with a fractional part is
+    rejected.
+    """
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -160,8 +166,9 @@ def _build_kernel_config(config: dict, dim: int) -> KernelConfig:
         raise ConfigError(f"kernel: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _row_format(d: int) -> str:
+    """``%``-template of ``d`` comma-separated values, each as ``f"{v:.17g}"``."""
+    return ",".join(["%.17g"] * d)
 
 
 def cmd_sample(args) -> int:
@@ -185,6 +192,7 @@ def cmd_sample(args) -> int:
         ["chain", "iter"] + [f"q{i + 1}" for i in range(d)] + ["jf", "kf", "ngrad", "diverged"]
     )
     rows = [",".join(header)]
+    q_format = _row_format(d)
     depth_hist: dict[int, int] = {}
     n_div = 0
     n_grad = 0
@@ -209,7 +217,7 @@ def cmd_sample(args) -> int:
             rows.append(
                 ",".join(
                     [str(chain), str(it)]
-                    + [_fmt(v) for v in q]
+                    + [q_format % tuple(q.tolist())]
                     + [str(info.j_f), str(info.k_f), str(info.n_grad), str(int(info.diverged))]
                 )
             )

@@ -41,7 +41,12 @@ from .index_select import (
 )
 # leapfrog_step_with_grad and no_uturns stay importable from here:
 # perfbench/tracing.py wraps them under this module as well as under orbit
-from .leapfrog import LeapfrogParams, leapfrog_iter, leapfrog_step_with_grad  # noqa: F401
+from .leapfrog import (  # noqa: F401
+    LeapfrogParams,
+    leapfrog_forward,
+    leapfrog_iter,
+    leapfrog_step_with_grad,
+)
 from .orbit import (  # noqa: F401
     OrbitCache,
     _Entry,
@@ -372,7 +377,8 @@ def nuts_transition_recursive(
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
     params = cfg.params
-    st0 = _RecState(_make_entry(target, cfg.mass, x0), target.gradient(x0.q), 0)
+    grad0 = target.gradient(x0.q)  # before the potential, as in OrbitCache
+    st0 = _RecState(_make_entry(target, cfg.mass, x0), grad0, 0)
     gc = _GradCounter()
     gc.n = 1  # the anchor's gradient
     counter = _LiveCounter() if count_states else None
@@ -567,13 +573,14 @@ def hmc_step(
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
     e0 = _make_entry(target, cfg.mass, x0)
-    e_t = _make_entry(target, cfg.mass, leapfrog_iter(target, cfg.params, x0, t))
+    x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t)
+    e_t = _make_entry(target, cfg.mass, x_t)
     diverged = e_t.diverged
     alpha = 0.0 if diverged else min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))
     accepted = bool(rng.random() < alpha)
     if accepted:
-        return e_t.q, TransitionInfo(t, (0, t), 0, t + 1, diverged, accepted=True, t=t)
-    return q, TransitionInfo(0, (0, t), 0, t + 1, diverged, accepted=False, t=t)
+        return e_t.q, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
+    return q, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)
 
 
 def rhmc_step(

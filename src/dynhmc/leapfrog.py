@@ -87,12 +87,23 @@ def leapfrog_iter(target: Target, params: LeapfrogParams, x: PhasePoint, j: int)
         return x
     if j < 0:
         return flip(leapfrog_iter(target, params, flip(x), -j))
+    return leapfrog_forward(target, params, x, j)[0]
+
+
+def leapfrog_forward(
+    target: Target, params: LeapfrogParams, x: PhasePoint, t: int
+) -> tuple[PhasePoint, int]:
+    """The t-th forward iterate (``t >= 1``) and the gradients taken to reach it.
+
+    Stops at the first non-finite state and returns it, so that the caller
+    flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations.
+    """
     grad = None
-    for _ in range(j):
+    for s in range(1, t + 1):
         x, grad = leapfrog_step_with_grad(target, params, x, grad)
         if not (np.all(np.isfinite(x.q)) and np.all(np.isfinite(x.p))):
-            return x  # divergence flag propagates to the caller
-    return x
+            break  # divergence flag propagates to the caller
+    return x, s + 1
 
 
 @dataclass(frozen=True)

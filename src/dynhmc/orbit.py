@@ -106,10 +106,11 @@ class OrbitCache:
         self.mass = params.mass
         q0 = np.asarray(anchor.q, dtype=float)
         p0 = np.asarray(anchor.p, dtype=float)
+        # the gradient first: a target may reuse its work in the potential
+        grad0 = target.gradient(q0)
         self._anchor = _make_entry(target, self.mass, PhasePoint(q0, p0))
         self._right: list[_Entry] = []  # indices 1, 2, ...
         self._left: list[_Entry] = []  # indices -1, -2, ...
-        grad0 = target.gradient(q0)
         self._grad = [grad0, grad0]  # at the leftmost, the rightmost state
         self.n_grad = 1
         self._pair_memo: dict[tuple[int, int], bool] = {}

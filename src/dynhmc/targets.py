@@ -177,6 +177,35 @@ def _logcosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
+def _shared_sigma_product(sigma):
+    """``q -> Sigma q`` and ``q -> q^T Sigma q / 2`` sharing one product per point.
+
+    The first function keeps a copy of its argument with the quadratic form
+    computed from the same product; the second returns that form when its
+    argument equals the copy (by contents, so in-place mutation of ``q`` or
+    of the returned vector cannot make it stale) and evaluates the formula
+    otherwise.  A leapfrog step's gradient followed by the new state's
+    potential thus costs one matrix-vector product, with unchanged values.
+    """
+    kept = (None, 0.0)
+
+    def sigma_q(q):
+        nonlocal kept
+        sq = sigma @ q
+        # overflow is the caller's flagged-divergence path, as in the gradient
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = (np.array(q), 0.5 * float(q @ sq))
+        return sq
+
+    def half_quad(q):
+        kept_q, quad = kept
+        if kept_q is not None and np.array_equal(kept_q, q):
+            return quad
+        return 0.5 * float(q @ (sigma @ q))
+
+    return sigma_q, half_quad
+
+
 def builtin_target(
     kind: str,
     dim: int = 1,
@@ -259,12 +288,7 @@ def builtin_target(
                 return q
 
         else:
-
-            def potential(q, _s=sigma):
-                return 0.5 * float(q @ (_s @ q))
-
-            def gradient(q, _s=sigma):
-                return _s @ q
+            gradient, potential = _shared_sigma_product(sigma)
 
         return Target(
             dim=dim,
@@ -276,11 +300,13 @@ def builtin_target(
             constants={"m": 2.0, "M1": lam_max, "A1": lam_min, "A2": 0.0},
         )
 
-    def potential_p(q, _s=sigma, _a=a5):
-        return 0.5 * float(q @ (_s @ q)) + _a * float(np.sum(_logcosh(q)))
+    sigma_q, half_quad = _shared_sigma_product(sigma)
 
-    def gradient_p(q, _s=sigma, _a=a5):
-        return _s @ q + _a * np.tanh(q)
+    def potential_p(q, _a=a5):
+        return half_quad(q) + _a * float(np.sum(_logcosh(q)))
+
+    def gradient_p(q, _a=a5):
+        return sigma_q(q) + _a * np.tanh(q)
 
     # |grad U~| = a5 |tanh| <= a5 sqrt(d): bounded perturbation gradient (rho = 1)
     return Target(

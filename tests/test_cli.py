@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dynhmc.cli import main
+from dynhmc.cli import _row_format, main
 
 
 @pytest.fixture
@@ -85,12 +86,15 @@ class TestSample:
             ({"kernel": {"kind": "rhmc", "weights": ["a", "b"]}}, "kernel.weights"),
             ({"chains": "two"}, "chains"),
             ({"seed": "abc"}, "seed"),
+            ({"target": {"dim": 2.5}}, "target.dim"),
+            ({"iters": 2.7}, "iters"),
+            ({"kernel": {"k_m": 3.9}}, "kernel.k_m"),
         ],
         ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
              "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object",
              "dim_not_a_number", "iters_not_a_number", "h_not_a_number", "a5_not_a_number",
              "k_m_a_list", "t_null", "weights_not_numbers", "chains_not_a_number",
-             "seed_not_a_number"],
+             "seed_not_a_number", "dim_fractional", "iters_fractional", "k_m_fractional"],
     )
     def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -113,6 +117,14 @@ class TestSample:
         # printing with 17 significant digits round-trips doubles exactly
         for line, v in zip(lines[:10], vals):
             assert float(f"{v:.17g}") == v
+
+    def test_row_format_matches_17g_on_special_values(self):
+        values = np.array([math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, -2.5e-310,
+                           2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e16,
+                           123456789.0])
+        want = ",".join(f"{v:.17g}" for v in values)
+        assert _row_format(values.size) % tuple(values.tolist()) == want
+        assert want.startswith("inf,-inf,nan,-0,0,4.9406564584124654e-324,")
 
 
 class TestPmf:

@@ -19,7 +19,13 @@ from dynhmc.kernels import (
     rhmc_step,
 )
 from dynhmc.orbit import OrbitCache
-from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
+from dynhmc.targets import (
+    MassMatrix,
+    PhasePoint,
+    Target,
+    _shared_sigma_product,
+    builtin_target,
+)
 from dynhmc.verify import chi2_gof
 
 STD1 = builtin_target("standard_gaussian", 1)
@@ -111,6 +117,10 @@ def _pin_config(name):
     if name == "double_well":
         cfg = KernelConfig("nuts_iterative", h=1.5, mass=I1, k_m=5)
         return builtin_target("double_well", 1), cfg, np.array([1.0])
+    if name == "gauss5_dense_sigma":
+        sigma = _spd(np.random.default_rng(11), 5)
+        cfg = KernelConfig("nuts_iterative", h=0.5, mass=MassMatrix.identity(5), k_m=6)
+        return builtin_target("gaussian", 5, sigma=sigma), cfg, np.zeros(5)
     g = np.random.default_rng(5)
     sigma = _spd(g, 5)
     cfg = KernelConfig("nuts_iterative", h=0.6, mass=MassMatrix.dense(_spd(g, 5)), k_m=6)
@@ -132,6 +142,11 @@ class TestIterativeStreamPin:
             "942e44651e4d886f356d8cc87c4031a0719469dbfd378eb228b800afc9cd0237",
             "63cc91d6a48c83100303f3c842dfb0cf88cffca8bc53e295bbea56aca6c01a42",
             0.11574394505611929,
+        ),
+        "gauss5_dense_sigma": (
+            "4cafe768e50223580db442372c46c315dc137821f8e637bd4c9399b5f400bff8",
+            "787344edd9e830a6ed275017f5e634cba350d5f5524ec60b859c2399b672c472",
+            0.16477864908211737,
         ),
         "perturbed5_dense_mass": (
             "fcb1fe2eae37d6e3a05a173b791b97c1342f09522619dae945cf8ba747663938",
@@ -192,6 +207,11 @@ class TestRecursiveStreamPin:
             "d35849b03964d44b317cb2c52e1c557c0ea68f42abf077592d7c0b9da63fa23d",
             0.23291885724659334,
         ),
+        "gauss5_dense_sigma": (
+            "015326d92d6b163610ba706fe4642ea72cb6a2e7791b467bcb963188a8d9fbd0",
+            "4ab980df2183a6605b4fc495dfcc0b9415b55a31c4e8b03d97a52d7aeb088abe",
+            0.2923840799672365,
+        ),
         "perturbed5_dense_mass": (
             "8b505b0011a8c6bcaba73004d7a62e892b7523e23b3afc748fa42ad887160335",
             "2936f967a2dae5414c3ef17b5add7b2e0097aafc68460a2e302a34d5d7672f14",
@@ -217,6 +237,11 @@ class TestHmcStreamPin:
             "5b31fab08aed74c4cddf9e7c244b5f18d66e5079f30ff669d7a12a0259601bca",
             "96d7d8240b8d96312a7f62de0b1fb6c9646b4da3d157ed0a22b675b7c8f598c5",
             0.42248998017349115,
+        ),
+        "gauss5_dense_sigma": (
+            "1136ee4eba54bec2e9eb73ab891911b565245ccbfd828e0b2c619da19705325c",
+            "81b935b232ff906a19dbb0d419c14c77acf7d190e77b41363643f86f8cf758ef",
+            0.4561862871930883,
         ),
         "perturbed5_dense_mass": (
             "4c76e5a2c7f735d98c3e6a8222c799248c0794b7836e71a79d1c21e7dbf9ab21",
@@ -314,6 +339,36 @@ class TestDivergenceRule:
         else:
             q1, info = nuts_transition_recursive(self.TILT, cfg, self.X0, rng)
         assert info.diverged and np.array_equal(q1, self.X0.q)
+
+
+class _CountingSigma:
+    """A precision matrix that counts its products with a vector."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+        self.products = 0
+
+    def __matmul__(self, q):
+        self.products += 1
+        return self.sigma @ q
+
+
+class TestSharedSigmaProduct:
+    @pytest.mark.parametrize("step", [nuts_step_iterative, nuts_step_recursive])
+    def test_one_product_per_gradient(self, step):
+        # each orbit state's potential reuses the product its gradient made
+        d = 20
+        sigma = _CountingSigma(_spd(np.random.default_rng(3), d))
+        sigma_q, half_quad = _shared_sigma_product(sigma)
+        target = Target(dim=d, potential=half_quad, gradient=sigma_q, name="gaussian")
+        cfg = KernelConfig("nuts_iterative", h=0.3, mass=MassMatrix.identity(d), k_m=6)
+        rng = np.random.default_rng(8)
+        q = np.zeros(d)
+        for _ in range(30):
+            before = sigma.products
+            q, info = step(target, cfg, q, rng)
+            assert info.n_grad > 1
+            assert sigma.products - before == info.n_grad
 
 
 class TestExactPmf:
@@ -469,6 +524,27 @@ class TestHmc:
         q0 = np.array([10.0])
         q1, info = hmc_step(dw, cfg, q0, rng)
         assert info.accepted is False and np.array_equal(q1, q0)
+
+    def test_n_grad_counts_gradients_taken(self):
+        # a diverged trajectory stops early: n_grad is what it took, not T + 1
+        dw = builtin_target("double_well", 1)
+        calls = [0]
+
+        def counted(q):
+            calls[0] += 1
+            return dw.gradient(q)
+
+        target = dataclasses.replace(dw, gradient=counted)
+        cfg = KernelConfig("hmc", h=1.5, mass=I1, t=8)
+        rng = np.random.default_rng(0)
+        q = np.array([1.0])
+        n_grad = n_div = 0
+        for _ in range(200):
+            q, info = hmc_step(target, cfg, q, rng)
+            n_grad += info.n_grad
+            n_div += info.diverged
+        assert n_div > 0
+        assert n_grad == calls[0]
 
     def test_mala_is_t1(self):
         cfg = KernelConfig("hmc", h=0.5, mass=I1, t=1)

@@ -7,6 +7,7 @@ import pytest
 from dynhmc.targets import (
     MassMatrix,
     PhasePoint,
+    _logcosh,
     builtin_target,
     hamiltonian,
     momentum_refresh,
@@ -96,6 +97,49 @@ class TestBuiltinConstants:
         assert t.gradient(np.array([1.0]))[0] == pytest.approx(0.0)
         with pytest.raises(ValueError):
             builtin_target("double_well", 2)
+
+
+class TestSharedSigmaProduct:
+    # the dense Gaussian family's potential reuses the gradient's Sigma q; its
+    # value must equal the formula exactly whatever the caller did in between
+    SIGMA = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 1.5]])
+
+    @staticmethod
+    def _formula(kind, q, sigma):
+        quad = 0.5 * float(q @ (sigma @ q))
+        return quad if kind == "gaussian" else quad + 0.5 * float(np.sum(_logcosh(q)))
+
+    @pytest.fixture(params=["gaussian", "perturbed_gaussian"])
+    def case(self, request):
+        kind = request.param
+        target = builtin_target(kind, 3, sigma=self.SIGMA, a5=0.5)
+        q = np.array([0.7, -1.3, 2.1])
+        return kind, target, q, lambda x: self._formula(kind, x, self.SIGMA)
+
+    def test_hit(self, case):
+        _, target, q, formula = case
+        target.gradient(q)
+        assert target.potential(q) == formula(q)
+        assert target.potential(q.copy()) == formula(q)
+
+    def test_miss(self, case):
+        _, target, q, formula = case
+        target.gradient(q)
+        other = np.array([-0.4, 0.9, 0.05])
+        assert target.potential(other) == formula(other)
+
+    def test_q_mutated_in_place(self, case):
+        _, target, q, formula = case
+        target.gradient(q)
+        q[1] += 0.5
+        assert target.potential(q) == formula(q)
+
+    def test_gradient_mutated_in_place(self, case):
+        _, target, q, formula = case
+        g = target.gradient(q)
+        g *= -3.0
+        g[0] = np.inf
+        assert target.potential(q) == formula(q)
 
 
 class TestHamiltonian:
