@@ -95,18 +95,24 @@ def _convert(value, key: str, convert=float):
         raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
 
 
+def _flag_array(text: str, flag: str, dim: int) -> np.ndarray:
+    """A comma-separated flag value as a finite float vector of length ``dim``."""
+    return _float_array(text.split(","), flag, (dim,))
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("NUTS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"NUTS_SEED must be an integer, got {env!r}") from exc
-    if "seed" in config:
-        return _convert(config["seed"], "seed", int)
-    return DEFAULT_SEED
+        key, seed = "--seed", args.seed
+    elif os.environ.get("NUTS_SEED") is not None:
+        key = "NUTS_SEED"
+        seed = _convert(os.environ["NUTS_SEED"], key, int)
+    elif "seed" in config:
+        key, seed = "seed", _convert(config["seed"], "seed", int)
+    else:
+        return DEFAULT_SEED
+    if seed < 0:
+        raise ConfigError(f"{key} must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
@@ -444,19 +450,9 @@ def cmd_pmf(args) -> int:
     if cfg.k_m > 8:
         print(f"k_m = {cfg.k_m} exceeds the exact-enumeration budget (8)", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        q = np.asarray([float(v) for v in args.q.split(",")], dtype=float)
-    except ValueError:
-        print(f"--q must be comma-separated floats, got {args.q!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    if q.size != target.dim:
-        print(f"--q has {q.size} entries, target.dim is {target.dim}", file=sys.stderr)
-        return EXIT_CONFIG
+    q = _flag_array(args.q, "--q", target.dim)
     if args.p:
-        p = np.asarray([float(v) for v in args.p.split(",")], dtype=float)
-        if p.size != target.dim:
-            print(f"--p has {p.size} entries, target.dim is {target.dim}", file=sys.stderr)
-            return EXIT_CONFIG
+        p = _flag_array(args.p, "--p", target.dim)
     else:
         p = momentum_refresh(cfg.mass, np.random.default_rng(seed))
     pmf = nuts_exact_pmf(target, cfg, PhasePoint(q, p))
@@ -481,18 +477,29 @@ def cmd_pmf(args) -> int:
 def cmd_conditions(args) -> int:
     config = _load_config(args.config)
     spec = config.get("conditions", {})
+    if not isinstance(spec, dict):
+        raise ConfigError("conditions must be a JSON object")
 
-    def fget(key):
-        return float(spec[key]) if key in spec else None
-
-    def iget(key):
-        return int(spec[key]) if key in spec else None
+    def get(key, convert=float):
+        if key not in spec:
+            return None
+        value = _convert(spec[key], f"conditions.{key}", convert)
+        # compared as a float, so an integer beyond the float range is rejected
+        if not 0 < _convert(value, f"conditions.{key}") < math.inf:
+            raise ConfigError(f"conditions.{key} must be positive and finite, got {value}")
+        return value
 
     report = stepsize_conditions(
-        l1=fget("l1"), h=fget("h"), k_m=iget("k_m"), t=iget("t"), m1=fget("m1"), a1=fget("a1")
+        l1=get("l1"), h=get("h"), k_m=get("k_m", int), t=get("t", int), m1=get("m1"), a1=get("a1")
     )
-    requested = spec.get("require", ["doubling_stability", "trajectory_uniqueness", "tail_step_bound"])
-    missing = [k for k in requested if "missing" in report.get(k, {})]
+    requested = spec.get("require", list(report))
+    if not isinstance(requested, list) or not all(
+        isinstance(k, str) and k in report for k in requested
+    ):
+        raise ConfigError(
+            f"conditions.require must list names among {', '.join(report)}, got {requested!r}"
+        )
+    missing = [k for k in requested if "missing" in report[k]]
     print(json.dumps(report, indent=2))
     if missing:
         print(f"missing constants for: {', '.join(missing)}", file=sys.stderr)
@@ -506,15 +513,8 @@ def cmd_trajectory(args) -> int:
     config = _load_config(args.config)
     target = _build_target(config)
     cfg = _build_kernel_config(config, target.dim)
-    try:
-        q0 = np.asarray([float(v) for v in args.q0.split(",")], dtype=float)
-        q_t = np.asarray([float(v) for v in args.qT.split(",")], dtype=float)
-    except ValueError:
-        print("--q0/--qT must be comma-separated floats", file=sys.stderr)
-        return EXIT_CONFIG
-    if q0.size != target.dim or q_t.size != target.dim:
-        print(f"endpoint dimension does not match target.dim = {target.dim}", file=sys.stderr)
-        return EXIT_CONFIG
+    q0 = _flag_array(args.q0, "--q0", target.dim)
+    q_t = _flag_array(args.qT, "--qT", target.dim)
     if args.steps < 1:
         print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
         return EXIT_CONFIG
@@ -546,6 +546,8 @@ def cmd_trajectory(args) -> int:
 def cmd_bench(args) -> int:
     dim = args.dim
     steps = args.steps
+    if dim < 1 or steps < 1:
+        raise ConfigError(f"--dim and --steps must be >= 1, got {dim} and {steps}")
     seed = _resolve_seed(args, {})
     target = builtin_target("standard_gaussian", dim)
     mass = MassMatrix.identity(dim)

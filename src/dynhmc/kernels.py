@@ -109,7 +109,6 @@ class TransitionInfo:
     diverged: bool
     accepted: bool | None = None  # HMC only
     t: int | None = None  # HMC/rHMC number of leapfrog steps
-    peak_states: int | None = None  # recursive sampler instrumentation
 
 
 @dataclass(frozen=True)
@@ -268,38 +267,15 @@ class _RecState:
         self.entry, self.grad, self.idx = entry, grad, idx
 
 
-class _LiveCounter:
-    """Tracks how many distinct states the recursion retains at once."""
-
-    def __init__(self) -> None:
-        self._ids: set[int] = set()
-        self.peak = 0
-
-    def note(self, *states: _RecState) -> None:
-        for st in states:
-            self._ids.add(id(st))
-        self.peak = max(self.peak, len(self._ids))
-
-    def retain_only(self, keep: tuple[_RecState, ...], drop: tuple[_RecState, ...]) -> None:
-        keep_ids = {id(st) for st in keep}
-        for st in drop:
-            if id(st) not in keep_ids:
-                self._ids.discard(id(st))
-
-
-class _GradCounter:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-
 class _RecTree:
-    __slots__ = ("lo", "hi", "end", "sel", "logw", "stop", "diverged")
+    """A subtree of the recursion: its boundary states, the state it ended
+    on, its candidate, its log-weight and ``n``, the gradients it took."""
 
-    def __init__(self, lo, hi, end, sel, logw, stop, diverged):
+    __slots__ = ("lo", "hi", "end", "sel", "logw", "stop", "diverged", "n")
+
+    def __init__(self, lo, hi, end, sel, logw, stop, diverged, n):
         self.lo, self.hi, self.end, self.sel = lo, hi, end, sel
-        self.logw, self.stop, self.diverged = logw, stop, diverged
+        self.logw, self.stop, self.diverged, self.n = logw, stop, diverged, n
 
 
 def _build_tree(
@@ -309,20 +285,15 @@ def _build_tree(
     direction: int,
     depth: int,
     rng: np.random.Generator,
-    gc: _GradCounter,
-    counter: _LiveCounter | None,
 ) -> _RecTree:
     if depth == 0:
         entry, grad = step_entry(target, params, frm.entry, frm.grad, direction > 0)
-        gc.n += 1
         st = _RecState(entry, grad, frm.idx + direction)
-        if counter is not None:
-            counter.note(st)
-        return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged)
-    t1 = _build_tree(target, params, frm, direction, depth - 1, rng, gc, counter)
+        return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged, 1)
+    t1 = _build_tree(target, params, frm, direction, depth - 1, rng)
     if t1.stop:
         return t1
-    t2 = _build_tree(target, params, t1.end, direction, depth - 1, rng, gc, counter)
+    t2 = _build_tree(target, params, t1.end, direction, depth - 1, rng)
     if direction > 0:
         lo, hi = t1.lo, t2.hi
     else:
@@ -335,12 +306,9 @@ def _build_tree(
     else:
         sel = t1.sel
     stop = t2.stop or is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel)
-    node = _RecTree(lo, hi, t2.end, sel, logw, stop, t1.diverged or t2.diverged)
-    if counter is not None:
-        keep = (node.lo, node.hi, node.end, node.sel)
-        drop = (t1.lo, t1.hi, t1.end, t1.sel, t2.lo, t2.hi, t2.end, t2.sel)
-        counter.retain_only(keep, drop)
-    return node
+    return _RecTree(
+        lo, hi, t2.end, sel, logw, stop, t1.diverged or t2.diverged, t1.n + t2.n
+    )
 
 
 def nuts_step_recursive(
@@ -349,7 +317,6 @@ def nuts_step_recursive(
     q: np.ndarray,
     rng: np.random.Generator,
     mutate: str | None = None,
-    count_states: bool = False,
 ) -> tuple[np.ndarray, TransitionInfo]:
     """One NUTS transition via the depth-first tree recursion.
 
@@ -360,9 +327,7 @@ def nuts_step_recursive(
     """
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
-    return nuts_transition_recursive(
-        target, cfg, x0, rng, mutate=mutate, count_states=count_states
-    )
+    return nuts_transition_recursive(target, cfg, x0, rng, mutate=mutate)
 
 
 def nuts_transition_recursive(
@@ -371,7 +336,6 @@ def nuts_transition_recursive(
     x0: PhasePoint,
     rng: np.random.Generator,
     mutate: str | None = None,
-    count_states: bool = False,
 ) -> tuple[np.ndarray, TransitionInfo]:
     """The tree recursion at a fixed phase point (momentum already drawn)."""
     if mutate not in MUTATIONS:
@@ -379,13 +343,9 @@ def nuts_transition_recursive(
     params = cfg.params
     grad0 = target.gradient(x0.q)  # before the potential, as in OrbitCache
     st0 = _RecState(_make_entry(target, cfg.mass, x0), grad0, 0)
-    gc = _GradCounter()
-    gc.n = 1  # the anchor's gradient
-    counter = _LiveCounter() if count_states else None
-    if counter is not None:
-        counter.note(st0)
+    n_grad = 1  # the anchor's gradient
     if st0.entry.diverged:
-        return x0.q, TransitionInfo(0, _origin_interval(), 0, gc.n, True)
+        return x0.q, TransitionInfo(0, _origin_interval(), 0, n_grad, True)
 
     sel = st0
     lo = hi = st0
@@ -395,11 +355,10 @@ def nuts_transition_recursive(
     for k in range(cfg.k_m):
         v_k = 1 if rng.random() < 0.5 else 0
         frm = hi if v_k else lo
-        node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng, gc, counter)
+        node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng)
+        n_grad += node.n
         if node.stop:
             diverged = diverged or node.diverged
-            if counter is not None:
-                counter.retain_only((lo, hi, sel), (node.lo, node.hi, node.end, node.sel))
             break
         if _swap(node.logw, logw_tot, rng.random(), mutate):
             sel = node.sel
@@ -409,20 +368,13 @@ def nuts_transition_recursive(
             lo = node.lo
         logw_tot = float(np.logaddexp(logw_tot, node.logw))
         k_f = k + 1
-        if counter is not None:
-            counter.retain_only((lo, hi, sel), (node.lo, node.hi, node.end, node.sel))
         if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
             # the doubled interval as a whole has turned: the swap above
             # stands, but no further doubling happens
             break
 
     info = TransitionInfo(
-        j_f=sel.idx,
-        i_f=(lo.idx, hi.idx),
-        k_f=k_f,
-        n_grad=gc.n,
-        diverged=diverged,
-        peak_states=None if counter is None else counter.peak,
+        j_f=sel.idx, i_f=(lo.idx, hi.idx), k_f=k_f, n_grad=n_grad, diverged=diverged
     )
     return sel.entry.q, info
 
@@ -598,7 +550,15 @@ def rhmc_step(
 def make_kernel(
     target: Target, cfg: KernelConfig, mutate: str | None = None
 ) -> Callable[[np.ndarray, np.random.Generator], tuple[np.ndarray, TransitionInfo]]:
-    """Bind a config to its one-step transition callable."""
+    """Bind a config to its one-step transition callable.
+
+    ``mutate`` must be one of :data:`MUTATIONS`, and HMC kinds take none: a
+    mutation silently ignored would make a negative control vacuous.
+    """
+    if mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}")
+    if mutate is not None and cfg.kind in ("hmc", "rhmc"):
+        raise ValueError(f"mutation {mutate!r} does not apply to {cfg.kind}")
     if cfg.kind == "nuts_iterative":
         return lambda q, rng: nuts_step_iterative(target, cfg, q, rng, mutate=mutate)
     if cfg.kind == "nuts_recursive":

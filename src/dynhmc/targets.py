@@ -227,15 +227,33 @@ def builtin_target(
     ``rho = 1``.
     """
     if kind == "standard_gaussian":
-        sigma = np.eye(dim)
-        kind_impl = "gaussian"
+        # Sigma = I: the constants are known, so no d x d matrix is formed
+        lam_max_m = 1.0
+        if mass is not None and not mass.is_identity:
+            # eigenvalues of M^{-1} Sigma = those of M^{-1}
+            lam_max_m = float(np.max(np.abs(np.linalg.eigvals(mass.inv_matrix()))))
+
+        def potential(q):
+            return 0.5 * float(q @ q)
+
+        def gradient(q):
+            return q
+
+        return Target(
+            dim=dim,
+            potential=potential,
+            gradient=gradient,
+            name="standard_gaussian",
+            lipschitz_l1=lam_max_m,
+            growth_class="h6",
+            constants={"m": 2.0, "M1": 1.0, "A1": 1.0, "A2": 0.0},
+        )
     elif kind in ("gaussian", "perturbed_gaussian"):
         if sigma is None:
             sigma = np.eye(dim)
         sigma = np.asarray(sigma, dtype=float)
         if sigma.shape != (dim, dim):
             raise ValueError(f"sigma has shape {sigma.shape}, expected ({dim}, {dim})")
-        kind_impl = kind
     elif kind == "double_well":
         if dim != 1:
             raise ValueError("double_well target is 1-D only")
@@ -277,24 +295,13 @@ def builtin_target(
     else:
         lam_max_m = lam_max
 
-    if kind_impl == "gaussian":
-        if kind == "standard_gaussian":
-            # hot path for the tests: skip the identity matmul
-
-            def potential(q):
-                return 0.5 * float(q @ q)
-
-            def gradient(q):
-                return q
-
-        else:
-            gradient, potential = _shared_sigma_product(sigma)
-
+    if kind == "gaussian":
+        gradient, potential = _shared_sigma_product(sigma)
         return Target(
             dim=dim,
             potential=potential,
             gradient=gradient,
-            name="standard_gaussian" if kind == "standard_gaussian" else "gaussian",
+            name="gaussian",
             lipschitz_l1=lam_max_m,
             growth_class="h6",
             constants={"m": 2.0, "M1": lam_max, "A1": lam_min, "A2": 0.0},

@@ -26,8 +26,11 @@ import numpy as np
 from scipy import stats as sps
 
 from .index_select import WeightTree, logsumexp
-from .kernels import (
+# nuts_step_iterative and nuts_step_recursive stay importable from here:
+# perfbench/tracing.py wraps them under this module as well as under kernels
+from .kernels import (  # noqa: F401
     KernelConfig,
+    make_kernel,
     nuts_exact_pmf,
     nuts_step_iterative,
     nuts_step_recursive,
@@ -434,6 +437,21 @@ def stationarity_polar_exact(
                 out.append(ps[ia] * dq)
         return np.asarray(out)  # (n_pairs*2, n)
 
+    def bisect(row: int, lo_psi: float, hi_psi: float) -> float:
+        # psi % 2pi is exact on [0, 2pi) and closes the wrap-around segment
+        def f(psi: float) -> float:
+            return float(pair_values(np.array([psi % (2.0 * math.pi)]))[row, 0])
+
+        f_lo = f(lo_psi)
+        for _ in range(60):
+            mid = 0.5 * (lo_psi + hi_psi)
+            f_mid = f(mid)
+            if (f_mid < 0) == (f_lo < 0):
+                lo_psi, f_lo = mid, f_mid
+            else:
+                hi_psi = mid
+        return 0.5 * (lo_psi + hi_psi)
+
     # locate discontinuity angles by sign scan + bisection
     grid = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
     roots: list[float] = []
@@ -449,39 +467,13 @@ def stationarity_polar_exact(
         sign_change = np.signbit(allv[:, :-1]) != np.signbit(allv[:, 1:])
         rows, cols = np.nonzero(sign_change)
         for r, c in zip(rows, cols):
-            lo_psi, hi_psi = allp[c], allp[c + 1]
-
-            def f(psi: float, row=r) -> float:
-                return float(pair_values(np.array([psi]))[row, 0])
-
-            f_lo = f(lo_psi)
-            for _ in range(60):
-                mid = 0.5 * (lo_psi + hi_psi)
-                f_mid = f(mid)
-                if (f_mid < 0) == (f_lo < 0):
-                    lo_psi, f_lo = mid, f_mid
-                else:
-                    hi_psi = mid
-            roots.append(0.5 * (lo_psi + hi_psi))
+            roots.append(bisect(r, allp[c], allp[c + 1]))
         prev_vals = vals[:, -1:]
         prev_psi = psis[-1]
     # wrap-around segment
     sign_change = np.signbit(prev_vals[:, 0]) != np.signbit(first_vals[:, 0])
     for r in np.nonzero(sign_change)[0]:
-        lo_psi, hi_psi = prev_psi, 2.0 * math.pi
-
-        def f(psi: float, row=r) -> float:
-            return float(pair_values(np.array([psi % (2.0 * math.pi)]))[row, 0])
-
-        f_lo = f(lo_psi)
-        for _ in range(60):
-            mid = 0.5 * (lo_psi + hi_psi)
-            f_mid = f(mid)
-            if (f_mid < 0) == (f_lo < 0):
-                lo_psi, f_lo = mid, f_mid
-            else:
-                hi_psi = mid
-        roots.append(0.5 * (lo_psi + hi_psi))
+        roots.append(bisect(r, prev_psi, 2.0 * math.pi))
 
     cuts = np.unique(np.asarray(sorted(roots)))
     if cuts.size:
@@ -574,16 +566,15 @@ def statistical_invariance(
     seed: int = 0,
     alpha: float = 1e-3,
     mutate: str | None = None,
-    kernel: str = "nuts_iterative",
 ) -> CheckReport:
     """One-transition invariance test from exact Gaussian starts.
 
-    Draws ``n`` exact samples, applies one NUTS transition to each, and runs
-    paired z-tests on every first and second moment plus a two-sample KS test
-    per coordinate, Bonferroni-corrected to overall level ``alpha``.  With
-    fewer than 1000 samples the report is marked under-powered rather than
-    passed or failed.  The documented negative control is
-    ``mutate="always-swap"``.
+    Draws ``n`` exact samples, applies one transition of the kernel
+    ``cfg.kind`` names to each, and runs paired z-tests on every first and
+    second moment plus a two-sample KS test per coordinate, Bonferroni-
+    corrected to overall level ``alpha``.  With fewer than 1000 samples the
+    report is marked under-powered rather than passed or failed.  The
+    documented negative control is ``mutate="always-swap"``.
     """
     if target.name not in ("standard_gaussian", "gaussian"):
         raise ValueError("statistical_invariance needs exact target sampling (Gaussian)")
@@ -597,10 +588,10 @@ def statistical_invariance(
         sigma = _precision_of(target, d)
         lmat = np.linalg.cholesky(sigma)
         before = np.linalg.solve(lmat.T, z.T).T
-    step = nuts_step_iterative if kernel == "nuts_iterative" else nuts_step_recursive
+    step = make_kernel(target, cfg, mutate=mutate)
     after = np.empty_like(before)
     for i in range(n):
-        after[i], _ = step(target, cfg, before[i], rng, mutate=mutate)
+        after[i], _ = step(before[i], rng)
 
     n_tests = d + d * (d + 1) // 2 + d
     each = alpha / n_tests
@@ -666,7 +657,6 @@ def drift_estimate(
     radius: float,
     n: int,
     seed: int = 0,
-    kernel: str = "nuts_iterative",
 ) -> DriftEstimate:
     """Estimate the Lyapunov ratio ``E exp(a(|q'| - |q|))`` at ``|q| = radius``."""
     if a < 0:
@@ -675,10 +665,10 @@ def drift_estimate(
     direction = rng.standard_normal(target.dim)
     direction /= np.linalg.norm(direction)
     q = radius * direction
-    step = nuts_step_iterative if kernel == "nuts_iterative" else nuts_step_recursive
+    step = make_kernel(target, cfg)
     ratios = np.empty(n)
     for i in range(n):
-        q_new, _ = step(target, cfg, q, rng)
+        q_new, _ = step(q, rng)
         ratios[i] = math.exp(a * (float(np.linalg.norm(q_new)) - radius))
     mean = float(np.mean(ratios))
     se = float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
@@ -811,9 +801,15 @@ def tail_contraction(s: float, l1: float, m1: float) -> float:
 
 
 def doubling_stability_value(l1: float, h: float, k_m: int) -> float:
-    """LHS of the doubling-stability condition; must be below 1/4."""
+    """LHS of the doubling-stability condition; must be below 1/4.
+
+    ``inf`` where the power overflows a float.
+    """
     x = h * math.sqrt(l1)
-    return (1.0 + x * growth_poly(x)) ** (1 << k_m) - 1.0
+    try:
+        return (1.0 + x * growth_poly(x)) ** (2.0**k_m) - 1.0
+    except OverflowError:
+        return math.inf
 
 
 def trajectory_uniqueness_margin(l1: float, h: float, t: int) -> float:
@@ -960,7 +956,6 @@ def ergodicity_run(
     ref_mean: np.ndarray | None = None,
     ref_second: np.ndarray | None = None,
     n_se: float = 5.0,
-    kernel: str = "nuts_iterative",
 ) -> CheckReport:
     """Single long chain from a far-out start, moments against references.
 
@@ -973,10 +968,10 @@ def ergodicity_run(
     rng = np.random.default_rng(seed)
     d = target.dim
     q = np.zeros(d) if q0 is None else np.asarray(q0, dtype=float)
-    step = nuts_step_iterative if kernel == "nuts_iterative" else nuts_step_recursive
+    step = make_kernel(target, cfg)
     chain = np.empty((iters, d))
     for i in range(iters):
-        q, _ = step(target, cfg, q, rng)
+        q, _ = step(q, rng)
         chain[i] = q
 
     underpowered = iters < 1000

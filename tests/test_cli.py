@@ -89,12 +89,14 @@ class TestSample:
             ({"target": {"dim": 2.5}}, "target.dim"),
             ({"iters": 2.7}, "iters"),
             ({"kernel": {"k_m": 3.9}}, "kernel.k_m"),
+            ({"seed": -1}, "seed"),
         ],
         ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
              "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object",
              "dim_not_a_number", "iters_not_a_number", "h_not_a_number", "a5_not_a_number",
              "k_m_a_list", "t_null", "weights_not_numbers", "chains_not_a_number",
-             "seed_not_a_number", "dim_fractional", "iters_fractional", "k_m_fractional"],
+             "seed_not_a_number", "dim_fractional", "iters_fractional", "k_m_fractional",
+             "seed_negative"],
     )
     def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -104,6 +106,17 @@ class TestSample:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--seed", "NUTS_SEED"])
+    def test_negative_seed_exits_2_naming_source(self, source, gauss2_config, monkeypatch,
+                                                 capsys):
+        argv = ["sample", "--config", gauss2_config, "--iters", "5"]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("NUTS_SEED", "-1")
+        assert main(argv) == 2
+        assert source in capsys.readouterr().err
 
     def test_unwritable_out_exits_3(self, gauss2_config):
         rc = main(["sample", "--config", gauss2_config, "--out", "/nonexistent/dir/x.csv"])
@@ -158,6 +171,9 @@ class TestPmf:
         path.write_text(json.dumps({"target": {"dim": 2}, "kernel": {"h": 0.5, "k_m": 2}}))
         assert main(["pmf", "--config", str(path), "--q", "1.0"]) == 2
         assert main(["pmf", "--config", str(path), "--q", "a,b"]) == 2
+        assert main(["pmf", "--config", str(path), "--q", "nan,0"]) == 2
+        assert main(["pmf", "--config", str(path), "--q", "0,0", "--p", "abc"]) == 2
+        assert main(["pmf", "--config", str(path), "--q", "0,0", "--p", "inf,0"]) == 2
 
 
 class TestVerify:
@@ -220,6 +236,15 @@ class TestTrajectory:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("q0", ["nan", "abc", "1,2"])
+    def test_bad_endpoint_exit_2_naming_flag(self, q0, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"dim": 1}, "kernel": {"h": 0.5}}))
+        rc = main(["trajectory", "--config", str(path), "--q0", q0, "--qT", "0.0", "--steps", "4"])
+        assert rc == 2
+        assert "--q0" in capsys.readouterr().err
+
+
 class TestConditions:
     def test_worked_pairs(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -238,12 +263,49 @@ class TestConditions:
         assert main(["conditions", "--config", str(path)]) == 2
 
 
+    @pytest.mark.parametrize(
+        "conditions,key",
+        [
+            ({"l1": "x"}, "conditions.l1"),
+            ({"l1": -1.0, "h": 0.1, "k_m": 1}, "conditions.l1"),
+            ({"l1": 1.0, "h": 0.1, "t": 0}, "conditions.t"),
+            ({"l1": 1.0, "h": 0.1, "k_m": 1.5}, "conditions.k_m"),
+            ([1.0], "conditions"),
+            ({"l1": 1.0, "h": 0.1, "k_m": 1, "require": ["doubling_stabilty"]},
+             "conditions.require"),
+            ({"l1": 1.0, "h": 0.1, "k_m": 1, "require": "doubling_stability"},
+             "conditions.require"),
+        ],
+        ids=["l1_not_a_number", "l1_negative", "t_zero", "k_m_fractional", "not_an_object",
+             "require_misspelt", "require_not_a_list"],
+    )
+    def test_bad_conditions_exit_2_naming_key(self, conditions, key, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"conditions": conditions}))
+        assert main(["conditions", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_overflowing_doubling_value_fails_the_condition(self, tmp_path, capsys):
+        # (1 + x)^(2^20) overflows a float at h = 1e-3: the condition fails
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"conditions": {"l1": 1.0, "h": 1e-3, "k_m": 20, "require": ["doubling_stability"]}}
+        ))
+        assert main(["conditions", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["doubling_stability"]["pass"] is False
+
+
 class TestBench:
     def test_smoke(self, capsys):
         rc = main(["bench", "--dim", "10", "--steps", "20"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "nuts_iterative" in out and "grad-evals/s" in out
+
+    @pytest.mark.parametrize("flag,value", [("--dim", "0"), ("--steps", "-1")])
+    def test_bad_size_exit_2_naming_flag(self, flag, value, capsys):
+        assert main(["bench", flag, value]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_d100_throughput_pin(self):
         # measured ~1500 steps/s on the reference machine; pin the documented

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -464,18 +465,39 @@ class TestSamplersAgainstPmf:
 
 
 class TestRecursiveMemory:
-    def test_peak_states_linear_in_depth(self):
-        cfg = KernelConfig("nuts_recursive", h=0.15, mass=I2, k_m=6)
-        rng = np.random.default_rng(13)
-        worst_boundary = 0
-        for _ in range(50):
-            _, info = nuts_step_recursive(
-                STD2, cfg, rng.standard_normal(2), rng, count_states=True
-            )
-            assert info.peak_states is not None
-            worst_boundary = max(worst_boundary, info.peak_states)
-        # far below the 2^{K_m+1} - 1 = 127 states the table-based sampler holds
-        assert worst_boundary <= 3 * (cfg.k_m + 1) + 2
+    D = 20_000
+
+    def _peak_arrays(self, transition, k_m):
+        """Peak traced allocation of one transition, in arrays of d floats.
+
+        On a flat target the orbit is a straight line, so no U-turn stops
+        the doubling and every transition builds all k_m stages.
+        """
+        cfg = KernelConfig("nuts_recursive", h=0.1, mass=MassMatrix.identity(self.D), k_m=k_m)
+        rng = np.random.default_rng(0)
+        x0 = PhasePoint(np.zeros(self.D), rng.standard_normal(self.D))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, info = transition(flat_target(self.D), cfg, x0, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.k_f == k_m
+        return (peak - base) / (8 * self.D)
+
+    @staticmethod
+    def _bound(k_m):
+        # 3(k_m + 1) + 2 states held at once, each with its q, p and gradient
+        return 3 * (3 * (k_m + 1) + 2)
+
+    @pytest.mark.parametrize("k_m", [5, 9])
+    def test_recursive_peak_linear_in_depth(self, k_m):
+        assert self._peak_arrays(nuts_transition_recursive, k_m) <= self._bound(k_m)
+
+    def test_iterative_control_exceeds_bound(self):
+        # the orbit table holds all 2^10 - 1 states at k_m = 9
+        assert self._peak_arrays(nuts_transition_iterative, 9) > self._bound(9)
 
 
 class TestHmc:
@@ -607,3 +629,18 @@ class TestMakeKernel:
         q, info = kernel(np.zeros(2), np.random.default_rng(0))
         assert q.shape == (2,)
         assert info.n_grad >= 1
+
+    @pytest.mark.parametrize(
+        "kind,extra,mutate",
+        [
+            ("nuts_iterative", {"k_m": 3}, "never-swap"),
+            ("nuts_recursive", {"k_m": 3}, "never-swap"),
+            ("hmc", {"t": 4}, "always-swap"),
+            ("rhmc", {"weights": np.array([0.3, 0.7])}, "always-swap"),
+        ],
+    )
+    def test_mutation_it_cannot_apply_raises(self, kind, extra, mutate):
+        # a mutation silently dropped would make a negative control vacuous
+        cfg = KernelConfig(kind, h=0.4, mass=I2, **extra)
+        with pytest.raises(ValueError, match="mutation"):
+            make_kernel(STD2, cfg, mutate=mutate)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -67,6 +68,38 @@ class TestBuiltinConstants:
         q = np.array([0.3, -0.7])
         assert np.allclose(t.gradient(q), q)
         assert t.lipschitz_l1 == 1.0
+
+    def test_standard_gaussian_builds_no_matrix_at_large_d(self):
+        d = 20_000
+        tracemalloc.start()
+        try:
+            t = builtin_target("standard_gaussian", d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * 10  # a d x d identity would take 3.2 GB
+        assert t.lipschitz_l1 == 1.0
+        assert t.constants == {"m": 2.0, "M1": 1.0, "A1": 1.0, "A2": 0.0}
+
+    @pytest.mark.parametrize("mass_kind", [None, "identity", "diagonal", "dense"])
+    def test_standard_gaussian_constants_match_identity_sigma(self, mass_kind):
+        d = 4
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((d, d))
+        mass = {
+            None: None,
+            "identity": MassMatrix.identity(d),
+            "diagonal": MassMatrix.diagonal(rng.random(d) + 0.5),
+            "dense": MassMatrix.dense(a @ a.T / d + np.eye(d)),
+        }[mass_kind]
+        fast = builtin_target("standard_gaussian", d, mass=mass)
+        ref = builtin_target("gaussian", d, sigma=np.eye(d), mass=mass)
+        assert fast.lipschitz_l1 == ref.lipschitz_l1
+        assert fast.constants == ref.constants
+        assert (fast.growth_class, fast.dim) == (ref.growth_class, ref.dim)
+        q = rng.standard_normal(d)
+        assert fast.potential(q) == ref.potential(q)
+        assert np.array_equal(fast.gradient(q), ref.gradient(q))
 
     def test_diag_precision_l1(self):
         t = builtin_target("gaussian", 2, sigma=np.diag([1.0, 4.0]))

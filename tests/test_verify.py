@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynhmc.kernels import KernelConfig
+from dynhmc.kernels import KernelConfig, nuts_step_recursive
 from dynhmc.targets import MassMatrix, PhasePoint, builtin_target, momentum_refresh
 from dynhmc.verify import (
     batch_means_se,
@@ -128,6 +128,18 @@ class TestStatisticalInvariance:
         clean = statistical_invariance(STD2, cfg, n=4000, seed=1)
         assert clean.passed
 
+    @pytest.mark.parametrize(
+        "kind,extra",
+        [("nuts_recursive", {"k_m": 4}), ("hmc", {"t": 3}),
+         ("rhmc", {"weights": np.array([0.5, 0.5])})],
+    )
+    def test_runs_the_kind_cfg_names(self, kind, extra):
+        cfg = KernelConfig(kind, h=0.4, mass=I2, **extra)
+        assert statistical_invariance(STD2, cfg, n=2000, seed=1).passed
+        if kind != "nuts_recursive":
+            with pytest.raises(ValueError, match="mutation"):
+                statistical_invariance(STD2, cfg, n=2000, seed=1, mutate="always-swap")
+
     def test_underpowered_guard(self):
         cfg = KernelConfig("nuts_iterative", h=0.4, mass=I2, k_m=4)
         rep = statistical_invariance(STD2, cfg, n=100, seed=1)
@@ -139,6 +151,18 @@ class TestDrift:
         cfg = KernelConfig("nuts_iterative", h=0.2, mass=I2, k_m=4)
         est = drift_estimate(STD2, cfg, a=1.0, radius=20.0, n=800, seed=0)
         assert est.ci_high < 1.0
+
+    def test_runs_the_kind_cfg_names(self):
+        cfg = KernelConfig("nuts_recursive", h=0.2, mass=I2, k_m=3)
+        est = drift_estimate(STD2, cfg, a=1.0, radius=5.0, n=50, seed=0)
+        rng = np.random.default_rng(0)
+        direction = rng.standard_normal(2)
+        q = 5.0 * (direction / np.linalg.norm(direction))
+        ratios = [
+            math.exp(float(np.linalg.norm(nuts_step_recursive(STD2, cfg, q, rng)[0])) - 5.0)
+            for _ in range(50)
+        ]
+        assert est.ratio == float(np.mean(ratios))
 
     def test_zero_exponent_ratio_is_one(self):
         cfg = KernelConfig("nuts_iterative", h=0.2, mass=I2, k_m=3)
@@ -173,6 +197,11 @@ class TestStepsizeConditions:
         rep = stepsize_conditions(l1=1.0, h=0.1, k_m=1)
         assert rep["doubling_stability"]["pass"] is True
         assert stepsize_conditions(l1=1.0, h=0.2, k_m=1)["doubling_stability"]["pass"] is False
+
+    def test_doubling_stability_overflow_is_inf(self):
+        # (1 + x g(x))^(2^20) at x = 1e-3 exceeds the float range
+        assert doubling_stability_value(1.0, 1e-3, 20) == math.inf
+        assert stepsize_conditions(l1=1.0, h=1e-3, k_m=20)["doubling_stability"]["pass"] is False
 
     def test_uniqueness_margin_worked_pair(self):
         assert trajectory_uniqueness_margin(1.0, 1.0, 2) > 0
