@@ -45,21 +45,24 @@ def accept_log_ratio(log_new: float, log_old: float) -> float:
     return min(0.0, log_new - log_old)
 
 
-def multinomial_pick(log_weights: np.ndarray, u: float) -> int:
-    """Inverse-CDF pick over ascending indices from unnormalized log-weights."""
-    total = logsumexp(log_weights)
+def multinomial_pick(log_weights: np.ndarray, u: float, total: float | None = None) -> int:
+    """Inverse-CDF pick over ascending indices from unnormalized log-weights.
+
+    ``total`` is their :func:`logsumexp`, when the caller already has it.
+    """
+    if total is None:
+        total = logsumexp(log_weights)
     if total == NEG_INF:
         return 0
-    probs = np.exp(log_weights - total)
-    cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, u, side="right")), len(log_weights) - 1)
+    cum = np.exp(log_weights - total).cumsum()
+    return min(int(cum.searchsorted(u, side="right")), len(log_weights) - 1)
 
 
 def logsumexp(arr: np.ndarray) -> float:
-    m = float(np.max(arr))
+    m = float(arr.max())
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 class WeightTree:

@@ -51,6 +51,7 @@ from .orbit import (  # noqa: F401
     OrbitCache,
     _Entry,
     _make_entry,
+    _weigh,
     is_uturn,
     no_uturns,
     orbit_select_pmf,
@@ -147,36 +148,6 @@ def _swap(logw_new: float, logw_old: float, u: float, mutate: str | None) -> boo
     return log_r > -math.inf and u < math.exp(log_r)
 
 
-def _extend_checked(cache: OrbitCache, right: int, n: int) -> tuple[np.ndarray | None, bool]:
-    """Grow the orbit by ``n`` states on one side, checking each as it comes.
-
-    The i-th new state ends the growth if it diverged, or if it completes an
-    aligned block of the new half (size 2, 4, ..., n dividing i) whose
-    endpoints turn.  Returns ``(logw, diverged)``: the new states'
-    log-weights in index order, or None if the growth ended early.
-    """
-    logw = []
-    for i in range(1, n + 1):
-        if right:
-            cache.extend_right()
-            j = cache.hi
-        else:
-            cache.extend_left()
-            j = cache.lo
-        if cache.diverged(j):
-            return None, True
-        logw.append(cache.logw(j))
-        size = 2
-        while i % size == 0:
-            block = (j - size + 1, j) if right else (j, j + size - 1)
-            if cache.pair_uturn(*block):
-                return None, False
-            size <<= 1
-    if not right:
-        logw.reverse()
-    return np.array(logw), False
-
-
 def nuts_step_iterative(
     target: Target,
     cfg: KernelConfig,
@@ -211,9 +182,11 @@ def nuts_transition_iterative(
     the recursive sampler meets them and computes no state past the first
     one that fails: first the current interval's endpoint pair (its smaller
     blocks passed at earlier stages), then, one leapfrog step at a time, each
-    new state and the aligned blocks of the new half it completes.  So a
-    divergence is flagged only if it is reached before a U-turn.  Each stage
-    attempted draws three uniforms, however many states it computes.
+    new state and the aligned blocks of the new half it completes (one
+    checked :meth:`OrbitCache.extend_right` or ``extend_left`` call per
+    stage).  So a divergence is flagged only if it is reached before a
+    U-turn.  Each stage attempted draws three uniforms, however many states
+    it computes.
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -233,13 +206,17 @@ def nuts_transition_iterative(
         if k and cache.pair_uturn(cache.lo, cache.hi):
             break
         v_k = 1 if u_dir < 0.5 else 0
-        seg_lo = cache.hi + 1 if v_k else cache.lo - (1 << k)
-        seg_logw, diverged = _extend_checked(cache, v_k, 1 << k)
+        if v_k:
+            seg_lo = cache.hi + 1
+            seg_logw, diverged = cache.extend_right(1 << k, check=True)
+        else:
+            seg_lo = cache.lo - (1 << k)
+            seg_logw, diverged = cache.extend_left(1 << k, check=True)
         if seg_logw is None:
             break
         bits |= v_k << k
-        pick = seg_lo + multinomial_pick(seg_logw, u_mult)
         logw_new = logsumexp(seg_logw)
+        pick = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new)
         if _swap(logw_new, logw_tot, u_swap, mutate):
             j = pick
         logw_tot = np.logaddexp(logw_tot, logw_new)
@@ -341,37 +318,39 @@ def nuts_transition_recursive(
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
     params = cfg.params
-    grad0 = target.gradient(x0.q)  # before the potential, as in OrbitCache
-    st0 = _RecState(_make_entry(target, cfg.mass, x0), grad0, 0)
-    n_grad = 1  # the anchor's gradient
-    if st0.entry.diverged:
-        return x0.q, TransitionInfo(0, _origin_interval(), 0, n_grad, True)
+    # one errstate for every state the recursion steps and weighs
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad0 = target.gradient(x0.q)  # before the potential, as in OrbitCache
+        st0 = _RecState(_weigh(target, cfg.mass, x0.q, x0.p), grad0, 0)
+        n_grad = 1  # the anchor's gradient
+        if st0.entry.diverged:
+            return x0.q, TransitionInfo(0, _origin_interval(), 0, n_grad, True)
 
-    sel = st0
-    lo = hi = st0
-    logw_tot = st0.entry.logw
-    k_f = 0
-    diverged = False
-    for k in range(cfg.k_m):
-        v_k = 1 if rng.random() < 0.5 else 0
-        frm = hi if v_k else lo
-        node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng)
-        n_grad += node.n
-        if node.stop:
-            diverged = diverged or node.diverged
-            break
-        if _swap(node.logw, logw_tot, rng.random(), mutate):
-            sel = node.sel
-        if v_k:
-            hi = node.hi
-        else:
-            lo = node.lo
-        logw_tot = float(np.logaddexp(logw_tot, node.logw))
-        k_f = k + 1
-        if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
-            # the doubled interval as a whole has turned: the swap above
-            # stands, but no further doubling happens
-            break
+        sel = st0
+        lo = hi = st0
+        logw_tot = st0.entry.logw
+        k_f = 0
+        diverged = False
+        for k in range(cfg.k_m):
+            v_k = 1 if rng.random() < 0.5 else 0
+            frm = hi if v_k else lo
+            node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng)
+            n_grad += node.n
+            if node.stop:
+                diverged = diverged or node.diverged
+                break
+            if _swap(node.logw, logw_tot, rng.random(), mutate):
+                sel = node.sel
+            if v_k:
+                hi = node.hi
+            else:
+                lo = node.lo
+            logw_tot = float(np.logaddexp(logw_tot, node.logw))
+            k_f = k + 1
+            if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
+                # the doubled interval as a whole has turned: the swap above
+                # stands, but no further doubling happens
+                break
 
     info = TransitionInfo(
         j_f=sel.idx, i_f=(lo.idx, hi.idx), k_f=k_f, n_grad=n_grad, diverged=diverged
@@ -524,8 +503,11 @@ def hmc_step(
     t = cfg.t if t is None else t
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
+    # the gradient first, as in OrbitCache: a target may reuse its work in
+    # the potential, and the trajectory starts from this gradient
+    grad0 = target.gradient(x0.q)
     e0 = _make_entry(target, cfg.mass, x0)
-    x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t)
+    x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t, grad0)
     e_t = _make_entry(target, cfg.mass, x_t)
     diverged = e_t.diverged
     alpha = 0.0 if diverged else min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))

@@ -11,6 +11,13 @@ the momentum-flip identity ``Phi^{(-T)}(q, p) = flip(Phi^{(T)}(q, -p))``,
 which reuses the forward code path and is exactly the identity used by the
 reversibility checks.
 
+:func:`leapfrog_step_with_grad` is the bare step and enters no
+``np.errstate``: an overflowing step is the flagged-divergence path, and its
+caller silences it once for all the steps it takes.  :func:`leapfrog_step`
+holds the context for its one step, :func:`leapfrog_forward` for a whole
+trajectory, :class:`orbit.OrbitCache` for each extension and the recursive
+NUTS sampler for a whole transition.
+
 For Gaussian targets ``U(q) = q^T Sigma q / 2`` the T-step map is linear and
 is computed here in closed form; for general targets the module also solves
 the discrete two-point boundary value problem (find ``p0`` such that the
@@ -49,7 +56,8 @@ class LeapfrogParams:
 
 def leapfrog_step(target: Target, params: LeapfrogParams, x: PhasePoint) -> PhasePoint:
     """One forward leapfrog step (two gradient evaluations)."""
-    x1, _ = leapfrog_step_with_grad(target, params, x, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, _ = leapfrog_step_with_grad(target, params, x, None)
     return x1
 
 
@@ -58,22 +66,29 @@ def leapfrog_step_with_grad(
     params: LeapfrogParams,
     x: PhasePoint,
     grad0: np.ndarray | None = None,
+    backward: bool = False,
 ) -> tuple[PhasePoint, np.ndarray]:
-    """One forward step, reusing a cached ``grad U(q)`` and returning the new one.
+    """One step, reusing a cached ``grad U(q)`` and returning the new one.
 
     With the cache supplied a step costs exactly one gradient evaluation, so a
-    T-step trajectory costs T + 1 evaluations in total.
+    T-step trajectory costs T + 1 evaluations in total.  ``backward`` takes
+    ``Phi^{(-1)} = flip . Phi^{(1)} . flip`` as the step with ``-h``, which
+    equals it bit for bit: negating an operand negates every rounded result
+    of the step.  The caller holds
+    ``np.errstate(over="ignore", invalid="ignore")``: a step that overflows is
+    a divergence the caller flags, and this function, called once per state,
+    does not pay for entering the context itself.
     """
     h, mass = params.h, params.mass
+    if backward:
+        h = -h
     q, p = x
-    # overflow here is the flagged-divergence path, not an anomaly
-    with np.errstate(over="ignore", invalid="ignore"):
-        if grad0 is None:
-            grad0 = target.gradient(q)
-        p_half = p - 0.5 * h * grad0
-        q1 = q + h * mass.inv_mul(p_half)
-        grad1 = target.gradient(q1)
-        p1 = p_half - 0.5 * h * grad1
+    if grad0 is None:
+        grad0 = target.gradient(q)
+    p_half = p - 0.5 * h * grad0
+    q1 = q + h * mass.inv_mul(p_half)
+    grad1 = target.gradient(q1)
+    p1 = p_half - 0.5 * h * grad1
     return PhasePoint(q1, p1), grad1
 
 
@@ -91,18 +106,24 @@ def leapfrog_iter(target: Target, params: LeapfrogParams, x: PhasePoint, j: int)
 
 
 def leapfrog_forward(
-    target: Target, params: LeapfrogParams, x: PhasePoint, t: int
+    target: Target,
+    params: LeapfrogParams,
+    x: PhasePoint,
+    t: int,
+    grad: np.ndarray | None = None,
 ) -> tuple[PhasePoint, int]:
     """The t-th forward iterate (``t >= 1``) and the gradients taken to reach it.
 
+    ``grad``, when given, is ``grad U(x.q)``, already computed by the caller.
     Stops at the first non-finite state and returns it, so that the caller
-    flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations.
+    flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations,
+    the one at ``x`` included.
     """
-    grad = None
-    for s in range(1, t + 1):
-        x, grad = leapfrog_step_with_grad(target, params, x, grad)
-        if not (np.all(np.isfinite(x.q)) and np.all(np.isfinite(x.p))):
-            break  # divergence flag propagates to the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, t + 1):
+            x, grad = leapfrog_step_with_grad(target, params, x, grad)
+            if not (np.isfinite(x.q).all() and np.isfinite(x.p).all()):
+                break  # divergence flag propagates to the caller
     return x, s + 1
 
 

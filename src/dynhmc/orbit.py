@@ -22,6 +22,15 @@ This module owns, for every sampler, how a state is weighed
 (:func:`step_entry`) and what a U-turn is (:func:`is_uturn`).  A state is
 divergent, with weight zero, on non-finite states or energies, or a squared
 norm ``|q|^2 + |p|^2`` that overflows.
+
+Stepping and weighing overflow on a divergent state, and that is flagged,
+not warned about.  :func:`step_entry` and :func:`_weigh` enter no
+``np.errstate`` themselves: their caller holds
+``np.errstate(over="ignore", invalid="ignore")`` around all the states it
+computes.  :class:`OrbitCache` enters it once per extension call, so the
+iterative sampler pays for it once per doubling stage, and the recursive
+sampler once per transition; :func:`_make_entry` enters it to weigh a
+single state.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import numpy as np
 
 from .binwords import BinWord, IndexInterval, interval, low_trunc, t_minus
 from .leapfrog import LeapfrogParams, leapfrog_step_with_grad
-from .targets import MassMatrix, PhasePoint, Target, flip
+from .targets import MassMatrix, PhasePoint, Target
 
 
 class CacheCoverageError(RuntimeError):
@@ -50,18 +59,30 @@ class _Entry(NamedTuple):
     diverged: bool
 
 
-def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
-    """Weigh one state: its velocity and ``-H``, or a divergent entry of weight zero."""
+def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> _Entry:
+    """Weigh one state: its velocity and ``-H``, or a divergent entry of weight zero.
+
+    Enters no ``np.errstate``; the caller holds it (see the module docstring).
+    """
+    pp = p.dot(p)
     # scalar finiteness probe: any nan/inf in (q, p) poisons the dot products
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = float(x.q @ x.q) + float(x.p @ x.p)
-    if not math.isfinite(norms):
-        return _Entry(x.q, x.p, x.p, -math.inf, True)
-    vel = mass.inv_mul(x.p)
-    logw = -float(target.potential(x.q)) - 0.5 * float(x.p @ vel)
+    if not math.isfinite(q.dot(q) + pp):
+        return _Entry(q, p, p, -math.inf, True)
+    if mass.is_identity:
+        vel, kinetic = p, pp
+    else:
+        vel = mass.inv_mul(p)
+        kinetic = p.dot(vel)
+    logw = -float(target.potential(q)) - 0.5 * float(kinetic)
     if not math.isfinite(logw):
-        return _Entry(x.q, x.p, vel, -math.inf, True)
-    return _Entry(x.q, x.p, vel, logw, False)
+        return _Entry(q, p, vel, -math.inf, True)
+    return _Entry(q, p, vel, logw, False)
+
+
+def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
+    """:func:`_weigh` for a single state, in its own ``np.errstate``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _weigh(target, mass, x.q, x.p)
 
 
 def step_entry(
@@ -70,12 +91,14 @@ def step_entry(
     """One leapfrog step from ``entry`` away from the anchor, weighed.
 
     ``grad`` is the gradient at ``entry.q``; the new state's gradient is
-    returned with it.  Backward steps use ``Phi^{(-1)} = flip . Phi^{(1)} .
-    flip``, for which the cached gradient stays valid.
+    returned with it.  Backward steps are ``Phi^{(-1)} = flip . Phi^{(1)} .
+    flip``, for which the cached gradient stays valid.  Enters no
+    ``np.errstate``; the caller holds it.
     """
-    p = entry.p if forward else -entry.p
-    x1, grad1 = leapfrog_step_with_grad(target, params, PhasePoint(entry.q, p), grad)
-    return _make_entry(target, params.mass, x1 if forward else flip(x1)), grad1
+    x1, grad1 = leapfrog_step_with_grad(
+        target, params, PhasePoint(entry.q, entry.p), grad, not forward
+    )
+    return _weigh(target, params.mass, x1.q, x1.p), grad1
 
 
 def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.ndarray) -> bool:
@@ -87,7 +110,7 @@ def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.
     a U-turn.
     """
     dq = q_hi - q_lo
-    return bool(float(vel_hi @ dq) < 0.0 or float(vel_lo @ dq) < 0.0)
+    return bool(vel_hi.dot(dq) < 0.0 or vel_lo.dot(dq) < 0.0)
 
 
 class OrbitCache:
@@ -150,22 +173,60 @@ class OrbitCache:
     def any_diverged(self, lo: int, hi: int) -> bool:
         return any(self._entry(j).diverged for j in range(lo, hi + 1))
 
-    def _extend(self, forward: bool, n: int) -> None:
+    def _extend(self, forward: bool, n: int, check: bool) -> tuple[np.ndarray | None, bool] | None:
         side = self._right if forward else self._left
-        for _ in range(n):
-            top = side[-1] if side else self._anchor
-            if not top.diverged:
-                top, self._grad[forward] = step_entry(
-                    self.target, self.params, top, self._grad[forward], forward
-                )
-                self.n_grad += 1
-            side.append(top)
+        top = side[-1] if side else self._anchor
+        target, params, grad = self.target, self.params, self._grad[forward]
+        stopped = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, n + 1):
+                if not top.diverged:
+                    top, grad = step_entry(target, params, top, grad, forward)
+                    self.n_grad += 1
+                side.append(top)
+                if check and (top.diverged or self._turned(side, i, forward)):
+                    stopped = True
+                    break
+        self._grad[forward] = grad
+        if not check:
+            return None
+        if stopped:
+            return None, top.diverged
+        logw = [e.logw for e in side[len(side) - n:]]
+        if not forward:
+            logw.reverse()
+        return np.array(logw), False
 
-    def extend_right(self, n: int = 1) -> None:
-        self._extend(True, n)
+    @staticmethod
+    def _turned(side: list[_Entry], i: int, forward: bool) -> bool:
+        """Whether the ``i``-th new state completes an aligned block of the new
+        half (size 2, 4, ... dividing ``i``) whose endpoints turn."""
+        end = side[-1]
+        size = 2
+        while not i % size:
+            start = side[-size]
+            lo, hi = (start, end) if forward else (end, start)
+            if is_uturn(lo.q, lo.vel, hi.q, hi.vel):
+                return True
+            size <<= 1
+        return False
 
-    def extend_left(self, n: int = 1) -> None:
-        self._extend(False, n)
+    def extend_right(self, n: int = 1, check: bool = False) -> tuple[np.ndarray | None, bool] | None:
+        """Append ``n`` states on the right; see :meth:`extend_left`."""
+        return self._extend(True, n, check)
+
+    def extend_left(self, n: int = 1, check: bool = False) -> tuple[np.ndarray | None, bool] | None:
+        """Append ``n`` states on the left, stepping and weighing them in one
+        ``np.errstate``.
+
+        With ``check`` the growth is the new half of a doubling stage, checked
+        as it comes: the i-th new state ends it if it diverged, or if it
+        completes an aligned block of the new half (size 2, 4, ..., ``n``
+        dividing i) whose endpoints turn.  Then returns ``(logw, diverged)``:
+        the new states' log-weights in index order, or None if the growth
+        ended early, and whether it ended at a divergent state.
+        """
+        return self._extend(False, n, check)
 
     def extend_to(self, lo: int, hi: int) -> None:
         if hi > self.hi:

@@ -234,7 +234,7 @@ def builtin_target(
             lam_max_m = float(np.max(np.abs(np.linalg.eigvals(mass.inv_matrix()))))
 
         def potential(q):
-            return 0.5 * float(q @ q)
+            return 0.5 * float(q.dot(q))
 
         def gradient(q):
             return q

@@ -643,7 +643,8 @@ def statistical_invariance(
 
 def _precision_of(target: Target, d: int) -> np.ndarray:
     # recover sigma from the gradient (linear for Gaussian targets)
-    cols = [target.gradient(np.eye(d)[i]) for i in range(d)]
+    eye = np.eye(d)
+    cols = [target.gradient(eye[i]) for i in range(d)]
     return np.column_stack(cols)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from dynhmc.kernels import (
     nuts_transition_recursive,
     rhmc_step,
 )
-from dynhmc.orbit import OrbitCache
+from dynhmc.binwords import BinWord, interval, low_trunc
+from dynhmc.leapfrog import LeapfrogParams, leapfrog_forward, leapfrog_step
+from dynhmc.orbit import OrbitCache, stopping_time
 from dynhmc.targets import (
     MassMatrix,
     PhasePoint,
@@ -320,6 +323,164 @@ class TestIterativeDivergenceSemantics:
         assert (info.k_f, info.j_f, info.n_grad) == (0, 0, 2)
 
 
+class _Script:
+    """A generator stand-in that returns scripted uniforms in order."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def _double_well_anchors(rng):
+    # the states of the double-well orbit from (5, 0) at h = 0.25, which
+    # overflows at its tenth state on either side, and nearby random ones
+    params = LeapfrogParams(0.25, I1)
+    edge = OrbitCache(builtin_target("double_well", 1), params,
+                      PhasePoint(np.array([5.0]), np.array([0.0])))
+    edge.extend_right(9)
+    rand = [PhasePoint(rng.choice([-1.0, 1.0]) * rng.uniform(3.0, 5.5, 1),
+                       rng.normal(0.0, 3.0, 1)) for _ in range(8)]
+    return [edge.state(j) for j in range(10)] + rand
+
+
+def _oracle_case(name):
+    """(target, mass, h, anchors) for the checked-growth oracle test."""
+    g = np.random.default_rng(17)
+    if name == "double_well":
+        return builtin_target("double_well", 1), I1, 0.25, _double_well_anchors(g)
+    d = 3
+    if name == "std_dense_mass":
+        mass = MassMatrix.dense(_spd(g, d))
+        target = builtin_target("standard_gaussian", d, mass=mass)
+        h = 0.5
+    else:
+        mass = MassMatrix.identity(d)
+        target = builtin_target("perturbed_gaussian", d, sigma=_spd(g, d), a5=0.5)
+        h = 0.4
+    anchors = [PhasePoint(1.5 * g.standard_normal(d), mass.chol_mul(g.standard_normal(d)))
+               for _ in range(6)]
+    return target, mass, h, anchors
+
+
+class TestCheckedGrowthMatchesOracle:
+    """The iterative sampler's checked growth stops at stage K, by a U-turn or
+    a divergence, iff ``no_uturns`` fails for the stage-K record on a fully
+    extended cache that checks nothing (so at ``stopping_time``).  Within the
+    stopping stage it computes the states up to the first failing check, in
+    the order of :class:`TestIterativeDivergenceSemantics`: the current
+    interval's endpoint pair, then each new state and the blocks it
+    completes; ``diverged`` is set iff that check is a divergent state."""
+
+    K_M = 5
+
+    @staticmethod
+    def _first_failure(oracle, v, k_f):
+        """(new states computed, whether the failing check is a divergence)
+        at stage ``k_f + 1`` of record ``v``, read off the oracle cache."""
+        lo, hi = (interval(low_trunc(v, k_f)).lo, interval(low_trunc(v, k_f)).hi) if k_f else (0, 0)
+        right = (v.value >> k_f) & 1
+        if k_f and oracle.pair_uturn(lo, hi):
+            return 0, False
+        for i in range(1, (1 << k_f) + 1):
+            j = hi + i if right else lo - i
+            if oracle.diverged(j):
+                return i, True
+            size = 2
+            while i % size == 0:
+                if oracle.pair_uturn(*((j - size + 1, j) if right else (j, j + size - 1))):
+                    return i, False
+                size <<= 1
+        raise AssertionError(f"stage {k_f + 1} of {v} passed every check")
+
+    @pytest.mark.parametrize("name", ["std_dense_mass", "perturbed_gaussian", "double_well"])
+    def test_stops_iff_no_uturns_fails(self, name):
+        target, mass, h, anchors = _oracle_case(name)
+        k_m = self.K_M
+        cfg = KernelConfig("nuts_iterative", h=h, mass=mass, k_m=k_m)
+        stops = {True: 0, False: 0}  # stopping stages, by whether they diverged
+        for x0 in anchors:
+            oracle = OrbitCache(target, cfg.params, x0)
+            if oracle.diverged(0):
+                continue
+            oracle.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
+            for word in range(1 << k_m):
+                v = BinWord(k_m, word)
+                s_f = stopping_time(v, oracle)
+                # per stage: direction (right iff the bit is set), pick, swap
+                script = []
+                for k in range(k_m):
+                    script += [0.25 if word >> k & 1 else 0.75, 0.5, 0.5]
+                _, info = nuts_transition_iterative(target, cfg, x0, _Script(script))
+                if math.isinf(s_f):
+                    assert (info.k_f, info.n_grad, info.diverged) == (k_m, 1 << k_m, False)
+                    continue
+                k_f = s_f - 1
+                computed, diverged = self._first_failure(oracle, v, k_f)
+                assert (info.k_f, info.n_grad, info.diverged) == (
+                    k_f, (1 << k_f) + computed, diverged)
+                if k_f:
+                    iv = interval(low_trunc(v, k_f))
+                    assert info.i_f == (iv.lo, iv.hi)
+                stops[diverged] += 1
+        assert stops[False] > 0
+        if name == "double_well":
+            assert stops[True] > 0
+
+
+class TestOverflowIsSilent:
+    """Every path that steps or weighs an overflowing state holds
+    ``np.errstate`` around it: no RuntimeWarning, and the divergence is
+    flagged."""
+
+    # the first half-kick overflows: 0.5 * h * 1e308 at h = 4
+    STEEP = Target(dim=2, potential=lambda q: 0.0, gradient=lambda q: np.full(2, 1e308),
+                   name="steep")
+    PARAMS = LeapfrogParams(4.0, I2)
+    X0 = PhasePoint(np.zeros(2), np.ones(2))
+
+    def test_leapfrog_step_and_forward(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x1 = leapfrog_step(self.STEEP, self.PARAMS, self.X0)
+            x_t, n_grad = leapfrog_forward(self.STEEP, self.PARAMS, self.X0, 5)
+        assert not np.all(np.isfinite(x1.q))
+        assert not np.all(np.isfinite(x_t.q)) and n_grad == 2
+
+    def test_orbit_extension(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = OrbitCache(self.STEEP, self.PARAMS, self.X0)
+            cache.extend_to(-3, 3)
+        assert all(cache.diverged(j) for j in (-3, -2, -1, 1, 2, 3))
+        assert not cache.diverged(0) and cache.n_grad == 3
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("nuts_iterative", {"k_m": 3}),
+        ("nuts_recursive", {"k_m": 3}),
+        ("hmc", {"t": 4}),
+        ("rhmc", {"weights": np.array([0.5, 0.5])}),
+    ])
+    def test_kernels(self, kind, extra):
+        cfg = KernelConfig(kind, h=4.0, mass=I2, **extra)
+        kernel = make_kernel(self.STEEP, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q1, info = kernel(self.X0.q, np.random.default_rng(0))
+        assert info.diverged and np.array_equal(q1, self.X0.q)
+
+    def test_forward_stops_only_at_non_finite_states(self):
+        # |q|^2 overflows but every state is finite: the trajectory runs on,
+        # unlike the orbit's weigh, which counts such a state as divergent
+        flat = Target(dim=1, potential=lambda q: 0.0, gradient=lambda q: np.zeros(1), name="flat")
+        x0 = PhasePoint(np.array([1e160]), np.array([1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_t, n_grad = leapfrog_forward(flat, LeapfrogParams(0.5, I1), x0, 4)
+        assert n_grad == 5 and np.all(np.isfinite(x_t.q))
+
+
 class TestDivergenceRule:
     """Every sampler weighs states by the orbit rule: a squared norm
     ``|q|^2 + |p|^2`` that overflows is divergent even where ``U`` is finite."""
@@ -370,6 +531,25 @@ class TestSharedSigmaProduct:
             q, info = step(target, cfg, q, rng)
             assert info.n_grad > 1
             assert sigma.products - before == info.n_grad
+
+
+    def test_hmc_one_product_per_gradient_rejections_included(self):
+        # the gradient at x0 comes first, so weighing x0 reuses its product
+        # even when the last gradient was taken at a rejected proposal
+        d = 20
+        sigma = _CountingSigma(_spd(np.random.default_rng(3), d))
+        sigma_q, half_quad = _shared_sigma_product(sigma)
+        target = Target(dim=d, potential=half_quad, gradient=sigma_q, name="gaussian")
+        cfg = KernelConfig("hmc", h=0.6, mass=MassMatrix.identity(d), t=8)
+        rng = np.random.default_rng(8)
+        q = np.zeros(d)
+        rejected = 0
+        for _ in range(60):
+            before = sigma.products
+            q, info = hmc_step(target, cfg, q, rng)
+            assert sigma.products - before == info.n_grad
+            rejected += not info.accepted
+        assert 0 < rejected < 60
 
 
 class TestExactPmf:

@@ -10,6 +10,7 @@ from dynhmc.leapfrog import (
     gaussian_maps,
     leapfrog_iter,
     leapfrog_step,
+    leapfrog_step_with_grad,
     trajectory_solve,
     tridiag_a,
 )
@@ -46,6 +47,26 @@ class TestLeapfrogStep:
         y = leapfrog_step(STD1, params, flip(leapfrog_step(STD1, params, flip(x))))
         assert np.linalg.norm(y.q - x.q) <= 1e-12
         assert np.linalg.norm(y.p - x.p) <= 1e-12
+
+
+    @pytest.mark.parametrize("mass_kind", ["identity", "diagonal", "dense"])
+    def test_backward_step_is_flip_step_flip_bit_for_bit(self, mass_kind):
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 3))
+        mass = {
+            "identity": MassMatrix.identity(3),
+            "diagonal": MassMatrix.diagonal(rng.uniform(0.5, 2.0, 3)),
+            "dense": MassMatrix.dense(a @ a.T + np.eye(3)),
+        }[mass_kind]
+        target = builtin_target("perturbed_gaussian", 3, sigma=a.T @ a / 3 + np.eye(3))
+        params = LeapfrogParams(0.37, mass)
+        for _ in range(20):
+            x = PhasePoint(rng.standard_normal(3), rng.standard_normal(3))
+            grad = target.gradient(x.q)
+            back, grad_b = leapfrog_step_with_grad(target, params, x, grad, backward=True)
+            fwd, grad_f = leapfrog_step_with_grad(target, params, flip(x), grad)
+            assert np.array_equal(back.q, fwd.q) and np.array_equal(back.p, -fwd.p)
+            assert np.array_equal(grad_b, grad_f)
 
 
 class TestLeapfrogIter:

@@ -25,6 +25,7 @@ from dynhmc.verify import (
     tail_contraction,
     uturn_degeneracy_scan,
 )
+from dynhmc.verify import _precision_of
 
 STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)
@@ -301,3 +302,11 @@ class TestHelpers:
         rep = check_ph_symmetry(STD1, cfg, anchors(1, I1, 1, 0), seed=0)
         d = rep.to_dict()
         assert set(d) >= {"check", "pass", "tolerance", "violation", "config", "seed", "details"}
+
+
+class TestPrecisionOf:
+    def test_recovers_dense_sigma_exactly(self):
+        a = np.random.default_rng(4).standard_normal((6, 6))
+        sigma = a @ a.T / 6 + np.eye(6)
+        target = builtin_target("gaussian", 6, sigma=sigma)
+        assert np.array_equal(_precision_of(target, 6), sigma)
