@@ -28,14 +28,12 @@ from .leapfrog import (
 )
 from .orbit import (
     OrbitCache,
-    OrbitSelection,
     no_uturns,
     orbit_select_pmf,
-    orbit_select_sample,
     stopping_time,
     uturn_pair,
 )
-from .index_select import WeightTree, progressive_sample, q_h
+from .index_select import WeightTree, q_h
 from .targets import (
     MassMatrix,
     PhasePoint,

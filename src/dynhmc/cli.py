@@ -308,9 +308,12 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
         mass = MassMatrix.identity(2)
         worst_p = 1.0
         n = 20_000
-        for k_m in (1, 2, 3):
+        k_ms, anchors = (1, 2, 3), 6
+        # Bonferroni over the chi-square tests, as in the invariance check
+        alpha, tests = 1e-3, len(k_ms) * anchors
+        for k_m in k_ms:
             cfg = KernelConfig("nuts_recursive", h=0.8, mass=mass, k_m=k_m)
-            for _ in range(6):
+            for _ in range(anchors):
                 x0 = _default_anchors(2, mass, 1, rng)[0]
                 pmf = nuts_exact_pmf(target, cfg, x0)
                 if mutate == "always-swap":
@@ -325,11 +328,11 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
         reports.append(
             verify_mod.CheckReport(
                 check="iterative_recursive_equivalence",
-                passed=worst_p >= 1e-3,
-                tolerance=1e-3,
+                passed=worst_p >= alpha / tests,
+                tolerance=alpha / tests,
                 violation=1.0 - worst_p,
                 seed=seed,
-                config={"draws": n, "mutate": mutate},
+                config={"draws": n, "alpha": alpha, "tests": tests, "mutate": mutate},
                 details=[{"min_chi2_pvalue": worst_p}],
             )
         )

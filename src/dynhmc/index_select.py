@@ -26,11 +26,10 @@ finite-weight states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .binwords import BinWord, IndexInterval
+from .binwords import IndexInterval
 from .orbit import OrbitCache
 
 NEG_INF = -math.inf
@@ -140,23 +139,12 @@ class WeightTree:
         row[a] = log_pi
         return row
 
-    def qhat_row(self, a: int) -> "IndexKernelRow":
-        return IndexKernelRow(origin=a, probs=np.exp(self.qhat_row_log(a)))
+    def qhat_row(self, a: int) -> np.ndarray:
+        """Probabilities ``qhat(a, b)`` for all leaves ``b``."""
+        return np.exp(self.qhat_row_log(a))
 
     def qhat_matrix(self) -> np.ndarray:
         return np.vstack([np.exp(self.qhat_row_log(a)) for a in range(1 << self.k)])
-
-
-@dataclass(frozen=True)
-class IndexKernelRow:
-    """One row of the index-selection kernel over leaf labels."""
-
-    origin: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.probs < 0):
-            raise ValueError("negative probability in kernel row")
 
 
 def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
@@ -168,31 +156,3 @@ def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
     tree = WeightTree.from_orbit(cache, iv)
     row = tree.qhat_row_log(iv.iota(0))
     return float(math.exp(row[iv.iota(j)]))
-
-
-def progressive_sample(tree: WeightTree, v_record: BinWord, rng: np.random.Generator) -> int:
-    """Simulate the level-by-level selection; returns the chosen leaf.
-
-    ``v_record`` is the doubling record that placed the origin at leaf
-    ``2^K - 1 - v``.  Per level one uniform drives the multinomial pick in
-    the new half (ascending leaf order) and a second drives the swap; both
-    are always consumed, keeping the randomness budget fixed.
-    """
-    k = tree.k
-    if v_record.k != k:
-        raise ValueError(f"record length {v_record.k} does not match tree depth {k}")
-    a = ((1 << k) - 1) - v_record.value  # leaf label of the origin
-    j = a
-    for stage in range(k):
-        u_old = a >> stage
-        u_new = u_old ^ 1
-        lvl = tree.level(k - stage)
-        log_old, log_new = float(lvl[u_old]), float(lvl[u_new])
-        u_mult = rng.random()
-        u_swap = rng.random()
-        base = u_new << stage
-        pick = base + multinomial_pick(tree.leaves[base : base + (1 << stage)], u_mult)
-        log_r = accept_log_ratio(log_new, log_old)
-        if log_r > NEG_INF and u_swap < math.exp(log_r):
-            j = pick
-    return j

@@ -44,7 +44,6 @@ from .index_select import (
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
     leapfrog_forward,
-    leapfrog_iter,
     leapfrog_step_with_grad,
 )
 from .orbit import (  # noqa: F401
@@ -119,12 +118,6 @@ class ExactPMF:
     anchor: PhasePoint
     entries: list  # (j, probability, position) sorted by j
 
-    def prob(self, j: int) -> float:
-        for jj, pr, _ in self.entries:
-            if jj == j:
-                return pr
-        return 0.0
-
     def probs_dict(self) -> dict[int, float]:
         return {j: pr for j, pr, _ in self.entries}
 
@@ -133,10 +126,6 @@ class ExactPMF:
 
     def support(self) -> list[int]:
         return [j for j, pr, _ in self.entries if pr > 0]
-
-
-def _origin_interval() -> tuple[int, int]:
-    return (0, 0)
 
 
 def _swap(logw_new: float, logw_old: float, u: float, mutate: str | None) -> bool:
@@ -165,8 +154,7 @@ def nuts_step_iterative(
     """
     p = momentum_refresh(cfg.mass, rng)
     x0 = PhasePoint(np.asarray(q, dtype=float), p)
-    q_new, info = nuts_transition_iterative(target, cfg, x0, rng, mutate=mutate)
-    return q_new, info
+    return nuts_transition_iterative(target, cfg, x0, rng, mutate=mutate)
 
 
 def nuts_transition_iterative(
@@ -192,7 +180,7 @@ def nuts_transition_iterative(
         raise ValueError(f"unknown mutation {mutate!r}")
     cache = OrbitCache(target, cfg.params, x0)
     if cache.diverged(0):
-        return x0.q, TransitionInfo(0, _origin_interval(), 0, cache.n_grad, True)
+        return x0.q, TransitionInfo(0, (0, 0), 0, cache.n_grad, True)
 
     j = 0
     logw_tot = cache.logw(0)
@@ -226,7 +214,7 @@ def nuts_transition_iterative(
         iv = interval(BinWord(k_f, bits))
         i_f = (iv.lo, iv.hi)
     else:
-        i_f = _origin_interval()
+        i_f = (0, 0)
     return cache.state(j).q, TransitionInfo(
         j_f=j, i_f=i_f, k_f=k_f, n_grad=cache.n_grad, diverged=diverged
     )
@@ -324,7 +312,7 @@ def nuts_transition_recursive(
         st0 = _RecState(_weigh(target, cfg.mass, x0.q, x0.p), grad0, 0)
         n_grad = 1  # the anchor's gradient
         if st0.entry.diverged:
-            return x0.q, TransitionInfo(0, _origin_interval(), 0, n_grad, True)
+            return x0.q, TransitionInfo(0, (0, 0), 0, n_grad, True)
 
         sel = st0
         lo = hi = st0
@@ -469,29 +457,6 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
 # --- HMC / MALA / randomized-T HMC ------------------------------------------
 
 
-def hmc_accept_prob(
-    target: Target, cfg: KernelConfig, x0: PhasePoint, t: int | None = None,
-    formulation: str = "metropolis",
-) -> float:
-    """Acceptance probability of the T-step HMC proposal from ``x0``.
-
-    Two equivalent formulations are implemented: the Metropolis rate
-    ``min(1, exp(H0 - HT))``, and the dynamic-scheme index selection on the
-    two-point orbit ``{0, T}`` (accept with the weight ratio of the endpoint).
-    They are cross-checked in the test suite.
-    """
-    if formulation not in ("metropolis", "dynamic"):
-        raise ValueError(f"unknown formulation {formulation!r}")
-    t = cfg.t if t is None else t
-    e0 = _make_entry(target, cfg.mass, x0)
-    e_t = _make_entry(target, cfg.mass, leapfrog_iter(target, cfg.params, x0, t))
-    if e_t.diverged:
-        return 0.0
-    if formulation == "metropolis":
-        return min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))
-    return math.exp(accept_log_ratio(e_t.logw, e0.logw))
-
-
 def hmc_step(
     target: Target,
     cfg: KernelConfig,
@@ -510,7 +475,8 @@ def hmc_step(
     x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t, grad0)
     e_t = _make_entry(target, cfg.mass, x_t)
     diverged = e_t.diverged
-    alpha = 0.0 if diverged else min(1.0, math.exp(min(0.0, e_t.logw - e0.logw)))
+    # index selection on the two-point orbit {0, T}: the swap coin's ratio
+    alpha = math.exp(accept_log_ratio(e_t.logw, e0.logw))
     accepted = bool(rng.random() < alpha)
     if accepted:
         return e_t.q, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)

@@ -1,4 +1,4 @@
-"""Orbit construction, U-turn checks and the orbit-selection kernel.
+"""Orbit construction, U-turn checks and the exact orbit-selection law.
 
 The orbit around an anchor ``(q0, p0)`` is the family of leapfrog iterates
 ``Phi^{(j)}(q0, p0)``.  :class:`OrbitCache` extends it lazily one step at a
@@ -36,7 +36,6 @@ single state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -286,45 +285,6 @@ def stopping_time(v: BinWord, cache: OrbitCache) -> float:
         if not no_uturns(low_trunc(v, k), cache):
             return k
     return math.inf
-
-
-@dataclass(frozen=True)
-class OrbitSelection:
-    """Outcome of the doubling loop: final interval, depth, record, stop stage."""
-
-    i_f: IndexInterval
-    k_f: int
-    v: BinWord
-    s_f: float  # stage of the first U-turn, inf if none occurred
-
-    def __post_init__(self) -> None:
-        assert self.k_f == min(self.s_f - 1, self.v.k) or math.isinf(self.s_f)
-
-
-def orbit_select_sample(cache: OrbitCache, k_m: int, rng: np.random.Generator) -> OrbitSelection:
-    """Run the doubling loop: draw directions, extend, stop at the first U-turn.
-
-    A divergence encountered while extending at stage k+1 is treated as a
-    U-turn at that stage, so the sampler is total even on targets that blow
-    up.  Deterministic given the generator state.
-    """
-    bits = 0
-    k_f = 0
-    s_f: float = math.inf
-    for k in range(k_m):
-        v_k = 1 if rng.random() < 0.5 else 0
-        if v_k:
-            cache.extend_right(1 << k)
-        else:
-            cache.extend_left(1 << k)
-        bits |= v_k << k
-        if not no_uturns(BinWord(k + 1, bits), cache):
-            s_f = k + 1
-            break
-        k_f = k + 1
-    word = low_trunc(BinWord(k_m, bits), k_f) if k_f else BinWord(0, 0)
-    i_f = interval(word) if k_f else IndexInterval(0, 0)
-    return OrbitSelection(i_f=i_f, k_f=k_f, v=word, s_f=s_f)
 
 
 def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, Fraction]]:

@@ -195,6 +195,16 @@ class TestVerify:
         out = str(tmp_path / "rep.json")
         assert main(["verify", "--suite", "symmetry", "--seed", "3", "--out", out]) == 0
 
+    def test_equivalence_suite_passes_at_its_corrected_level(self, tmp_path):
+        # at seed 3 the smallest of the 18 chi-square p-values is 7.6e-4:
+        # below 1e-3, above the Bonferroni level 1e-3 / 18 of the suite
+        out = str(tmp_path / "rep.json")
+        assert main(["verify", "--suite", "equivalence", "--seed", "3", "--out", out]) == 0
+        (check,) = json.load(open(out))["checks"]
+        assert check["config"]["alpha"] == 1e-3 and check["config"]["tests"] == 18
+        assert check["tolerance"] == 1e-3 / 18
+        assert 1e-3 / 18 <= check["details"][0]["min_chi2_pvalue"] < 1e-3
+
     def test_mutated_accessibility_unaffected(self, tmp_path):
         # mutation only touches mutation-sensitive checks
         out = str(tmp_path / "rep.json")

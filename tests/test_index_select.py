@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynhmc.binwords import BinWord, IndexInterval
-from dynhmc.index_select import WeightTree, progressive_sample, q_h
+from dynhmc.binwords import BinWord, IndexInterval, interval
+from dynhmc.index_select import WeightTree, q_h
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
-from dynhmc.targets import MassMatrix, PhasePoint, builtin_target
+from dynhmc.kernels import KernelConfig, nuts_transition_iterative, nuts_transition_recursive
+from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 from dynhmc.verify import chi2_gof
 
 log_weight_arrays = st.integers(min_value=1, max_value=6).flatmap(
@@ -72,7 +73,7 @@ class TestRejectionProduct:
 class TestQhatRow:
     def test_uniform_k2_from_corner(self):
         tree = WeightTree(np.zeros(4))
-        row = tree.qhat_row(0b00).probs
+        row = tree.qhat_row(0b00)
         assert row[0b10] == pytest.approx(0.5, abs=1e-15)
         assert row[0b11] == pytest.approx(0.5, abs=1e-15)
         assert row[0b01] == 0.0
@@ -80,7 +81,7 @@ class TestQhatRow:
 
     def test_k1_metropolis(self):
         tree = WeightTree(np.log(np.array([1.0, 0.5])))
-        row = tree.qhat_row(0).probs
+        row = tree.qhat_row(0)
         assert row[1] == pytest.approx(0.5, abs=1e-15)
         assert row[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -89,7 +90,7 @@ class TestQhatRow:
     def test_rows_sum_to_one(self, leaves):
         tree = WeightTree(leaves)
         for a in range(leaves.size):
-            assert abs(float(np.sum(tree.qhat_row(a).probs)) - 1.0) <= 1e-12
+            assert abs(float(np.sum(tree.qhat_row(a))) - 1.0) <= 1e-12
 
     @given(log_weight_arrays)
     @settings(max_examples=60, deadline=None)
@@ -108,7 +109,7 @@ class TestQhatRow:
     def test_db_uniform_example_normalized(self):
         # uniform K=2 orbit: normalized flow a->b is (1/4) * (1/2) = 1/8
         tree = WeightTree(np.zeros(4))
-        row = tree.qhat_row(0).probs
+        row = tree.qhat_row(0)
         assert 0.25 * row[2] == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     @given(log_weight_arrays)
@@ -117,7 +118,7 @@ class TestQhatRow:
         tree = WeightTree(leaves)
         k = tree.k
         for a in range(leaves.size):
-            row = tree.qhat_row(a).probs
+            row = tree.qhat_row(a)
             for b in range(leaves.size):
                 if a == b:
                     continue
@@ -129,13 +130,13 @@ class TestQhatRow:
         leaves = np.array([0.0, -math.inf, 0.3, 0.1])
         tree = WeightTree(leaves)
         for a in (0, 2, 3):
-            assert tree.qhat_row(a).probs[1] == 0.0
+            assert tree.qhat_row(a)[1] == 0.0
 
     def test_all_diverged_new_half_stays(self):
         # 0/0 swap ratio means stay: all mass remains on the origin's side
         leaves = np.array([0.0, 0.5, -math.inf, -math.inf])
         tree = WeightTree(leaves)
-        row = tree.qhat_row(0).probs
+        row = tree.qhat_row(0)
         assert row[2] == 0.0 and row[3] == 0.0
         assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -189,49 +190,82 @@ class TestQh:
             q_h(5, IndexInterval(-1, 0), cache)
 
 
+def _line_orbit(log_w: dict[int, float]) -> Target:
+    """A 1-D target whose orbit from ``(0, 1)`` at ``h = 1`` is the flat flow
+    ``q = j``, weighted ``-H(j) = log_w[j] - 1/2``; a weight of ``-inf`` is a
+    divergent state.  A straight line never turns, so every doubling that
+    meets no divergence is accepted."""
+    return Target(
+        dim=1,
+        potential=lambda q: -log_w[round(float(q[0]))],
+        gradient=lambda q: np.zeros(1),
+    )
+
+
+SAMPLERS = (nuts_transition_iterative, nuts_transition_recursive)
+X_LINE = PhasePoint(np.zeros(1), np.ones(1))
+
+
+def _line_draws(log_w, k_m, n, rng):
+    """``(i_f, j_f)`` of ``n`` transitions of each production sampler on
+    :func:`_line_orbit`."""
+    target = _line_orbit(log_w)
+    cfg = KernelConfig("nuts_iterative", h=1.0, mass=MassMatrix.identity(1), k_m=k_m)
+    draws = []
+    for transition in SAMPLERS:
+        for _ in range(n):
+            _, info = transition(target, cfg, X_LINE, rng)
+            draws.append((info.i_f, info.j_f))
+    return draws
+
+
 class TestProgressiveSample:
+    # the samplers' index selection on orbits of chosen weights, against the
+    # closed-form rows of the weight tree of the selected interval
+
     def test_always_moves_when_new_dominates(self):
-        tree = WeightTree(np.log(np.array([1.0, 3.0])))
-        rng = np.random.default_rng(0)
-        # origin at leaf 0 corresponds to record v = 1 (doubled right)
-        for _ in range(200):
-            assert progressive_sample(tree, BinWord(1, 1), rng) == 1
+        # each new half outweighs the origin: the first swap always happens
+        draws = _line_draws({-1: math.log(3.0), 0: 0.0, 1: math.log(3.0)}, 1, 200,
+                            np.random.default_rng(0))
+        assert all(j != 0 for _, j in draws)
 
     def test_never_moves_to_diverged_half(self):
-        tree = WeightTree(np.array([0.0, 0.1, -math.inf, -math.inf]))
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            assert progressive_sample(tree, BinWord(2, 0b11), rng) in (0, 1)
+        log_w = {j: 0.1 * j for j in range(-3, 2)} | {2: -math.inf, 3: -math.inf}
+        draws = _line_draws(log_w, 2, 200, np.random.default_rng(1))
+        assert all(j < 2 and i_f[1] < 2 for i_f, j in draws)
+        assert any(i_f == (0, 1) for i_f, _ in draws)  # stopped by the divergence
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_qhat_row(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, 4))
-        leaves = rng.normal(size=1 << k)
-        v = int(rng.integers(0, 1 << k))
-        tree = WeightTree(leaves)
-        a = ((1 << k) - 1) - v
-        probs = tree.qhat_row(a).probs
-        n = 10000
-        counts: dict[int, int] = {}
-        for _ in range(n):
-            j = progressive_sample(tree, BinWord(k, v), rng)
-            counts[j] = counts.get(j, 0) + 1
-        pv = chi2_gof(counts, {i: float(p) for i, p in enumerate(probs)}, n)
-        assert pv >= 1e-3
+        span = (1 << k) - 1
+        log_w = dict(zip(range(-span, span + 1), rng.normal(size=2 * span + 1)))
+        # every record of length k is drawn with probability 2^-k, then the
+        # index from the qhat row of its interval's weight tree
+        probs = {}
+        for v in range(1 << k):
+            iv = interval(BinWord(k, v))
+            tree = WeightTree(np.array([log_w[j] for j in iv]))
+            for leaf, pr in enumerate(tree.qhat_row(iv.iota(0))):
+                probs[((iv.lo, iv.hi), iv.iota_inv(leaf))] = pr / (1 << k)
+        draws = _line_draws(log_w, k, 2500, rng)
+        counts: dict[tuple, int] = {}
+        for d in draws:
+            counts[d] = counts.get(d, 0) + 1
+        assert chi2_gof(counts, probs, len(draws)) >= 1e-3
 
     def test_uniform_k2_empirical(self):
-        tree = WeightTree(np.zeros(4))
-        rng = np.random.default_rng(9)
-        n = 20000
+        draws = _line_draws(dict.fromkeys(range(-3, 4), 0.0), 2, 5000,
+                            np.random.default_rng(9))
+        # from origin leaf 0 of [0, 3]: opposite half {2, 3} gets 1/2 + 1/2
         counts: dict[int, int] = {}
-        for _ in range(n):
-            j = progressive_sample(tree, BinWord(2, 0b11), rng)
-            counts[j] = counts.get(j, 0) + 1
-        # from origin leaf 0: opposite half {2, 3} gets 1/2 + 1/2
-        probs = {0: 0.0, 1: 0.0, 2: 0.5, 3: 0.5}
-        assert counts.get(0, 0) == 0 and counts.get(1, 0) == 0
-        assert chi2_gof(counts, probs, n) >= 1e-3
+        for i_f, j in draws:
+            if i_f == (0, 3):
+                counts[j] = counts.get(j, 0) + 1
+        n = sum(counts.values())
+        assert n > 0 and counts.get(0, 0) == 0 and counts.get(1, 0) == 0
+        assert chi2_gof(counts, {0: 0.0, 1: 0.0, 2: 0.5, 3: 0.5}, n) >= 1e-3
 
 
 class TestAccessibilityProperty:

@@ -9,7 +9,6 @@ import pytest
 
 from dynhmc.kernels import (
     KernelConfig,
-    hmc_accept_prob,
     hmc_step,
     make_kernel,
     nuts_exact_pmf,
@@ -21,14 +20,16 @@ from dynhmc.kernels import (
     rhmc_step,
 )
 from dynhmc.binwords import BinWord, interval, low_trunc
-from dynhmc.leapfrog import LeapfrogParams, leapfrog_forward, leapfrog_step
-from dynhmc.orbit import OrbitCache, stopping_time
+from dynhmc.leapfrog import LeapfrogParams, leapfrog_forward, leapfrog_iter, leapfrog_step
+from dynhmc.orbit import OrbitCache, orbit_select_pmf, stopping_time
 from dynhmc.targets import (
     MassMatrix,
     PhasePoint,
     Target,
     _shared_sigma_product,
     builtin_target,
+    hamiltonian,
+    momentum_refresh,
 )
 from dynhmc.verify import chi2_gof
 
@@ -258,6 +259,39 @@ class TestHmcStreamPin:
     def test_draws_and_stream_pinned(self, name):
         got = _counted_stream_digests(hmc_step, name, kind="hmc", t=5)
         assert got == self.PINS[name]
+
+    # Captured from rhmc_step when hmc_step accepted with the Metropolis rate
+    # min(1, exp(H_0 - H_T)); the two-point index-selection ratio that
+    # replaced it must leave the draws, the path and the stream as they were.
+    RHMC_PINS = {
+        "gauss2": (
+            "8b0325d918a6dfb97f39e3a4012a9d419f39b8488e184225031ff907bdb3f871",
+            "d6c647abfeeb0155245f9a034e9d69fef8148df918310be6ff0e239b5ff1b63a",
+            0.6151716902850042,
+        ),
+        "double_well": (
+            "c90e49fb8de1455d5a9f2f163b6ea0e208ab849fbaa1979c59fe3428f4e656d9",
+            "e007c9fc944e941212c81727e2cda3490b044ec9ed1eb0d22362f4cdb970e8f5",
+            0.21821317609747137,
+        ),
+        "gauss5_dense_sigma": (
+            "2f78016cd9e2d54ec8bfb24e030d7964c87c8222a93029ef26720f8132869181",
+            "81049873ccb2c5be516036c3e25e517b867b2cb4ab4653206ebd21a938ffbdac",
+            0.39722258405918753,
+        ),
+        "perturbed5_dense_mass": (
+            "4d3420bf1bafa262864f4e34075d1451880297823a6fd7ad8522bfea7964313d",
+            "70a09595b58feb561c976a8366e6314386e76e3c4dbc10256add42e316188e23",
+            0.39722258405918753,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RHMC_PINS))
+    def test_rhmc_draws_and_stream_pinned(self, name):
+        got = _counted_stream_digests(
+            rhmc_step, name, kind="rhmc", weights=np.array([0.1, 0.2, 0.3, 0.4])
+        )
+        assert got == self.RHMC_PINS[name]
 
 
 class TestIterativeGradientAccounting:
@@ -590,32 +624,45 @@ class TestExactPmf:
             nuts_exact_pmf(STD1, cfg, PhasePoint(np.zeros(1), np.ones(1)))
 
 
+def _sample_at(transition, cfg, x0, seed, n, **kw):
+    """Counts of ``j_f`` and of ``i_f`` over ``n`` transitions from ``x0`` on STD1."""
+    rng = np.random.default_rng(seed)
+    j_counts: dict[int, int] = {}
+    iv_counts: dict[tuple[int, int], int] = {}
+    for _ in range(n):
+        _, info = transition(STD1, cfg, x0, rng, **kw)
+        j_counts[info.j_f] = j_counts.get(info.j_f, 0) + 1
+        iv_counts[info.i_f] = iv_counts.get(info.i_f, 0) + 1
+    return j_counts, iv_counts
+
+
+def _interval_pmf(cfg, x0):
+    """The exact law of the selected interval, keyed like ``TransitionInfo.i_f``."""
+    cache = OrbitCache(STD1, cfg.params, x0)
+    return {(iv.lo, iv.hi): float(fr) for iv, fr in orbit_select_pmf(cache, cfg.k_m)}
+
+
 class TestSamplersAgainstPmf:
+    # both the index and the interval each transition selects are checked
+    # against their exact laws, on the same transitions
+    X0 = PhasePoint(np.array([1.4]), np.array([-0.6]))
+    N = 20000
+
     @pytest.mark.parametrize("k_m", [1, 2, 3])
     def test_iterative_matches_exact_pmf(self, k_m):
         cfg = KernelConfig("nuts_iterative", h=1.1, mass=I1, k_m=k_m)
-        x0 = PhasePoint(np.array([1.4]), np.array([-0.6]))
-        pmf = nuts_exact_pmf(STD1, cfg, x0).probs_dict()
-        rng = np.random.default_rng(k_m)
-        n = 20000
-        counts: dict[int, int] = {}
-        for _ in range(n):
-            _, info = nuts_transition_iterative(STD1, cfg, x0, rng)
-            counts[info.j_f] = counts.get(info.j_f, 0) + 1
-        assert chi2_gof(counts, pmf, n) >= 1e-3
+        j_counts, iv_counts = _sample_at(nuts_transition_iterative, cfg, self.X0, k_m, self.N)
+        assert chi2_gof(j_counts, nuts_exact_pmf(STD1, cfg, self.X0).probs_dict(), self.N) >= 1e-3
+        assert chi2_gof(iv_counts, _interval_pmf(cfg, self.X0), self.N) >= 1e-3
 
     @pytest.mark.parametrize("k_m", [1, 2, 3])
     def test_recursive_matches_exact_pmf(self, k_m):
         cfg = KernelConfig("nuts_recursive", h=1.1, mass=I1, k_m=k_m)
-        x0 = PhasePoint(np.array([1.4]), np.array([-0.6]))
-        pmf = nuts_exact_pmf(STD1, cfg, x0).probs_dict()
-        rng = np.random.default_rng(100 + k_m)
-        n = 20000
-        counts: dict[int, int] = {}
-        for _ in range(n):
-            _, info = nuts_transition_recursive(STD1, cfg, x0, rng)
-            counts[info.j_f] = counts.get(info.j_f, 0) + 1
-        assert chi2_gof(counts, pmf, n) >= 1e-3
+        j_counts, iv_counts = _sample_at(
+            nuts_transition_recursive, cfg, self.X0, 100 + k_m, self.N
+        )
+        assert chi2_gof(j_counts, nuts_exact_pmf(STD1, cfg, self.X0).probs_dict(), self.N) >= 1e-3
+        assert chi2_gof(iv_counts, _interval_pmf(cfg, self.X0), self.N) >= 1e-3
 
     @pytest.mark.parametrize("k_m", [1, 2, 3])
     def test_batch_twin_matches_scalar_recursive(self, k_m):
@@ -635,13 +682,24 @@ class TestSamplersAgainstPmf:
         cfg = KernelConfig("nuts_iterative", h=1.1, mass=I1, k_m=3)
         x0 = PhasePoint(np.array([0.5]), np.array([-1.5]))
         pmf = nuts_exact_pmf(STD1, cfg, x0).probs_dict()
-        rng = np.random.default_rng(11)
-        n = 20000
-        counts: dict[int, int] = {}
-        for _ in range(n):
-            _, info = nuts_transition_iterative(STD1, cfg, x0, rng, mutate="always-swap")
-            counts[info.j_f] = counts.get(info.j_f, 0) + 1
-        assert chi2_gof(counts, pmf, n) < 1e-3
+        counts, _ = _sample_at(
+            nuts_transition_iterative, cfg, x0, 11, self.N, mutate="always-swap"
+        )
+        assert chi2_gof(counts, pmf, self.N) < 1e-3
+
+
+class TestFlatTarget:
+    def test_both_samplers_reach_full_depth(self):
+        # a flat target's orbit is a straight line: no U-turn ever stops it
+        t = flat_target(1)
+        cfg = KernelConfig("nuts_iterative", h=0.5, mass=I1, k_m=3)
+        x0 = PhasePoint(np.zeros(1), np.ones(1))
+        rng = np.random.default_rng(2)
+        for transition in (nuts_transition_iterative, nuts_transition_recursive):
+            for _ in range(20):
+                _, info = transition(t, cfg, x0, rng)
+                assert info.k_f == cfg.k_m == 3
+                assert info.i_f[1] - info.i_f[0] + 1 == 8
 
 
 class TestRecursiveMemory:
@@ -710,14 +768,24 @@ class TestHmc:
             acc += info.accepted
         assert acc / n >= 0.99
 
-    def test_dual_formulations_agree(self):
+    def test_accept_decision_is_metropolis(self):
+        # hmc_step accepts iff u < min(1, exp(H(x0) - H(x_T))), with the
+        # momentum and u replayed from a copy of its generator
         cfg = KernelConfig("hmc", h=0.7, mass=I1, t=5)
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            x0 = PhasePoint(rng.standard_normal(1) * 2, rng.standard_normal(1))
-            a = hmc_accept_prob(STD1, cfg, x0, formulation="metropolis")
-            b = hmc_accept_prob(STD1, cfg, x0, formulation="dynamic")
-            assert abs(a - b) <= 1e-12
+        anchors = np.random.default_rng(3).standard_normal(100) * 2
+        n_acc = 0
+        for seed, q0 in enumerate(anchors):
+            q0 = np.array([q0])
+            q1, info = hmc_step(STD1, cfg, q0, np.random.default_rng(seed))
+            replay = np.random.default_rng(seed)
+            x0 = PhasePoint(q0, momentum_refresh(cfg.mass, replay))
+            x_t = leapfrog_iter(STD1, cfg.params, x0, cfg.t)
+            d_h = hamiltonian(STD1, cfg.mass, x0) - hamiltonian(STD1, cfg.mass, x_t)
+            expect = bool(replay.random() < min(1.0, math.exp(d_h)))
+            assert info.accepted is expect
+            assert np.array_equal(q1, x_t.q if expect else q0)
+            n_acc += expect
+        assert 0 < n_acc < 100  # both branches are exercised
 
     def test_diverged_proposal_rejected(self):
         dw = builtin_target("double_well", 1)

@@ -11,7 +11,6 @@ from dynhmc.orbit import (
     OrbitCache,
     no_uturns,
     orbit_select_pmf,
-    orbit_select_sample,
     stopping_time,
     uturn_pair,
 )
@@ -230,70 +229,6 @@ class TestStoppingTime:
                     if not no_uturns(low_trunc(BinWord(4, v), k), cache):
                         assert not no_uturns(BinWord(4, v), cache)
                         break
-
-
-class TestOrbitSelectSample:
-    def test_km1_fair_coin(self):
-        params = LeapfrogParams(0.3, I1)
-        rng = np.random.default_rng(1)
-        hits = {(-1, 0): 0, (0, 1): 0}
-        n = 4000
-        for _ in range(n):
-            cache = OrbitCache(STD1, params, PhasePoint(np.array([0.5]), np.array([0.2])))
-            sel = orbit_select_sample(cache, 1, rng)
-            assert sel.k_f == 1
-            hits[(sel.i_f.lo, sel.i_f.hi)] += 1
-        assert abs(hits[(0, 1)] / n - 0.5) < 0.03
-
-    def test_flat_always_full_depth(self):
-        t = flat_target(1)
-        params = LeapfrogParams(0.5, I1)
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            cache = OrbitCache(t, params, PhasePoint(np.zeros(1), np.ones(1)))
-            sel = orbit_select_sample(cache, 3, rng)
-            assert sel.k_f == 3
-            assert sel.s_f == math.inf
-            assert len(sel.i_f) == 8
-
-    def test_selection_invariants(self):
-        params = LeapfrogParams(1.2, I1)
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            cache = OrbitCache(STD1, params, PhasePoint(rng.standard_normal(1) * 2, rng.standard_normal(1)))
-            sel = orbit_select_sample(cache, 4, rng)
-            assert sel.k_f == min(sel.s_f - 1, 4) or math.isinf(sel.s_f)
-            if sel.k_f:
-                assert sel.i_f == interval(low_trunc(sel.v, sel.k_f))
-
-    def test_sampler_matches_pmf_chi2(self):
-        from dynhmc.verify import chi2_gof
-
-        params = LeapfrogParams(1.2, I1)
-        x0 = PhasePoint(np.array([1.5]), np.array([0.3]))
-        cache = OrbitCache(STD1, params, x0)
-        exact = {
-            (iv.lo, iv.hi): float(fr) for iv, fr in orbit_select_pmf(cache, 3)
-        }
-        keys = sorted(exact)
-        rng = np.random.default_rng(4)
-        counts = {k: 0 for k in keys}
-        n = 20000
-        for _ in range(n):
-            c = OrbitCache(STD1, params, x0)
-            sel = orbit_select_sample(c, 3, rng)
-            counts[(sel.i_f.lo, sel.i_f.hi)] += 1
-        probs = {i: exact[k] for i, k in enumerate(keys)}
-        obs = {i: counts[k] for i, k in enumerate(keys)}
-        assert chi2_gof(obs, probs, n) >= 1e-3
-
-    def test_divergence_stops_doubling(self):
-        dw = builtin_target("double_well", 1)
-        params = LeapfrogParams(5.0, I1)
-        rng = np.random.default_rng(5)
-        cache = OrbitCache(dw, params, PhasePoint(np.array([10.0]), np.array([0.1])))
-        sel = orbit_select_sample(cache, 5, rng)
-        assert sel.k_f < 5  # stopped early, interval stays pre-divergence
 
 
 class TestOrbitSelectPmf:
