@@ -11,6 +11,7 @@ failure, 2 usage/config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -22,8 +23,6 @@ import numpy as np
 from . import __version__
 from .kernels import KernelConfig, make_kernel, nuts_exact_pmf
 from .targets import MassMatrix, PhasePoint, Target, builtin_target, momentum_refresh
-from . import verify as verify_mod
-from .verify import stepsize_conditions
 
 DEFAULT_SEED = 20230710
 EXIT_OK = 0
@@ -115,7 +114,20 @@ def _resolve_seed(args, config: dict) -> int:
     return seed
 
 
-def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
+def _matrix_echo(arr: np.ndarray) -> dict:
+    """How the summary echoes a d x d matrix: its shape and the SHA-256 of its
+    C-order little-endian float64 bytes."""
+    digest = hashlib.sha256(np.asarray(arr, dtype="<f8").tobytes()).hexdigest()
+    return {"shape": list(arr.shape), "sha256": digest}
+
+
+def _replaced(config: dict, path: tuple[str, ...], value) -> dict:
+    """``config`` with the entry at ``path`` replaced; nothing else is copied."""
+    head, *rest = path
+    return {**config, head: _replaced(config[head], rest, value) if rest else value}
+
+
+def _build_mass(spec: dict | None, dim: int, echoes: dict | None = None) -> MassMatrix:
     if not spec or spec.get("kind", "identity") == "identity":
         return MassMatrix.identity(dim)
     kind = spec["kind"]
@@ -127,6 +139,8 @@ def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
         if "matrix" not in spec:
             raise ConfigError("mass.kind=dense requires key mass.matrix")
         mat = _float_array(spec["matrix"], "kernel.mass.matrix", (dim, dim))
+        if echoes is not None:
+            echoes["kernel", "mass", "matrix"] = _matrix_echo(mat)
         try:
             return MassMatrix.dense(mat)
         except ValueError as exc:
@@ -134,7 +148,10 @@ def _build_mass(spec: dict | None, dim: int) -> MassMatrix:
     raise ConfigError(f"unknown mass.kind {kind!r}")
 
 
-def _build_target(config: dict) -> Target:
+def _build_target(config: dict, echoes: dict | None = None) -> Target:
+    """The configured target.  ``echoes``, if given, receives the summary echo
+    of ``target.sigma`` under its config path, as ``_build_mass`` does for a
+    dense mass matrix."""
     spec = config.get("target", {})
     kind = spec.get("kind", "standard_gaussian")
     dim = _convert(spec.get("dim", 1), "target.dim", int)
@@ -143,6 +160,8 @@ def _build_target(config: dict) -> Target:
     sigma = spec.get("sigma")
     if sigma is not None:
         sigma = _float_array(sigma, "target.sigma", (dim, dim))
+        if echoes is not None:
+            echoes["target", "sigma"] = _matrix_echo(sigma)
     a5 = _convert(spec.get("a5", 0.5), "target.a5")
     try:
         return builtin_target(kind, dim=dim, sigma=sigma, a5=a5)
@@ -150,12 +169,12 @@ def _build_target(config: dict) -> Target:
         raise ConfigError(f"target: {exc}") from exc
 
 
-def _build_kernel_config(config: dict, dim: int) -> KernelConfig:
+def _build_kernel_config(config: dict, dim: int, echoes: dict | None = None) -> KernelConfig:
     spec = config.get("kernel", {})
     h = _convert(spec.get("h", 0.5), "kernel.h")
     if not (h > 0 and math.isfinite(h)):
         raise ConfigError(f"kernel.h must be positive and finite, got {h}")
-    mass = _build_mass(spec.get("mass"), dim)
+    mass = _build_mass(spec.get("mass"), dim, echoes)
     weights = spec.get("weights")
     if weights is not None:
         weights = _convert(weights, "kernel.weights", lambda w: np.asarray(w, dtype=float))
@@ -180,8 +199,9 @@ def _row_format(d: int) -> str:
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
-    target = _build_target(config)
-    cfg = _build_kernel_config(config, target.dim)
+    echoes: dict[tuple[str, ...], dict] = {}
+    target = _build_target(config, echoes)
+    cfg = _build_kernel_config(config, target.dim, echoes)
     # the config's values are checked even where a flag overrides them
     chains = _convert(config.get("chains", 1), "chains", int)
     iters = _convert(config.get("iters", 1000), "iters", int)
@@ -231,10 +251,14 @@ def cmd_sample(args) -> int:
     csv_text = "\n".join(rows) + "\n"
 
     total = max(chains * iters, 1)
+    # d x d matrices by shape and digest: in full, a 1000 x 1000 one is 30 MB
+    config_echo = {**config, "chains": chains, "iters": iters}
+    for path, echo in echoes.items():
+        config_echo = _replaced(config_echo, path, echo)
     summary = {
         "version": __version__,
         "seed": seed,
-        "config": {**config, "chains": chains, "iters": iters},
+        "config": config_echo,
         "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
         "divergences": n_div,
         "acceptance_rate": (n_accept / n_accept_total) if n_accept_total else None,
@@ -272,6 +296,10 @@ def _default_anchors(dim: int, mass: MassMatrix, n: int, rng: np.random.Generato
 
 
 def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.CheckReport]:
+    # imported here, where they are used: verify loads scipy.stats
+    from . import verify as verify_mod
+    from .verify import stepsize_conditions
+
     rng = np.random.default_rng(seed)
     reports = []
     if name == "symmetry":
@@ -325,12 +353,14 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
                     for j in idx.tolist():
                         counts[j] = counts.get(j, 0) + 1
                 worst_p = min(worst_p, verify_mod.chi2_gof(counts, pmf.probs_dict(), n))
+        # reported as -log10 of the p-value and of its level, so that, as in
+        # every other check, it passes when violation <= tolerance
         reports.append(
             verify_mod.CheckReport(
                 check="iterative_recursive_equivalence",
                 passed=worst_p >= alpha / tests,
-                tolerance=alpha / tests,
-                violation=1.0 - worst_p,
+                tolerance=-math.log10(alpha / tests),
+                violation=-math.log10(worst_p) if worst_p > 0 else math.inf,
                 seed=seed,
                 config={"draws": n, "alpha": alpha, "tests": tests, "mutate": mutate},
                 details=[{"min_chi2_pvalue": worst_p}],
@@ -478,6 +508,8 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_conditions(args) -> int:
+    from .verify import stepsize_conditions
+
     config = _load_config(args.config)
     spec = config.get("conditions", {})
     if not isinstance(spec, dict):

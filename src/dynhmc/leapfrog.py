@@ -122,7 +122,12 @@ def leapfrog_forward(
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(1, t + 1):
             x, grad = leapfrog_step_with_grad(target, params, x, grad)
-            if not (np.isfinite(x.q).all() and np.isfinite(x.p).all()):
+            # a finite sum of squares means every entry is finite; one that
+            # overflows on finite entries falls through to the exact check
+            q, p = x
+            if not math.isfinite(q.dot(q) + p.dot(p)) and not (
+                np.isfinite(q).all() and np.isfinite(p).all()
+            ):
                 break  # divergence flag propagates to the caller
     return x, s + 1
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 
 class PhasePoint(NamedTuple):
@@ -60,7 +59,12 @@ class MassMatrix:
                 self._chol = np.linalg.cholesky(matrix)
             except np.linalg.LinAlgError as exc:
                 raise ValueError("mass matrix is not positive definite") from exc
+            # scipy is loaded here, where a dense mass needs it, and not for
+            # the identity or diagonal kinds
+            import scipy.linalg
+
             self._cho_factor = scipy.linalg.cho_factor(matrix, lower=True)
+            self._cho_solve = scipy.linalg.cho_solve
         else:
             raise ValueError(f"unknown mass matrix kind {kind!r}")
 
@@ -96,7 +100,7 @@ class MassMatrix:
             return v
         if self.kind == "diagonal":
             return self._inv * v
-        return scipy.linalg.cho_solve(self._cho_factor, v)
+        return self._cho_solve(self._cho_factor, v)
 
     def chol_mul(self, z: np.ndarray) -> np.ndarray:
         """Multiplication by the lower Cholesky factor, ``L z``."""
@@ -112,7 +116,7 @@ class MassMatrix:
             return np.eye(self.dim)
         if self.kind == "diagonal":
             return np.diag(self._inv)
-        return scipy.linalg.cho_solve(self._cho_factor, np.eye(self.dim))
+        return self._cho_solve(self._cho_factor, np.eye(self.dim))
 
     def kinetic(self, p: np.ndarray) -> float:
         """Kinetic energy ``p^T M^{-1} p / 2``; ``inf`` if it overflows."""

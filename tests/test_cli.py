@@ -1,9 +1,15 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dynhmc
 from dynhmc.cli import _row_format, main
 
 
@@ -36,6 +42,33 @@ class TestSample:
         assert summary["seed"] == 99
         assert summary["divergences"] == 0
         assert sum(summary["depth_histogram"].values()) == 100
+
+    def test_summary_echoes_matrices_by_shape_and_digest(self, tmp_path):
+        sigma = [[2.0, 0.3, 0.0], [0.3, 1.5, 0.1], [0.0, 0.1, 1.0]]
+        matrix = [[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 0.5]]
+        config = {
+            "target": {"kind": "gaussian", "dim": 3, "sigma": sigma},
+            "kernel": {"kind": "rhmc", "h": 0.3, "weights": [0.25, 0.75],
+                       "mass": {"kind": "dense", "matrix": matrix}},
+            "q0": [0.1, -0.2, 0.3],
+        }
+        path, out = tmp_path / "cfg.json", str(tmp_path / "samples.csv")
+        path.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(path), "--iters", "5", "--out", out]) == 0
+        text = open(out + ".summary.json").read()
+        assert '\n  "depth_histogram": ' in text
+
+        def echo(v):
+            digest = hashlib.sha256(np.asarray(v, dtype="<f8").tobytes()).hexdigest()
+            return {"shape": [3, 3], "sha256": digest}
+
+        assert json.loads(text)["config"] == {
+            "target": {**config["target"], "sigma": echo(sigma)},
+            "kernel": {**config["kernel"], "mass": {"kind": "dense", "matrix": echo(matrix)}},
+            "q0": config["q0"],
+            "chains": 1,
+            "iters": 5,
+        }
 
     def test_same_seed_byte_identical(self, gauss2_config, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -140,6 +173,37 @@ class TestSample:
         assert want.startswith("inf,-inf,nan,-0,0,4.9406564584124654e-324,")
 
 
+class TestImports:
+    """``sample`` loads scipy only for a dense mass.  Each run is a fresh
+    interpreter, because other tests load scipy into this one."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from dynhmc.cli import main\n"
+        "rc = main(['sample', '--config', sys.argv[1], '--iters', '5', '--out', sys.argv[2]])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "sys.exit(rc)\n"
+    )
+
+    def _sample(self, tmp_path, kernel: dict) -> str:
+        path, out = tmp_path / "cfg.json", tmp_path / "samples.csv"
+        path.write_text(json.dumps({"target": {"kind": "standard_gaussian", "dim": 2},
+                                    "kernel": kernel}))
+        env = dict(os.environ, PYTHONPATH=str(Path(dynhmc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path), str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 1 + 5
+        return proc.stdout
+
+    def test_identity_mass_loads_no_scipy(self, tmp_path):
+        assert self._sample(tmp_path, {"kind": "nuts_iterative", "h": 0.5}) == "[]\n"
+
+    def test_dense_mass_runs(self, tmp_path):
+        mass = {"kind": "dense", "matrix": [[1.0, 0.2], [0.2, 1.0]]}
+        self._sample(tmp_path, {"kind": "hmc", "h": 0.5, "mass": mass})
+
+
 class TestPmf:
     def test_entries_and_sum(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -202,7 +266,8 @@ class TestVerify:
         assert main(["verify", "--suite", "equivalence", "--seed", "3", "--out", out]) == 0
         (check,) = json.load(open(out))["checks"]
         assert check["config"]["alpha"] == 1e-3 and check["config"]["tests"] == 18
-        assert check["tolerance"] == 1e-3 / 18
+        assert check["tolerance"] == -math.log10(1e-3 / 18)
+        assert check["violation"] == -math.log10(check["details"][0]["min_chi2_pvalue"])
         assert 1e-3 / 18 <= check["details"][0]["min_chi2_pvalue"] < 1e-3
 
     def test_mutated_accessibility_unaffected(self, tmp_path):

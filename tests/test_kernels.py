@@ -514,6 +514,15 @@ class TestOverflowIsSilent:
             x_t, n_grad = leapfrog_forward(flat, LeapfrogParams(0.5, I1), x0, 4)
         assert n_grad == 5 and np.all(np.isfinite(x_t.q))
 
+    def test_forward_runs_through_an_overflowing_norm(self):
+        # from q0 = (1e200, 0) every |q|^2 + |p|^2 overflows while each entry
+        # stays finite: three steps, four gradients
+        x0 = PhasePoint(np.array([1e200, 0.0]), np.array([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_t, n_grad = leapfrog_forward(STD2, LeapfrogParams(0.5, I2), x0, 3)
+        assert n_grad == 4 and np.all(np.isfinite(x_t.q)) and np.all(np.isfinite(x_t.p))
+
 
 class TestDivergenceRule:
     """Every sampler weighs states by the orbit rule: a squared norm
