@@ -603,7 +603,7 @@ def cmd_bench(args) -> int:
             grads += info.n_grad
         wall = time.perf_counter() - t0
         lines.append(
-            f"  {kind:16s} {steps / wall:10.1f} steps/s {grads / wall:12.1f} grad-evals/s"
+            f"  {kind:16s} {steps / wall:10.1f} transitions/s {grads / wall:12.1f} grad-evals/s"
         )
     print("\n".join(lines))
     return EXIT_OK

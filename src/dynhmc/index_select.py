@@ -57,6 +57,27 @@ def multinomial_pick(log_weights: np.ndarray, u: float, total: float | None = No
     return min(int(cum.searchsorted(u, side="right")), len(log_weights) - 1)
 
 
+_LOG2 = math.log(2.0)
+
+
+def logaddexp(x: float, y: float) -> float:
+    """``np.logaddexp(x, y)`` on two Python floats, bit for bit.
+
+    numpy's own scalar formula (``npy_logaddexp``) with the same libm ``exp``
+    and ``log1p``, without the ufunc's dispatch: equal arguments (infinities
+    of one sign included) give ``x + log 2``, and a nan propagates as
+    ``x - y``.  A difference that overflows is not warned about.
+    """
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp
+
+
 def logsumexp(arr: np.ndarray) -> float:
     m = float(arr.max())
     if m == NEG_INF:

@@ -13,7 +13,9 @@ the momentum, then per doubling level attempted exactly one direction
 uniform, one multinomial uniform and one swap uniform, whether or not the
 level is accepted and however many of its states are computed.  This makes
 every run reproducible from ``(seed, config)`` independent of internal
-control flow.
+control flow.  The multinomial uniform is drawn at every level even where
+it is not read: stage 0 adds a single state, which is its own pick, and a
+later stage picks from its new half only when the swap accepts.
 
 ``nuts_exact_pmf`` computes the one-step law at a fixed phase point exactly
 (dyadic orbit probabilities times closed-form index rows); it is the oracle
@@ -28,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .binwords import BinWord, interval
 from .index_select import (
     WeightTree,
     accept_log_ratio,
+    logaddexp,
     logsumexp,
     multinomial_pick,
 )
@@ -89,8 +92,9 @@ class KernelConfig:
                 raise ValueError("rhmc weights must be nonnegative and sum to 1")
             object.__setattr__(self, "weights", w)
 
-    @property
+    @cached_property
     def params(self) -> LeapfrogParams:
+        """The step parameters, built and validated once per config."""
         return LeapfrogParams(self.h, self.mass)
 
 
@@ -174,7 +178,9 @@ def nuts_transition_iterative(
     checked :meth:`OrbitCache.extend_right` or ``extend_left`` call per
     stage).  So a divergence is flagged only if it is reached before a
     U-turn.  Each stage attempted draws three uniforms, however many states
-    it computes.
+    it computes.  Stage 0 adds one state, whose log-weight is the new half's
+    log-sum and which is its own pick; a later stage computes its log-sum
+    always and its multinomial pick only when the swap accepts.
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -184,39 +190,41 @@ def nuts_transition_iterative(
 
     j = 0
     logw_tot = cache.logw(0)
-    bits = 0
+    lo = hi = 0  # the accepted interval
     k_f = 0
     diverged = False
     for k in range(cfg.k_m):
         u_dir = rng.random()
         u_mult = rng.random()
         u_swap = rng.random()
-        if k and cache.pair_uturn(cache.lo, cache.hi):
+        if k and cache.pair_uturn(lo, hi):
             break
-        v_k = 1 if u_dir < 0.5 else 0
-        if v_k:
-            seg_lo = cache.hi + 1
-            seg_logw, diverged = cache.extend_right(1 << k, check=True)
+        n = 1 << k
+        right = u_dir < 0.5
+        if right:
+            seg_lo = hi + 1
+            seg_logw, diverged = cache.extend_right(n, check=True)
         else:
-            seg_lo = cache.lo - (1 << k)
-            seg_logw, diverged = cache.extend_left(1 << k, check=True)
+            seg_lo = lo - n
+            seg_logw, diverged = cache.extend_left(n, check=True)
         if seg_logw is None:
             break
-        bits |= v_k << k
-        logw_new = logsumexp(seg_logw)
-        pick = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new)
+        if k:
+            seg_logw = np.array(seg_logw)
+            logw_new = logsumexp(seg_logw)
+        else:  # one state: its own log-sum and its own pick
+            logw_new = seg_logw[0]
         if _swap(logw_new, logw_tot, u_swap, mutate):
-            j = pick
-        logw_tot = np.logaddexp(logw_tot, logw_new)
+            j = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new) if k else seg_lo
+        if right:
+            hi += n
+        else:
+            lo = seg_lo
+        logw_tot = logaddexp(logw_tot, logw_new)
         k_f = k + 1
 
-    if k_f:
-        iv = interval(BinWord(k_f, bits))
-        i_f = (iv.lo, iv.hi)
-    else:
-        i_f = (0, 0)
     return cache.state(j).q, TransitionInfo(
-        j_f=j, i_f=i_f, k_f=k_f, n_grad=cache.n_grad, diverged=diverged
+        j_f=j, i_f=(lo, hi), k_f=k_f, n_grad=cache.n_grad, diverged=diverged
     )
 
 
@@ -263,7 +271,7 @@ def _build_tree(
         lo, hi = t1.lo, t2.hi
     else:
         lo, hi = t2.lo, t1.hi
-    logw = float(np.logaddexp(t1.logw, t2.logw))
+    logw = logaddexp(t1.logw, t2.logw)
     # progressive merge: take the new half's candidate with prob w2/(w1+w2)
     u = rng.random()
     if logw > -math.inf and u < math.exp(t2.logw - logw):
@@ -333,7 +341,7 @@ def nuts_transition_recursive(
                 hi = node.hi
             else:
                 lo = node.lo
-            logw_tot = float(np.logaddexp(logw_tot, node.logw))
+            logw_tot = logaddexp(logw_tot, node.logw)
             k_f = k + 1
             if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
                 # the doubled interval as a whole has turned: the swap above
@@ -385,7 +393,7 @@ def nuts_recursive_index_batch(
         if stop1:
             return sel1, w1, True
         sel2, w2, stop2 = batch_tree(*second, direction, depth - 1, count)
-        logw = float(np.logaddexp(w1, w2))
+        logw = logaddexp(w1, w2)
         u = rng.random(count)
         p2 = math.exp(w2 - logw) if logw > -math.inf else 0.0
         sel = np.where(u < p2, sel2, sel1)

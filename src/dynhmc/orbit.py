@@ -30,7 +30,9 @@ not warned about.  :func:`step_entry` and :func:`_weigh` enter no
 computes.  :class:`OrbitCache` enters it once per extension call, so the
 iterative sampler pays for it once per doubling stage, and the recursive
 sampler once per transition; :func:`_make_entry` enters it to weigh a
-single state.
+single state.  An extension takes :func:`step_entry`'s step and weighing
+itself, :func:`leapfrog.leapfrog_step_with_grad` then :func:`_weigh`, to
+save a call per state.
 """
 
 from __future__ import annotations
@@ -172,29 +174,38 @@ class OrbitCache:
     def any_diverged(self, lo: int, hi: int) -> bool:
         return any(self._entry(j).diverged for j in range(lo, hi + 1))
 
-    def _extend(self, forward: bool, n: int, check: bool) -> tuple[np.ndarray | None, bool] | None:
+    def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
         side = self._right if forward else self._left
         top = side[-1] if side else self._anchor
-        target, params, grad = self.target, self.params, self._grad[forward]
+        target, params, mass, grad = self.target, self.params, self.mass, self._grad[forward]
+        backward = not forward
+        n_grad = 0
+        logw: list[float] = []  # the new states' log-weights, in the order computed
         stopped = False
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n + 1):
                 if not top.diverged:
-                    top, grad = step_entry(target, params, top, grad, forward)
-                    self.n_grad += 1
+                    x, grad = leapfrog_step_with_grad(
+                        target, params, PhasePoint(top.q, top.p), grad, backward
+                    )
+                    top = _weigh(target, mass, x.q, x.p)
+                    n_grad += 1
                 side.append(top)
-                if check and (top.diverged or self._turned(side, i, forward)):
-                    stopped = True
-                    break
+                if check:
+                    # an odd i completes no block of the new half
+                    if top.diverged or (not i & 1 and self._turned(side, i, forward)):
+                        stopped = True
+                        break
+                    logw.append(top.logw)
         self._grad[forward] = grad
+        self.n_grad += n_grad
         if not check:
             return None
         if stopped:
             return None, top.diverged
-        logw = [e.logw for e in side[len(side) - n:]]
-        if not forward:
+        if backward:
             logw.reverse()
-        return np.array(logw), False
+        return logw, False
 
     @staticmethod
     def _turned(side: list[_Entry], i: int, forward: bool) -> bool:
@@ -210,20 +221,21 @@ class OrbitCache:
             size <<= 1
         return False
 
-    def extend_right(self, n: int = 1, check: bool = False) -> tuple[np.ndarray | None, bool] | None:
+    def extend_right(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the right; see :meth:`extend_left`."""
         return self._extend(True, n, check)
 
-    def extend_left(self, n: int = 1, check: bool = False) -> tuple[np.ndarray | None, bool] | None:
+    def extend_left(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the left, stepping and weighing them in one
         ``np.errstate``.
 
         With ``check`` the growth is the new half of a doubling stage, checked
         as it comes: the i-th new state ends it if it diverged, or if it
         completes an aligned block of the new half (size 2, 4, ..., ``n``
-        dividing i) whose endpoints turn.  Then returns ``(logw, diverged)``:
-        the new states' log-weights in index order, or None if the growth
-        ended early, and whether it ended at a divergent state.
+        dividing i, so only at even i) whose endpoints turn.  Then returns
+        ``(logw, diverged)``: a list of the new states' log-weights in index
+        order, gathered as they are computed, or None if the growth ended
+        early, and whether it ended at a divergent state.
         """
         return self._extend(False, n, check)
 

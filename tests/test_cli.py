@@ -376,6 +376,8 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         assert "nuts_iterative" in out and "grad-evals/s" in out
+        # the rate is of transitions, as the header counts them
+        assert "transitions/s" in out and "steps/s" not in out
 
     @pytest.mark.parametrize("flag,value", [("--dim", "0"), ("--steps", "-1")])
     def test_bad_size_exit_2_naming_flag(self, flag, value, capsys):
@@ -383,7 +385,7 @@ class TestBench:
         assert flag in capsys.readouterr().err
 
     def test_d100_throughput_pin(self):
-        # measured ~1500 steps/s on the reference machine; pin the documented
+        # measured ~1500 transitions/s on the reference machine; pin the documented
         # budget of 1e4 NUTS transitions within 60 s with margin
         import time
 

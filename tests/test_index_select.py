@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynhmc.binwords import BinWord, IndexInterval, interval
-from dynhmc.index_select import WeightTree, q_h
+from dynhmc.index_select import WeightTree, logaddexp, q_h
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
 from dynhmc.kernels import KernelConfig, nuts_transition_iterative, nuts_transition_recursive
@@ -188,6 +188,38 @@ class TestQh:
         cache = self._cache()
         with pytest.raises(ValueError):
             q_h(5, IndexInterval(-1, 0), cache)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestLogaddexp:
+    """``logaddexp`` equals ``np.logaddexp`` bit for bit, sign included."""
+
+    def test_seeded_pairs(self):
+        rng = np.random.default_rng(0)
+        n = 50_000  # 10^5 pairs over the two scales
+        for scale in (1e3, 1e308):
+            x = rng.uniform(-1.0, 1.0, n) * scale
+            y = rng.uniform(-1.0, 1.0, n) * scale
+            # near-equal pairs, where log1p(exp(-|x - y|)) matters most
+            y[: n // 2] = x[: n // 2] + rng.normal(0.0, 1.0, n // 2)
+            with np.errstate(over="ignore"):  # x - y overflows at 1e308
+                want = np.logaddexp(x, y)
+            got = [logaddexp(a, b) for a, b in zip(x.tolist(), y.tolist())]
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_special_values(self):
+        inf, nan = math.inf, math.nan
+        values = (-inf, inf, 0.0, -0.0, -2.5, 3.0, 1e308, -1e308, nan, -nan)
+        pairs = [(a, b) for a in values for b in values]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.logaddexp([a for a, _ in pairs], [b for _, b in pairs])
+        got = [logaddexp(a, b) for a, b in pairs]
+        assert np.array_equal(_bits(got), _bits(want))
+        assert logaddexp(-inf, -inf) == -inf and logaddexp(-inf, 3.0) == 3.0
+        assert logaddexp(2.0, 2.0) == 2.0 + math.log(2.0)
 
 
 def _line_orbit(log_w: dict[int, float]) -> Target:

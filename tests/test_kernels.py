@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dynhmc.kernels import (
     KernelConfig,
@@ -53,6 +55,12 @@ class TestKernelConfig:
             KernelConfig("wat", h=0.1, mass=I1)
         with pytest.raises(ValueError):
             KernelConfig("rhmc", h=0.1, mass=I1, weights=np.array([0.5, 0.6]))
+
+    def test_params_built_once_per_config(self):
+        cfg = KernelConfig("nuts_iterative", h=0.2, mass=I1)
+        assert cfg.params is cfg.params
+        assert cfg.params.h == 0.2 and cfg.params.mass is I1
+        assert dataclasses.replace(cfg, h=0.3).params.h == 0.3
 
 
 class TestIterativeNuts:
@@ -195,6 +203,101 @@ def _counted_stream_digests(step, name, **cfg_changes):
         hashlib.sha256(repr(path).encode()).hexdigest(),
         rng.random(),
     )
+
+
+class TestIterativeCountedStreamPin:
+    # Captured from the doubling loop that drew its interval as a binary
+    # word and called logsumexp and multinomial_pick at every stage.  Unlike
+    # TestIterativeStreamPin this hashes n_grad and diverged too.
+    PINS = {
+        "gauss2": (
+            "78c32b7a36f01213aa7f2bab21563c7843caa71ab824b52d57b174447d97559f",
+            "82c41e024c585cdb680f224d905d69d843c914a2443e1bf3a5b525557c5bba2c",
+            0.8020640354064863,
+        ),
+        "double_well": (
+            "942e44651e4d886f356d8cc87c4031a0719469dbfd378eb228b800afc9cd0237",
+            "fd879de66bec8831762be9f435e86abd0747885c12b9eff4e62412124a6234f2",
+            0.11574394505611929,
+        ),
+        "gauss5_dense_sigma": (
+            "4cafe768e50223580db442372c46c315dc137821f8e637bd4c9399b5f400bff8",
+            "6d8f3ce32b3b65c6a32801d9f40aa0bcab0c455c6802eac0fce1ef9fc9704a53",
+            0.16477864908211737,
+        ),
+        "perturbed5_dense_mass": (
+            "fcb1fe2eae37d6e3a05a173b791b97c1342f09522619dae945cf8ba747663938",
+            "7706b9898327860e9d00fa8077b9eabddf4f2bc5aab94db3776e4f905d94b1d5",
+            0.8874042854863939,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_draws_and_stream_pinned(self, name):
+        got = _counted_stream_digests(nuts_step_iterative, name, kind="nuts_iterative")
+        assert got == self.PINS[name]
+
+
+class TestAlwaysSwapStreamPin:
+    # Captured, as the two pins above, before the iterative sampler skipped
+    # the multinomial pick of a stage whose swap rejects.  The always-swap
+    # control accepts every finite swap, so it takes the other branch.
+    ITERATIVE_PINS = {
+        "gauss2": (
+            "694ca4bee2d1d77d1943d123d8956e2103cdbae5d4f86c70e4a30e4ec3cd3394",
+            "eac36a90795fbda8f5343e2bb63e44190ec5af5442d6e512f4e0bd0441a91f2f",
+            0.4471621590839191,
+        ),
+        "double_well": (
+            "f42cc0fb3ab44ddd6b9cd87db03faca03156181ef757cac244c732f591203ad3",
+            "44e7617ea67685e41222b3fd16f3ddd58298ada16dfcdb1a41d5cbd178913be0",
+            0.5635287474122239,
+        ),
+        "gauss5_dense_sigma": (
+            "0f26bad2c96bc6a519a27f601e46fbb87cb220b6f753fb9a99a9c0125a7d9563",
+            "047406d87e0a808baec45dfdf4d8215dd84ed4451f6919711606a8da73144227",
+            0.25338267773745005,
+        ),
+        "perturbed5_dense_mass": (
+            "86f1194726c9fea3ae0de3c241073375ddd5341dfc937c7da05117f579acd819",
+            "75ce06cbf7d0d748b6be9853a1abc1287e085fb3c19ac87ea49a7d2cf3603d91",
+            0.47248675480276814,
+        ),
+    }
+    RECURSIVE_PINS = {
+        "gauss2": (
+            "13bc2a9a773294a3bdb661bb8c263fd1219cfe7279094f238ea0f3f31b456159",
+            "01caafc9a1858f7ef6d261d687cf016c1c79c20fede2e68ef058970ea3ee0cf8",
+            0.004629512329515473,
+        ),
+        "double_well": (
+            "84c5cc24a7cc624c8c256ad7235e29b303465608aa46d2ab992d1550e476fd83",
+            "3016e6e8abdaf94110b3a49393953e1552534dd09b377d8030e05ca8e57dff7c",
+            0.16165879992446797,
+        ),
+        "gauss5_dense_sigma": (
+            "19bb35146622f270f1c9c2be66afa0d9aef310ab552219f5a9a3677d86d16dcf",
+            "09194ec667db3fb16a00477eeceff7aa31b6f7668679d4071be7b83bd1ee36b7",
+            0.2923840799672365,
+        ),
+        "perturbed5_dense_mass": (
+            "b676455a7ec7e4470fc559a611c37800b704592f9d4e20cec3e8cff992edb3fc",
+            "f9f03e25eacf6ebf09040548622bd85c836cc91fb0843268f7216a60aace22ce",
+            0.4185057390097552,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ITERATIVE_PINS))
+    def test_iterative_pinned(self, name):
+        step = functools.partial(nuts_step_iterative, mutate="always-swap")
+        got = _counted_stream_digests(step, name, kind="nuts_iterative")
+        assert got == self.ITERATIVE_PINS[name]
+
+    @pytest.mark.parametrize("name", sorted(RECURSIVE_PINS))
+    def test_recursive_pinned(self, name):
+        step = functools.partial(nuts_step_recursive, mutate="always-swap")
+        got = _counted_stream_digests(step, name, kind="nuts_recursive")
+        assert got == self.RECURSIVE_PINS[name]
 
 
 class TestRecursiveStreamPin:
@@ -695,6 +798,78 @@ class TestSamplersAgainstPmf:
             nuts_transition_iterative, cfg, x0, 11, self.N, mutate="always-swap"
         )
         assert chi2_gof(counts, pmf, self.N) < 1e-3
+
+
+DW1 = builtin_target("double_well", 1)
+
+
+@st.composite
+def _law_cases(draw):
+    """``(target, cfg, x0)``: a perturbed Gaussian with d <= 3 and a dense
+    mass, or the double well near the edge where its orbits overflow (about
+    two in three of these anchors reach a divergent state within 15 steps;
+    the orbit from (5, 0) at h = 0.25 does so at its tenth)."""
+    k_m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        g = np.random.default_rng(draw(st.integers(0, 1 << 16)))
+        mass = MassMatrix.dense(_spd(g, d))
+        target = builtin_target("perturbed_gaussian", d, sigma=_spd(g, d), a5=0.5)
+        h = draw(st.floats(0.2, 1.2))
+        coords = st.lists(st.floats(-2.5, 2.5), min_size=d, max_size=d)
+        q = np.array(draw(coords))
+        p = mass.chol_mul(np.array(draw(coords)))
+    else:
+        target, mass = DW1, I1
+        h = draw(st.floats(0.2, 0.3))
+        q = np.array([draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(4.0, 6.0))])
+        p = np.array([draw(st.floats(-8.0, 8.0))])
+    cfg = KernelConfig("nuts_iterative", h=h, mass=mass, k_m=k_m)
+    return target, cfg, PhasePoint(q, p)
+
+
+def _merge_rare(counts, pmf, n):
+    """``counts`` and ``pmf`` with every supported index of expected count
+    below 5 merged into the most probable one.  ``chi2_gof`` pools such
+    cells into one, but a pool expected to hold 0.4 draws that holds 3 reads
+    p = 1e-5, where the Poisson tail is 6e-3; merged, every cell is large.
+    An index outside the support stays apart, so it still fails the test."""
+    mode = max(pmf, key=pmf.get)
+    def cell(j):
+        return mode if 0.0 < pmf.get(j, 0.0) < 5.0 / n else j
+    merged_pmf: dict[int, float] = {}
+    for j, pr in pmf.items():
+        merged_pmf[cell(j)] = merged_pmf.get(cell(j), 0.0) + pr
+    merged_counts: dict[int, int] = {}
+    for j, c in counts.items():
+        merged_counts[cell(j)] = merged_counts.get(cell(j), 0) + c
+    return merged_counts, merged_pmf
+
+
+class TestSamplersAgainstPmfProperty:
+    """Both production samplers' ``j_f`` counts match ``nuts_exact_pmf`` on
+    drawn targets, anchors, step sizes and depths.  The examples and the
+    sampler seeds are fixed, so the outcome is too; the χ² level 1e-3 is
+    shared by all examples and both samplers (Bonferroni)."""
+
+    EXAMPLES = 20
+    N = 2000
+
+    @given(_law_cases())
+    @settings(max_examples=EXAMPLES, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_both_samplers_match_exact_pmf(self, case):
+        target, cfg, x0 = case
+        pmf = nuts_exact_pmf(target, cfg, x0).probs_dict()
+        level = 1e-3 / (2 * self.EXAMPLES)
+        for seed, transition in enumerate((nuts_transition_iterative, nuts_transition_recursive)):
+            rng = np.random.default_rng(seed)
+            counts: dict[int, int] = {}
+            for _ in range(self.N):
+                _, info = transition(target, cfg, x0, rng)
+                counts[info.j_f] = counts.get(info.j_f, 0) + 1
+            p_value = chi2_gof(*_merge_rare(counts, pmf, self.N), self.N)
+            assert p_value >= level, transition.__name__
 
 
 class TestFlatTarget:
