@@ -1,6 +1,6 @@
 """Dynamic HMC samplers (NUTS, HMC, MALA, rHMC) with verification tooling."""
 
-from .binwords import BinWord, IndexInterval, concat, high_trunc, interval, low_trunc
+from .binwords import BinWord, IndexInterval, interval, low_trunc
 from .kernels import (
     ExactPMF,
     KernelConfig,
@@ -22,7 +22,6 @@ from .leapfrog import (
     TrajectorySolution,
     gaussian_maps,
     leapfrog_iter,
-    leapfrog_step,
     trajectory_solve,
     tridiag_a,
 )
@@ -31,9 +30,8 @@ from .orbit import (
     no_uturns,
     orbit_select_pmf,
     stopping_time,
-    uturn_pair,
 )
-from .index_select import WeightTree, q_h
+from .index_select import WeightTree
 from .targets import (
     MassMatrix,
     PhasePoint,

@@ -31,15 +31,6 @@ class BinWord:
         if not 0 <= self.value < (1 << self.k):
             raise ValueError(f"value {self.value} does not fit in {self.k} bits")
 
-    def bit(self, i: int) -> int:
-        """Bit ``v_i`` (i = 0 is least significant, the first doubling)."""
-        if not 0 <= i < self.k:
-            raise IndexError(f"bit index {i} outside word of length {self.k}")
-        return (self.value >> i) & 1
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.k}b") if self.k else "(empty)"
-
 
 @dataclass(frozen=True)
 class IndexInterval:
@@ -64,14 +55,6 @@ class IndexInterval:
     def __iter__(self):
         return iter(range(self.lo, self.hi + 1))
 
-    @property
-    def depth(self) -> int:
-        return (self.hi - self.lo + 1).bit_length() - 1
-
-    def shift(self, j: int) -> "IndexInterval":
-        """The translated set ``self + j`` (only valid if it still contains 0)."""
-        return IndexInterval(self.lo + j, self.hi + j)
-
     def iota(self, j: int) -> int:
         """Order-preserving bijection onto ``[0, 2^K - 1]``: ``j + T_minus``."""
         if j not in self:
@@ -85,23 +68,11 @@ class IndexInterval:
         return leaf + self.lo
 
 
-def concat(a: BinWord, b: BinWord) -> BinWord:
-    """Concatenation ``ab``: the bits of ``a`` become the most significant."""
-    return BinWord(a.k + b.k, (a.value << b.k) | b.value)
-
-
 def low_trunc(a: BinWord, n: int) -> BinWord:
     """The ``n`` least-significant bits ``a_{n-1} ... a_0`` (first doublings)."""
     if not 0 <= n <= a.k:
         raise ValueError(f"cannot take {n} low bits of a {a.k}-bit word")
     return BinWord(n, a.value & ((1 << n) - 1))
-
-
-def high_trunc(a: BinWord, n: int) -> BinWord:
-    """The ``n`` most-significant bits ``a_{K-1} ... a_{K-n}`` (last doublings)."""
-    if not 0 <= n <= a.k:
-        raise ValueError(f"cannot take {n} high bits of a {a.k}-bit word")
-    return BinWord(n, a.value >> (a.k - n))
 
 
 def t_minus(v: BinWord) -> int:

@@ -1,11 +1,14 @@
 """Command-line front end: sampling runs, pmf queries, verification, benchmarks.
 
-Subcommands: ``sample | verify | pmf | conditions | bench``.  Configuration is
-a plain JSON document; command-line flags override file keys, and the
-``NUTS_SEED`` environment variable overrides the config seed (but not an
-explicit ``--seed``).  The seed defaults to a fixed constant, never the
-clock: reproducibility over convenience.  Exit codes: 0 ok, 1 verification
-failure, 2 usage/config error, 3 I/O error.
+Subcommands: ``sample | verify | pmf | conditions | trajectory | bench``.
+Configuration is a plain JSON document; command-line flags override file
+keys, and the ``NUTS_SEED`` environment variable overrides the config seed
+(but not an explicit ``--seed``).  The seed defaults to a fixed constant,
+never the clock: reproducibility over convenience.  Exit codes: 0 ok, 1
+verification failure, 2 usage/config error, 3 I/O error.  ``trajectory``
+solves the two-point leapfrog boundary value problem and exits 0 ok, 1 when
+the fixed-point iteration does not converge, 2 when the step-size condition
+``L1 h^2 < 2 (1 - cos(pi/T))`` is violated or the input is bad.
 """
 
 from __future__ import annotations
@@ -643,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cond = sub.add_parser("conditions", help="evaluate step-size condition validators")
     p_cond.add_argument("--config", help="JSON config file with a 'conditions' section")
-    p_cond.add_argument("--seed", type=int)
     p_cond.set_defaults(func=cmd_conditions)
 
     p_traj = sub.add_parser(

@@ -7,15 +7,13 @@ candidate is drawn from the new half proportionally to the state weights
 ``min(1, w(new half) / w(old interval))``.
 
 After mapping the interval onto leaf labels ``0 .. 2^K - 1`` (origin at leaf
-``a``), the law of the final leaf has a closed form built from two
-ingredients, both computed here on a :class:`WeightTree` of subtree
-log-weights:
-
-* the rejection product ``Pi(a, t)``, the probability that the first ``t``
-  top-down swap proposals at leaf ``a`` are all rejected, and
-* the transition row ``qhat(a, .)``: leaf ``b`` in the subtree first split
-  off at depth ``n`` receives ``Pi(a, n) * min(1, w_sib/w_own) * w_b /
-  w_sib``, and ``b = a`` receives ``Pi(a, K)``.
+``a``), the law of the final leaf is the transition row ``qhat(a, .)``,
+computed by :meth:`WeightTree.qhat_row_log` on a tree of subtree
+log-weights: leaf ``b`` in the subtree first split off at depth ``n``
+receives ``Pi(a, n) * min(1, w_sib/w_own) * w_b / w_sib``, and ``b = a``
+receives ``Pi(a, K)``.  The rejection product ``Pi(a, t)``, the probability
+that the first ``t`` top-down swap proposals at leaf ``a`` are all
+rejected, is accumulated level by level inside that row.
 
 Everything runs on unnormalized log-weights; ratios make normalization
 immaterial.  Ratios ``0/0`` (both subtrees entirely diverged) are defined as
@@ -124,21 +122,6 @@ class WeightTree:
         lvl = self._levels[i + 1]
         return float(lvl[own]), float(lvl[own ^ 1])
 
-    def rejection_product(self, a: int, t: int) -> float:
-        """``Pi(a, t)``: probability the first t swap proposals are rejected.
-
-        Depends only on the t most-significant bits of ``a`` (prefix
-        invariance), which holds by construction here.
-        """
-        if not 0 <= t <= self.k:
-            raise ValueError(f"t = {t} outside [0, {self.k}]")
-        out = 1.0
-        for i in range(t):
-            log_own, log_sib = self._own_sib(a, i)
-            # 1 - exp(r) via expm1: exact for r near 0 and for r = -inf
-            out *= -math.expm1(accept_log_ratio(log_sib, log_own))
-        return out
-
     def qhat_row_log(self, a: int) -> np.ndarray:
         """Log-probabilities ``log qhat(a, b)`` for all leaves ``b``."""
         k = self.k
@@ -160,20 +143,6 @@ class WeightTree:
         row[a] = log_pi
         return row
 
-    def qhat_row(self, a: int) -> np.ndarray:
-        """Probabilities ``qhat(a, b)`` for all leaves ``b``."""
-        return np.exp(self.qhat_row_log(a))
-
     def qhat_matrix(self) -> np.ndarray:
         return np.vstack([np.exp(self.qhat_row_log(a)) for a in range(1 << self.k)])
 
-
-def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
-    """Probability that progressive selection on ``iv`` lands on orbit index ``j``."""
-    if 0 not in iv:
-        raise ValueError("interval must contain the origin")
-    if j not in iv:
-        raise ValueError(f"index {j} outside interval [{iv.lo}, {iv.hi}]")
-    tree = WeightTree.from_orbit(cache, iv)
-    row = tree.qhat_row_log(iv.iota(0))
-    return float(math.exp(row[iv.iota(j)]))

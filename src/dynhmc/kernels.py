@@ -488,7 +488,7 @@ def hmc_step(
     accepted = bool(rng.random() < alpha)
     if accepted:
         return e_t.q, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
-    return q, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)
+    return x0.q, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)
 
 
 def rhmc_step(

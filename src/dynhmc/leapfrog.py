@@ -13,10 +13,10 @@ reversibility checks.
 
 :func:`leapfrog_step_with_grad` is the bare step and enters no
 ``np.errstate``: an overflowing step is the flagged-divergence path, and its
-caller silences it once for all the steps it takes.  :func:`leapfrog_step`
-holds the context for its one step, :func:`leapfrog_forward` for a whole
-trajectory, :class:`orbit.OrbitCache` for each extension and the recursive
-NUTS sampler for a whole transition.
+caller silences it once for all the steps it takes.
+:func:`leapfrog_forward` holds the context for a whole trajectory (one step
+is ``leapfrog_iter(target, params, x, 1)``), :class:`orbit.OrbitCache` for
+each extension and the recursive NUTS sampler for a whole transition.
 
 For Gaussian targets ``U(q) = q^T Sigma q / 2`` the T-step map is linear and
 is computed here in closed form; for general targets the module also solves
@@ -52,13 +52,6 @@ class LeapfrogParams:
     def __post_init__(self) -> None:
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"step size must be positive and finite, got {self.h}")
-
-
-def leapfrog_step(target: Target, params: LeapfrogParams, x: PhasePoint) -> PhasePoint:
-    """One forward leapfrog step (two gradient evaluations)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        x1, _ = leapfrog_step_with_grad(target, params, x, None)
-    return x1
 
 
 def leapfrog_step_with_grad(
@@ -295,23 +288,26 @@ def trajectory_solve(
         prev_diff = None
         contraction = 0.0
         sol_iters = 0
-        for sol_iters in range(1, max_iter + 1):
-            ext = np.vstack([q0[None, :], interior, q_t[None, :]])
-            grads = np.apply_along_axis(target.gradient, 1, interior)
-            if not mass.is_identity:
-                grads = np.apply_along_axis(mass.inv_mul, 1, grads)
-            new_interior = 0.5 * (ext[:-2] + ext[2:]) + 0.5 * h * h * grads
-            diff = float(np.linalg.norm(new_interior - interior))
-            # ratios are only meaningful while the updates sit above the
-            # floating-point noise floor of the fixed-point map
-            if prev_diff is not None and prev_diff > 1e-8 * scale:
-                contraction = max(contraction, diff / prev_diff)
-            prev_diff = diff
-            interior = new_interior
-            residual = diff / scale
-            if residual <= tol:
-                break
-        if residual > tol:
+        # an iteration that diverges overflows: it is reported as no
+        # convergence at its first non-finite residual, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            for sol_iters in range(1, max_iter + 1):
+                ext = np.vstack([q0[None, :], interior, q_t[None, :]])
+                grads = np.apply_along_axis(target.gradient, 1, interior)
+                if not mass.is_identity:
+                    grads = np.apply_along_axis(mass.inv_mul, 1, grads)
+                new_interior = 0.5 * (ext[:-2] + ext[2:]) + 0.5 * h * h * grads
+                diff = float(np.linalg.norm(new_interior - interior))
+                # ratios are only meaningful while the updates sit above the
+                # floating-point noise floor of the fixed-point map
+                if prev_diff is not None and prev_diff > 1e-8 * scale:
+                    contraction = max(contraction, diff / prev_diff)
+                prev_diff = diff
+                interior = new_interior
+                residual = diff / scale
+                if residual <= tol or not math.isfinite(residual):
+                    break
+        if not residual <= tol:
             raise NoConvergence(
                 f"residual {residual:.3e} above tolerance {tol:.3e} after {sol_iters} iterations"
             )

@@ -257,15 +257,6 @@ class OrbitCache:
         return res
 
 
-def uturn_pair(left: PhasePoint, right: PhasePoint, mass: MassMatrix | None = None) -> bool:
-    """True iff the pair exhibits a U-turn (:func:`is_uturn`, ``v = M^{-1} p``)."""
-    if left.q.shape != right.q.shape:
-        raise ValueError("phase points have mismatched dimensions")
-    vr = right.p if mass is None or mass.is_identity else mass.inv_mul(right.p)
-    vl = left.p if mass is None or mass.is_identity else mass.inv_mul(left.p)
-    return is_uturn(left.q, vl, right.q, vr)
-
-
 def no_uturns(v: BinWord, cache: OrbitCache) -> bool:
     """Whether the record ``v`` avoids every stage-K U-turn check.
 

@@ -146,9 +146,6 @@ class Target:
     growth_class: str = "general"
     constants: dict = field(default_factory=dict)
 
-    def logpi(self, q: np.ndarray) -> float:
-        return -float(self.potential(q))
-
 
 def hamiltonian(target: Target, mass: MassMatrix, x: PhasePoint) -> float:
     """Total energy ``H(q, p) = U(q) + p^T M^{-1} p / 2``.

@@ -425,22 +425,26 @@ def stationarity_polar_exact(
     whiten = np.diag([1.0 / math.sqrt(sigma), sqrt_m])
     stack = np.stack([mats[int(j)] @ whiten for j in idx])  # (n_idx, 2, 2)
 
-    def pair_values(psis: np.ndarray) -> np.ndarray:
+    # pair (ia[r], ib[r]), ia < ib, gives rows 2r (right) and 2r + 1 (left)
+    ia, ib = np.triu_indices(len(idx), 1)
+
+    def pair_values(psis: np.ndarray, lo=ia, hi=ib) -> np.ndarray:
         x0 = np.stack([np.cos(psis), np.sin(psis)])  # (2, n)
         states = np.einsum("jab,bn->jan", stack, x0)  # (n_idx, 2, n)
         qs, ps = states[:, 0, :], states[:, 1, :]
-        out = []
-        for ia in range(len(idx)):
-            for ib in range(ia + 1, len(idx)):
-                dq = qs[ib] - qs[ia]
-                out.append(ps[ib] * dq)
-                out.append(ps[ia] * dq)
-        return np.asarray(out)  # (n_pairs*2, n)
+        dq = qs[hi] - qs[lo]
+        out = np.empty((2 * len(lo), len(psis)))
+        out[0::2] = ps[hi] * dq
+        out[1::2] = ps[lo] * dq
+        return out  # (n_pairs*2, n)
 
     def bisect(row: int, lo_psi: float, hi_psi: float) -> float:
+        r = row // 2
+
         # psi % 2pi is exact on [0, 2pi) and closes the wrap-around segment
         def f(psi: float) -> float:
-            return float(pair_values(np.array([psi % (2.0 * math.pi)]))[row, 0])
+            vals = pair_values(np.array([psi % (2.0 * math.pi)]), ia[r : r + 1], ib[r : r + 1])
+            return float(vals[row % 2, 0])
 
         f_lo = f(lo_psi)
         for _ in range(60):
@@ -1022,27 +1026,30 @@ def ergodicity_run(
 def chi2_gof(counts: dict[int, int], probs: dict[int, float], n: int) -> float:
     """P-value of the chi-squared test of observed counts against exact probs.
 
-    Bins with expected count below 5 are pooled.  Observed indices outside
-    the exact support make the test fail outright (p = 0).
+    Bins with expected count below 5 are merged into the most probable bin,
+    so that every tested cell is large: pooled on their own, a few rare bins
+    expected to hold well under one draw read p far too small.  Observed
+    indices outside the exact support make the test fail outright (p = 0).
     """
     for j in counts:
         if probs.get(j, 0.0) == 0.0:
             return 0.0
+    mode = max(probs, key=probs.get)
     stat = 0.0
-    pooled_obs = 0.0
-    pooled_exp = 0.0
+    merged_obs = 0.0
+    merged_exp = 0.0
     dof = 0
     for j, pr in probs.items():
         exp = n * pr
         obs = counts.get(j, 0)
-        if exp < 5.0:
-            pooled_obs += obs
-            pooled_exp += exp
+        if exp < 5.0 or j == mode:
+            merged_obs += obs
+            merged_exp += exp
             continue
         stat += (obs - exp) ** 2 / exp
         dof += 1
-    if pooled_exp > 0.0:
-        stat += (pooled_obs - pooled_exp) ** 2 / pooled_exp
+    if merged_exp > 0.0:
+        stat += (merged_obs - merged_exp) ** 2 / merged_exp
         dof += 1
     dof = max(dof - 1, 1)
     return float(sps.chi2.sf(stat, dof))

@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from dynhmc.binwords import (
     BinWord,
     IndexInterval,
-    concat,
-    high_trunc,
     interval,
     low_trunc,
     t_minus,
@@ -21,21 +19,6 @@ words = st.integers(min_value=1, max_value=12).flatmap(
 )
 
 
-class TestConcat:
-    def test_basic(self):
-        assert concat(word(2, 0b10), word(1, 0b1)) == word(3, 0b101)
-
-    def test_leading_zero_keeps_value(self):
-        w = word(3, 0b101)
-        assert concat(word(1, 0), w).value == w.value
-        assert concat(word(1, 0), w).k == 4
-
-    @given(words, st.data())
-    def test_trunc_partition_inverts_concat(self, a, data):
-        n = data.draw(st.integers(min_value=0, max_value=a.k))
-        assert concat(high_trunc(a, a.k - n), low_trunc(a, n)) == a
-
-
 class TestTruncations:
     def test_low(self):
         assert low_trunc(word(4, 0b1101), 2) == word(2, 0b01)
@@ -45,25 +28,9 @@ class TestTruncations:
         assert low_trunc(a, 5) == a
         assert low_trunc(a, 0) == word(0, 0)
 
-    def test_high(self):
-        assert high_trunc(word(4, 0b1101), 2) == word(2, 0b11)
-        assert high_trunc(word(4, 0b1101), 4) == word(4, 0b1101)
-
-    @given(words, words, st.data())
-    def test_high_prefix_monotone(self, a, b, data):
-        # distinct prefixes stay distinct as the prefix grows
-        k = min(a.k, b.k)
-        a, b = low_trunc(a, k), low_trunc(b, k)
-        n = data.draw(st.integers(min_value=0, max_value=k))
-        if high_trunc(a, n) != high_trunc(b, n):
-            for length in range(n, k + 1):
-                assert high_trunc(a, length) != high_trunc(b, length)
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             low_trunc(word(2, 1), 3)
-        with pytest.raises(ValueError):
-            high_trunc(word(2, 1), 3)
 
 
 class TestInterval:
@@ -90,7 +57,7 @@ class TestInterval:
         big = interval(low_trunc(v, k + 1))
         assert big.lo <= small.lo and small.hi <= big.hi
         assert len(big) == 2 * len(small)
-        if v.bit(k):  # doubling to the right
+        if (v.value >> k) & 1:  # doubling to the right
             assert big.lo == small.lo and big.hi == small.hi + len(small)
         else:
             assert big.hi == small.hi and big.lo == small.lo - len(small)
@@ -118,5 +85,8 @@ class TestBinWordValidation:
             BinWord(2, -1)
 
     def test_bits(self):
+        # bit i (least significant first) is the direction of doubling i:
+        # 0b110 doubles left, then right twice
         a = word(3, 0b110)
-        assert [a.bit(i) for i in range(3)] == [0, 1, 1]
+        ivs = [interval(low_trunc(a, n)) for n in (1, 2, 3)]
+        assert ivs == [IndexInterval(-1, 0), IndexInterval(-1, 2), IndexInterval(-1, 6)]

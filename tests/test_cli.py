@@ -310,6 +310,17 @@ class TestTrajectory:
         rc = main(["trajectory", "--config", str(path), "--q0", "1.0", "--qT", "0.0", "--steps", "2"])
         assert rc == 2
 
+    def test_diverging_iteration_exit_1(self, tmp_path, capsys):
+        # the double well has no global L1, so nothing is checked up front;
+        # the fixed-point iteration overflows and is reported, not printed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"kind": "double_well", "dim": 1},
+                                    "kernel": {"h": 1.0}}))
+        rc = main(["trajectory", "--config", str(path), "--q0", "3.0", "--qT", "-3.0",
+                   "--steps", "8"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "no convergence" in out.err
 
     @pytest.mark.parametrize("q0", ["nan", "abc", "1,2"])
     def test_bad_endpoint_exit_2_naming_flag(self, q0, tmp_path, capsys):
@@ -336,6 +347,14 @@ class TestConditions:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"conditions": {"l1": 1.0}}))
         assert main(["conditions", "--config", str(path)]) == 2
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path):
+        # the validators draw nothing, so there is no seed to take
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"conditions": {"l1": 1.0, "h": 0.1, "k_m": 1}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["conditions", "--config", str(path), "--seed", "3"])
+        assert exc.value.code == 2
 
 
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynhmc.binwords import BinWord, IndexInterval, interval
-from dynhmc.index_select import WeightTree, logaddexp, q_h
+from dynhmc.index_select import WeightTree, accept_log_ratio, logaddexp
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
 from dynhmc.kernels import KernelConfig, nuts_transition_iterative, nuts_transition_recursive
@@ -43,22 +43,42 @@ class TestWeightTree:
             WeightTree(np.zeros(3))
 
 
+def rejection_product(tree: WeightTree, a: int, t: int) -> float:
+    """``Pi(a, t)``, the paper's probability that the first ``t`` top-down
+    swap proposals at leaf ``a`` are all rejected, as a plain product.  It is
+    the reference that the ``Pi`` accumulated inside ``qhat_row_log`` is
+    checked against."""
+    if not 0 <= t <= tree.k:
+        raise ValueError(f"t = {t} outside [0, {tree.k}]")
+    out = 1.0
+    for i in range(t):
+        own = a >> (tree.k - 1 - i)
+        lvl = tree.level(i + 1)
+        # 1 - exp(r) via expm1: exact for r near 0 and for r = -inf
+        out *= -math.expm1(accept_log_ratio(float(lvl[own ^ 1]), float(lvl[own])))
+    return out
+
+
+def qhat_row(tree: WeightTree, a: int) -> np.ndarray:
+    return np.exp(tree.qhat_row_log(a))
+
+
 class TestRejectionProduct:
     def test_t_zero_is_one(self):
         tree = WeightTree(np.random.default_rng(1).normal(size=8))
         for a in range(8):
-            assert tree.rejection_product(a, 0) == 1.0
+            assert rejection_product(tree, a, 0) == 1.0
 
     def test_uniform_weights_give_zero(self):
         tree = WeightTree(np.zeros(8))
         for a in range(8):
             for t in range(1, 4):
-                assert tree.rejection_product(a, t) == 0.0
+                assert rejection_product(tree, a, t) == 0.0
 
     def test_single_factor(self):
         # K=1, weights (old, new) = (1, 0.5): Pi = 1 - 0.5
         tree = WeightTree(np.log(np.array([1.0, 0.5])))
-        assert tree.rejection_product(0, 1) == pytest.approx(0.5, abs=1e-15)
+        assert rejection_product(tree, 0, 1) == pytest.approx(0.5, abs=1e-15)
 
     def test_prefix_invariance_exact(self):
         rng = np.random.default_rng(2)
@@ -67,13 +87,22 @@ class TestRejectionProduct:
             for a in range(32):
                 for c in range(32):
                     if (a >> (5 - k)) == (c >> (5 - k)):
-                        assert tree.rejection_product(a, k) == tree.rejection_product(c, k)
+                        assert rejection_product(tree, a, k) == rejection_product(tree, c, k)
+
+    @given(log_weight_arrays)
+    @settings(max_examples=40, deadline=None)
+    def test_is_the_rows_stay_probability(self, leaves):
+        # qhat(a, a) = Pi(a, K): the product qhat_row_log accumulates
+        tree = WeightTree(leaves)
+        for a in range(leaves.size):
+            stay = qhat_row(tree, a)[a]
+            assert stay == pytest.approx(rejection_product(tree, a, tree.k), rel=1e-12, abs=1e-300)
 
 
 class TestQhatRow:
     def test_uniform_k2_from_corner(self):
         tree = WeightTree(np.zeros(4))
-        row = tree.qhat_row(0b00)
+        row = qhat_row(tree, 0b00)
         assert row[0b10] == pytest.approx(0.5, abs=1e-15)
         assert row[0b11] == pytest.approx(0.5, abs=1e-15)
         assert row[0b01] == 0.0
@@ -81,7 +110,7 @@ class TestQhatRow:
 
     def test_k1_metropolis(self):
         tree = WeightTree(np.log(np.array([1.0, 0.5])))
-        row = tree.qhat_row(0)
+        row = qhat_row(tree, 0)
         assert row[1] == pytest.approx(0.5, abs=1e-15)
         assert row[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -90,7 +119,7 @@ class TestQhatRow:
     def test_rows_sum_to_one(self, leaves):
         tree = WeightTree(leaves)
         for a in range(leaves.size):
-            assert abs(float(np.sum(tree.qhat_row(a))) - 1.0) <= 1e-12
+            assert abs(float(np.sum(qhat_row(tree, a))) - 1.0) <= 1e-12
 
     @given(log_weight_arrays)
     @settings(max_examples=60, deadline=None)
@@ -109,7 +138,7 @@ class TestQhatRow:
     def test_db_uniform_example_normalized(self):
         # uniform K=2 orbit: normalized flow a->b is (1/4) * (1/2) = 1/8
         tree = WeightTree(np.zeros(4))
-        row = tree.qhat_row(0)
+        row = qhat_row(tree, 0)
         assert 0.25 * row[2] == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     @given(log_weight_arrays)
@@ -118,27 +147,34 @@ class TestQhatRow:
         tree = WeightTree(leaves)
         k = tree.k
         for a in range(leaves.size):
-            row = tree.qhat_row(a)
+            row = qhat_row(tree, a)
             for b in range(leaves.size):
                 if a == b:
                     continue
                 x = a ^ b
                 n = k - x.bit_length()
-                assert (row[b] > 0) == (tree.rejection_product(a, n) > 0)
+                assert (row[b] > 0) == (rejection_product(tree, a, n) > 0)
 
     def test_diverged_leaf_gets_zero_mass(self):
         leaves = np.array([0.0, -math.inf, 0.3, 0.1])
         tree = WeightTree(leaves)
         for a in (0, 2, 3):
-            assert tree.qhat_row(a)[1] == 0.0
+            assert qhat_row(tree, a)[1] == 0.0
 
     def test_all_diverged_new_half_stays(self):
         # 0/0 swap ratio means stay: all mass remains on the origin's side
         leaves = np.array([0.0, 0.5, -math.inf, -math.inf])
         tree = WeightTree(leaves)
-        row = tree.qhat_row(0)
+        row = qhat_row(tree, 0)
         assert row[2] == 0.0 and row[3] == 0.0
         assert abs(row.sum() - 1.0) <= 1e-12
+
+
+def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
+    """Probability that progressive selection on ``iv`` lands on orbit index
+    ``j``: the origin's row of the interval's weight tree, at ``j``."""
+    tree = WeightTree.from_orbit(cache, iv)
+    return float(math.exp(tree.qhat_row_log(iv.iota(0))[iv.iota(j)]))
 
 
 class TestQh:
@@ -279,7 +315,7 @@ class TestProgressiveSample:
         for v in range(1 << k):
             iv = interval(BinWord(k, v))
             tree = WeightTree(np.array([log_w[j] for j in iv]))
-            for leaf, pr in enumerate(tree.qhat_row(iv.iota(0))):
+            for leaf, pr in enumerate(qhat_row(tree, iv.iota(0))):
                 probs[((iv.lo, iv.hi), iv.iota_inv(leaf))] = pr / (1 << k)
         draws = _line_draws(log_w, k, 2500, rng)
         counts: dict[tuple, int] = {}

@@ -9,10 +9,10 @@ from dynhmc.leapfrog import LeapfrogParams, leapfrog_iter
 from dynhmc.orbit import (
     CacheCoverageError,
     OrbitCache,
+    is_uturn,
     no_uturns,
     orbit_select_pmf,
     stopping_time,
-    uturn_pair,
 )
 from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 
@@ -37,22 +37,27 @@ def brute_force_pairs(k_len, t_min):
     return pairs
 
 
+def cache_uturn(cache: OrbitCache, i_lo: int, i_hi: int) -> bool:
+    """:func:`is_uturn` on two states of an identity-mass orbit."""
+    left, right = cache.state(i_lo), cache.state(i_hi)
+    return is_uturn(left.q, left.p, right.q, right.p)
+
+
 class TestUturnPair:
+    # is_uturn(q_lo, v_lo, q_hi, v_hi) on velocities v = M^{-1} p; under the
+    # identity mass v = p
     def test_moving_apart(self):
         e1 = np.array([1.0, 0.0])
-        left = PhasePoint(np.zeros(2), e1)
-        right = PhasePoint(e1, e1)
-        assert uturn_pair(left, right) is False
+        assert is_uturn(np.zeros(2), e1, e1, e1) is False
 
     def test_right_momentum_opposes(self):
         e1 = np.array([1.0, 0.0])
-        assert uturn_pair(PhasePoint(np.zeros(2), e1), PhasePoint(e1, -e1)) is True
+        assert is_uturn(np.zeros(2), e1, e1, -e1) is True
 
     def test_zero_displacement_is_not_a_uturn(self):
         q = np.array([0.3, -0.2])
-        left = PhasePoint(q, np.array([5.0, 0.0]))
-        right = PhasePoint(q.copy(), np.array([-5.0, 0.0]))
-        assert uturn_pair(left, right) is False  # strict inequalities
+        # strict inequalities
+        assert is_uturn(q, np.array([5.0, 0.0]), q.copy(), np.array([-5.0, 0.0])) is False
 
     def test_mass_matrix_whitening(self):
         # with M^{-1} weighting a pair can turn even if raw products disagree
@@ -62,10 +67,9 @@ class TestUturnPair:
         raw = p @ dq
         white = mass.inv_mul(p) @ dq
         assert raw > 0 > white  # the construction is meaningful
-        left = PhasePoint(np.zeros(2), p)
-        right = PhasePoint(dq, p)
-        assert uturn_pair(left, right, mass) is True
-        assert uturn_pair(left, right) is False
+        vel = mass.inv_mul(p)
+        assert is_uturn(np.zeros(2), vel, dq, vel) is True
+        assert is_uturn(np.zeros(2), p, dq, p) is False
 
 
 class TestOrbitCache:
@@ -152,7 +156,7 @@ class TestNoUturns:
                 w = BinWord(k_len, v)
                 expected = True
                 for i_lo, i_hi in brute_force_pairs(k_len, t_minus(w)):
-                    if uturn_pair(cache.state(i_lo), cache.state(i_hi)):
+                    if cache_uturn(cache, i_lo, i_hi):
                         expected = False
                 assert no_uturns(w, cache) is expected
 
@@ -191,7 +195,7 @@ class TestStoppingTime:
         for k in (1, 2):
             w = low_trunc(v, k)
             turned = any(
-                uturn_pair(cache.state(i_lo), cache.state(i_hi))
+                cache_uturn(cache, i_lo, i_hi)
                 for i_lo, i_hi in brute_force_pairs(k, t_minus(w))
             )
             if turned:

@@ -84,6 +84,11 @@ class TestStationarity:
         rep = stationarity_polar_exact(STD1, cfg, n_scan=4096, radial_panels=40)
         assert rep.passed
         assert rep.details[0]["err_var_rel"] <= 1e-7
+        # the ray search over the 42 turn functionals of the 21 index pairs
+        # in [-3, 3] finds 26 rays, which cut the circle into 26 panels of
+        # 12 angular nodes
+        assert rep.config["n_discontinuity_rays"] == 26
+        assert rep.config["angular_nodes"] == 312
 
     def test_tensor_gh_is_jump_limited(self):
         # the plain Gauss-Hermite rule cannot resolve the stopping-rule
@@ -287,6 +292,15 @@ class TestHelpers:
         draws = rng.integers(0, 2, size=10000)
         counts = {0: int(np.sum(draws == 0)), 1: int(np.sum(draws == 1))}
         assert chi2_gof(counts, {0: 0.5, 1: 0.5}, 10000) >= 1e-3
+
+    def test_chi2_gof_merges_rare_cells_into_the_mode(self):
+        # 3 draws where 0.36 are expected is a Poisson tail of about 6e-3;
+        # pooled as a cell of its own it read p = 1e-5
+        probs = {0: 1.0 - 1.8e-4, 2: 1.8e-4}
+        assert chi2_gof({0: 1997, 2: 3}, probs, 2000) >= 1e-3
+        # merged cells still weigh against the other large cells
+        probs = {0: 0.5, 1: 0.4999, 2: 1e-4}
+        assert chi2_gof({0: 9000, 1: 1000}, probs, 10000) < 1e-10
 
     def test_chi2_gof_out_of_support(self):
         assert chi2_gof({0: 10, 5: 1}, {0: 1.0}, 11) == 0.0
