@@ -151,15 +151,20 @@ def _build_mass(spec: dict | None, dim: int, echoes: dict | None = None) -> Mass
     raise ConfigError(f"unknown mass.kind {kind!r}")
 
 
-def _build_target(config: dict, echoes: dict | None = None) -> Target:
-    """The configured target.  ``echoes``, if given, receives the summary echo
-    of ``target.sigma`` under its config path, as ``_build_mass`` does for a
-    dense mass matrix."""
-    spec = config.get("target", {})
-    kind = spec.get("kind", "standard_gaussian")
-    dim = _convert(spec.get("dim", 1), "target.dim", int)
+def _target_dim(config: dict) -> int:
+    dim = _convert(config.get("target", {}).get("dim", 1), "target.dim", int)
     if dim < 1:
         raise ConfigError(f"target.dim must be >= 1, got {dim}")
+    return dim
+
+
+def _build_target(config: dict, echoes: dict | None = None, mass: MassMatrix | None = None) -> Target:
+    """The configured target, its ``lipschitz_l1`` taken under ``mass``.
+    ``echoes``, if given, receives the summary echo of ``target.sigma`` under
+    its config path, as ``_build_mass`` does for a dense mass matrix."""
+    spec = config.get("target", {})
+    kind = spec.get("kind", "standard_gaussian")
+    dim = _target_dim(config)
     sigma = spec.get("sigma")
     if sigma is not None:
         sigma = _float_array(sigma, "target.sigma", (dim, dim))
@@ -167,7 +172,7 @@ def _build_target(config: dict, echoes: dict | None = None) -> Target:
             echoes["target", "sigma"] = _matrix_echo(sigma)
     a5 = _convert(spec.get("a5", 0.5), "target.a5")
     try:
-        return builtin_target(kind, dim=dim, sigma=sigma, a5=a5)
+        return builtin_target(kind, dim=dim, sigma=sigma, a5=a5, mass=mass)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
 
@@ -347,14 +352,11 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
             for _ in range(anchors):
                 x0 = _default_anchors(2, mass, 1, rng)[0]
                 pmf = nuts_exact_pmf(target, cfg, x0)
-                if mutate == "always-swap":
-                    # negative control: sample with the broken progressive swap
-                    counts = _mutated_index_counts(target, cfg, x0, n, rng)
-                else:
-                    idx = nuts_recursive_index_batch(target, cfg, x0, n, rng)
-                    counts = {}
-                    for j in idx.tolist():
-                        counts[j] = counts.get(j, 0) + 1
+                # the negative control samples the same twin, its swap coin broken
+                idx = nuts_recursive_index_batch(target, cfg, x0, n, rng, mutate=mutate)
+                counts = {}
+                for j in idx.tolist():
+                    counts[j] = counts.get(j, 0) + 1
                 worst_p = min(worst_p, verify_mod.chi2_gof(counts, pmf.probs_dict(), n))
         # reported as -log10 of the p-value and of its level, so that, as in
         # every other check, it passes when violation <= tolerance
@@ -432,16 +434,6 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
     else:
         raise ConfigError(f"unknown suite {name!r}")
     return reports
-
-
-def _mutated_index_counts(target, cfg, x0, n, rng):
-    from .kernels import nuts_transition_recursive
-
-    counts: dict[int, int] = {}
-    for _ in range(n):
-        _, info = nuts_transition_recursive(target, cfg, x0, rng, mutate="always-swap")
-        counts[info.j_f] = counts.get(info.j_f, 0) + 1
-    return counts
 
 
 def cmd_verify(args) -> int:
@@ -549,8 +541,9 @@ def cmd_trajectory(args) -> int:
     from .leapfrog import ContractionViolated, NoConvergence, trajectory_solve
 
     config = _load_config(args.config)
-    target = _build_target(config)
-    cfg = _build_kernel_config(config, target.dim)
+    cfg = _build_kernel_config(config, _target_dim(config))
+    # the contraction condition needs L1 under the configured mass
+    target = _build_target(config, mass=cfg.mass)
     q0 = _flag_array(args.q0, "--q0", target.dim)
     q_t = _flag_array(args.qT, "--qT", target.dim)
     if args.steps < 1:

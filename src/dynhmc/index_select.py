@@ -9,11 +9,11 @@ candidate is drawn from the new half proportionally to the state weights
 After mapping the interval onto leaf labels ``0 .. 2^K - 1`` (origin at leaf
 ``a``), the law of the final leaf is the transition row ``qhat(a, .)``,
 computed by :meth:`WeightTree.qhat_row_log` on a tree of subtree
-log-weights: leaf ``b`` in the subtree first split off at depth ``n``
-receives ``Pi(a, n) * min(1, w_sib/w_own) * w_b / w_sib``, and ``b = a``
-receives ``Pi(a, K)``.  The rejection product ``Pi(a, t)``, the probability
-that the first ``t`` top-down swap proposals at leaf ``a`` are all
-rejected, is accumulated level by level inside that row.
+log-weights, or on a batch of trees at once: leaf ``b`` in the subtree
+first split off at depth ``n`` receives ``Pi(a, n) * min(1, w_sib/w_own) *
+w_b / w_sib``, and ``b = a`` receives ``Pi(a, K)``.  The rejection product
+``Pi(a, t)``, the probability that the first ``t`` top-down swap proposals
+at leaf ``a`` are all rejected, is accumulated level by level in that row.
 
 Everything runs on unnormalized log-weights; ratios make normalization
 immaterial.  Ratios ``0/0`` (both subtrees entirely diverged) are defined as
@@ -84,25 +84,27 @@ def logsumexp(arr: np.ndarray) -> float:
 
 
 class WeightTree:
-    """Complete binary tree of subtree log-weights over 2^K leaves.
+    """Complete binary trees of subtree log-weights over 2^K leaves.
 
-    ``level(n)`` holds, for each of the 2^n depth-n nodes, the log-sum of the
-    leaf weights below it; ``level(0)`` is the total and ``level(K)`` the
-    leaves themselves.  Node ``u`` at level ``n`` covers leaves
-    ``[u * 2^(K-n), (u+1) * 2^(K-n))``.  Immutable after construction.
+    ``leaf_logw`` has shape ``(..., 2^K)``: one tree per index of its leading
+    axes, all of depth K.  ``level(n)``, of shape ``(..., 2^n)``, holds for
+    each depth-n node the log-sum of the leaf weights below it; ``level(0)``
+    is the total and ``level(K)`` the leaves themselves.  Node ``u`` at level
+    ``n`` covers leaves ``[u * 2^(K-n), (u+1) * 2^(K-n))``.  Immutable after
+    construction.
     """
 
     def __init__(self, leaf_logw: np.ndarray):
         leaf_logw = np.asarray(leaf_logw, dtype=float)
-        n = leaf_logw.size
+        n = leaf_logw.shape[-1] if leaf_logw.ndim else 0
         if n < 1 or n & (n - 1):
             raise ValueError(f"number of leaves {n} is not a power of two")
         self.k = n.bit_length() - 1
         levels = [leaf_logw]
-        while levels[-1].size > 1:
+        while levels[-1].shape[-1] > 1:
             prev = levels[-1]
-            levels.append(np.logaddexp(prev[0::2], prev[1::2]))
-        self._levels = levels[::-1]  # _levels[n] has 2^n entries
+            levels.append(np.logaddexp(prev[..., 0::2], prev[..., 1::2]))
+        self._levels = levels[::-1]  # _levels[n] has 2^n entries per tree
 
     @classmethod
     def from_orbit(cls, cache: OrbitCache, iv: IndexInterval) -> "WeightTree":
@@ -116,33 +118,34 @@ class WeightTree:
     def leaves(self) -> np.ndarray:
         return self._levels[self.k]
 
-    def _own_sib(self, a: int, i: int) -> tuple[float, float]:
-        """Log-weights at level i+1 of a's subtree and its sibling."""
-        own = a >> (self.k - 1 - i)
-        lvl = self._levels[i + 1]
-        return float(lvl[own]), float(lvl[own ^ 1])
-
     def qhat_row_log(self, a: int) -> np.ndarray:
-        """Log-probabilities ``log qhat(a, b)`` for all leaves ``b``."""
-        k = self.k
-        row = np.full(1 << k, NEG_INF)
-        log_pi = 0.0  # log Pi(a, n), updated level by level
-        for n in range(k):
-            log_own, log_sib = self._own_sib(a, n)
-            log_r = accept_log_ratio(log_sib, log_own)
-            if log_r > NEG_INF and log_pi > NEG_INF:
+        """Log-probabilities ``log qhat(a, b)`` for all leaves ``b``, shape ``(..., 2^K)``.
+
+        One pass down the levels gives the rows of every tree of the batch.
+        At level ``n`` the sibling subtree of ``a``'s receives
+        ``(log Pi + log R_n) + leaves - log w_sib``, with the swap ratio
+        ``R_n`` of :func:`accept_log_ratio`.  A one-leaf tree's row is ``[0.0]``.
+        """
+        k, leaves = self.k, self.leaves
+        row = np.full(leaves.shape, NEG_INF)
+        log_pi = np.zeros(leaves.shape[:-1])  # log Pi(a, n), updated level by level
+        # log(0), and inf - inf at a sibling of weight zero, which is masked out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for n in range(k):
                 shift = k - 1 - n
-                base = ((a >> shift) ^ 1) << shift
-                block = self.leaves[base : base + (1 << shift)]
-                row[base : base + (1 << shift)] = log_pi + log_r + (block - log_sib)
-            # Pi(a, n+1) = Pi(a, n) * (1 - R_n), with 1 - exp stabilized
-            if log_r == 0.0:
-                log_pi = NEG_INF
-            elif log_r > NEG_INF:
-                log_pi += math.log(-math.expm1(log_r))
-        row[a] = log_pi
+                own = a >> shift
+                lvl = self._levels[n + 1]
+                log_sib = lvl[..., own ^ 1]
+                live = log_sib > NEG_INF  # a sibling of weight zero is never taken
+                log_r = np.where(live, np.minimum(0.0, log_sib - lvl[..., own]), NEG_INF)
+                sib = slice((own ^ 1) << shift, ((own ^ 1) + 1) << shift)
+                block = (log_pi + log_r)[..., None] + leaves[..., sib] - log_sib[..., None]
+                row[..., sib] = np.where(live[..., None], block, NEG_INF)
+                # Pi(a, n+1) = Pi(a, n) * (1 - R_n), with 1 - exp stabilized
+                log_pi = log_pi + np.log(-np.expm1(log_r))
+        row[..., a] = log_pi
         return row
 
     def qhat_matrix(self) -> np.ndarray:
-        return np.vstack([np.exp(self.qhat_row_log(a)) for a in range(1 << self.k)])
-
+        """The transition matrices ``qhat(a, b)``, shape ``(..., 2^K, 2^K)``."""
+        return np.exp(np.stack([self.qhat_row_log(a) for a in range(1 << self.k)], axis=-2))

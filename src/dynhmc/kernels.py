@@ -360,6 +360,7 @@ def nuts_recursive_index_batch(
     x0: PhasePoint,
     n: int,
     rng: np.random.Generator,
+    mutate: str | None = None,
 ) -> np.ndarray:
     """``n`` draws of the recursive sampler's index at a fixed phase point.
 
@@ -368,8 +369,11 @@ def nuts_recursive_index_batch(
     deterministic, so the tree merges reduce to coin flips with fixed biases
     that can be applied to whole arrays of draws at once.  Same merge rules,
     same stopping rules, orders of magnitude faster than looping the scalar
-    sampler.
+    sampler.  ``mutate`` is one of :data:`MUTATIONS`, as for the samplers:
+    ``always-swap`` takes the new half whenever its log-sum is finite.
     """
+    if mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}")
     cache = OrbitCache(target, cfg.params, x0)
     cache.extend_to(-(1 << cfg.k_m) + 1, (1 << cfg.k_m) - 1)
 
@@ -420,7 +424,9 @@ def nuts_recursive_index_batch(
                 if node_stop:
                     continue  # these draws are finished; sel already holds their state
                 u_swap = rng.random(sub.size)
-                log_r = accept_log_ratio(node_logw, group_logw)
+                # always-swap: ratio 1, so that every u_swap < 1 swaps
+                swap_all = mutate == "always-swap" and node_logw > -math.inf
+                log_r = 0.0 if swap_all else accept_log_ratio(node_logw, group_logw)
                 if log_r > -math.inf:
                     swap = u_swap < math.exp(log_r)
                     sel[sub[swap]] = node_sel[swap]
@@ -449,9 +455,6 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
     probs: dict[int, float] = {}
     for iv, frac in orbit_select_pmf(cache, cfg.k_m):
         weight = float(frac)
-        if len(iv) == 1:
-            probs[0] = probs.get(0, 0.0) + weight
-            continue
         tree = WeightTree.from_orbit(cache, iv)
         row = np.exp(tree.qhat_row_log(iv.iota(0)))
         for leaf, pr in enumerate(row):

@@ -15,7 +15,8 @@ the corresponding U-turn set.
 
 The resulting orbit-selection law is purely combinatorial: conditionally on
 the U-turn geometry, each final interval receives a dyadic rational mass, so
-:func:`orbit_select_pmf` enumerates it exactly with ``Fraction`` arithmetic.
+:func:`orbit_select_pmf` computes it exactly with ``Fraction`` arithmetic, in
+one walk over the tree of records.
 
 This module owns, for every sampler, how a state is weighed
 (:func:`_make_entry`), how one step is taken in either direction
@@ -38,12 +39,13 @@ save a call per state.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .binwords import BinWord, IndexInterval, interval, low_trunc, t_minus
+from .binwords import BinWord, IndexInterval, low_trunc, t_minus
 from .leapfrog import LeapfrogParams, leapfrog_step_with_grad
 from .targets import MassMatrix, PhasePoint, Target
 
@@ -291,41 +293,30 @@ def stopping_time(v: BinWord, cache: OrbitCache) -> float:
 
 
 def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, Fraction]]:
-    """Exact law of the final interval, by enumeration of all 2^K_m records.
+    """Exact law of the final interval, by one depth-first walk over the records.
 
-    Returns ``(interval, probability)`` pairs with exact dyadic probabilities
-    summing to 1; sorted by interval.  Requires cache coverage of
+    A record offers half its mass to each of its two one-bit extensions (the
+    next doubling's direction coin); an extension that passes
+    :func:`no_uturns` takes it on, and the record keeps the halves of those
+    that fail.  A record of length ``k_m`` keeps all of its mass.  Returns
+    ``(interval, probability)`` pairs with exact dyadic probabilities summing
+    to 1; sorted by interval.  Requires cache coverage of
     ``[-2^K_m + 1, 2^K_m - 1]`` (extends on demand).
     """
     cache.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
-    unit = Fraction(1, 1 << k_m)
-    masses: dict[tuple[int, int], Fraction] = {}
-    prefix_ok: dict[tuple[int, int], bool] = {}
+    masses: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
 
-    def prefix_no_uturn(k: int, prefix: int) -> bool:
-        key = (k, prefix)
-        hit = prefix_ok.get(key)
-        if hit is None:
-            hit = no_uturns(BinWord(k, prefix), cache)
-            prefix_ok[key] = hit
-        return hit
+    def walk(k: int, value: int, mass: Fraction) -> None:
+        if k < k_m:
+            half = mass / 2
+            for ext in (value, value | 1 << k):
+                if no_uturns(BinWord(k + 1, ext), cache):
+                    walk(k + 1, ext, half)
+                    mass -= half
+        if mass:
+            # the record (k, value) generates {value - 2^k + 1, ..., value}
+            masses[value + 1 - (1 << k), value] += mass
 
-    for word in range(1 << k_m):
-        k_f = k_m
-        for k in range(1, k_m + 1):
-            if not prefix_no_uturn(k, word & ((1 << k) - 1)):
-                k_f = k - 1
-                break
-        if k_f == 0:
-            key = (0, 0)
-        else:
-            w = BinWord(k_f, word & ((1 << k_f) - 1))
-            iv = interval(w)
-            key = (iv.lo, iv.hi)
-        masses[key] = masses.get(key, Fraction(0)) + unit
-
+    walk(0, 0, Fraction(1))
     assert sum(masses.values()) == 1
-    out = []
-    for (lo, hi), mass in sorted(masses.items()):
-        out.append((IndexInterval(lo, hi), mass))
-    return out
+    return [(IndexInterval(lo, hi), mass) for (lo, hi), mass in sorted(masses.items())]

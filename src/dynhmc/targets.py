@@ -132,10 +132,10 @@ class Target:
     """Potential/gradient pair with optional regularity metadata.
 
     ``lipschitz_l1`` is the Lipschitz constant of ``q -> M^{-1} grad U(q)``
-    when known (identity mass unless stated otherwise); ``growth_class`` tags
-    the tail-growth family the target belongs to, with the associated
-    constants stored in ``constants`` (keys among ``m``, ``M1``, ``A1`` ...
-    ``A5``, ``rho``, ``R_U``).
+    when known, for the mass ``M`` given to :func:`builtin_target` (identity
+    if none); ``growth_class`` tags the tail-growth family the target belongs
+    to, with the associated constants stored in ``constants`` (keys among
+    ``m``, ``M1``, ``A1`` ... ``A5``, ``rho``, ``R_U``).
     """
 
     dim: int
@@ -293,8 +293,10 @@ def builtin_target(
         minv = mass.inv_matrix()
         # eigenvalues of M^{-1} Sigma = those of the SPD pencil
         lam_max_m = float(np.max(np.abs(np.linalg.eigvals(minv @ sigma))))
+        lam_max_minv = float(np.linalg.eigvalsh(minv)[-1])
     else:
         lam_max_m = lam_max
+        lam_max_minv = 1.0
 
     if kind == "gaussian":
         gradient, potential = _shared_sigma_product(sigma)
@@ -322,7 +324,8 @@ def builtin_target(
         potential=potential_p,
         gradient=gradient_p,
         name="perturbed_gaussian",
-        lipschitz_l1=lam_max_m + a5,
+        # M^{-1} a5 tanh(q) is Lipschitz with constant a5 lambda_max(M^{-1})
+        lipschitz_l1=lam_max_m + a5 * lam_max_minv,
         growth_class="h8",
         constants={
             "m": 2.0,

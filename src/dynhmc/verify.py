@@ -175,20 +175,15 @@ def check_detailed_balance(
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
         for iv, _ in orbit_select_pmf(cache, cfg.k_m):
-            if len(iv) == 1:
-                continue
             tree = WeightTree.from_orbit(cache, iv)
+            # log flux[a, b] = log w(a) qhat(a, b), compared with flux[b, a] for a < b
             n = len(iv)
-            rows = [tree.qhat_row_log(a) for a in range(n)]
-            leaves = tree.leaves
-            for a in range(n):
-                for b in range(a + 1, n):
-                    lhs = leaves[a] + rows[a][b]
-                    rhs = leaves[b] + rows[b][a]
-                    checked += 1
-                    if lhs == -math.inf and rhs == -math.inf:
-                        continue
-                    worst = max(worst, abs(lhs - rhs))
+            flux = tree.leaves[:, None] + np.stack([tree.qhat_row_log(a) for a in range(n)])
+            pairs = np.triu_indices(n, 1)
+            lhs, rhs = flux[pairs], flux.T[pairs]
+            live = (lhs > -math.inf) | (rhs > -math.inf)  # zero flux both ways passes
+            checked += lhs.size
+            worst = max(worst, float(np.abs(lhs[live] - rhs[live]).max(initial=0.0)))
     return CheckReport(
         check="detailed_balance",
         passed=worst <= tol,
@@ -336,37 +331,6 @@ def stationarity_quadrature(
     )
 
 
-def _qhat_rows_batch(logw: np.ndarray, a: int) -> np.ndarray:
-    """Origin rows of the index kernel for a batch of leaf log-weight vectors.
-
-    Vectorized transcription of :meth:`WeightTree.qhat_row_log` over the batch
-    axis, for finite leaf weights (the Gaussian polar oracle below).
-    """
-    b, n = logw.shape
-    k = n.bit_length() - 1
-    levels = [logw]
-    while levels[-1].shape[1] > 1:
-        prev = levels[-1]
-        levels.append(np.logaddexp(prev[:, 0::2], prev[:, 1::2]))
-    levels = levels[::-1]
-    row = np.full((b, n), -math.inf)
-    log_pi = np.zeros(b)
-    for lvl in range(k):
-        own = a >> (k - 1 - lvl)
-        sib = own ^ 1
-        log_r = np.minimum(0.0, levels[lvl + 1][:, sib] - levels[lvl + 1][:, own])
-        shift = k - 1 - lvl
-        base = sib << shift
-        block = logw[:, base : base + (1 << shift)]
-        row[:, base : base + (1 << shift)] = (
-            (log_pi + log_r)[:, None] + block - levels[lvl + 1][:, sib, None]
-        )
-        with np.errstate(divide="ignore"):
-            log_pi = log_pi + np.log(-np.expm1(log_r))
-    row[:, a] = log_pi
-    return row
-
-
 def stationarity_polar_exact(
     target: Target,
     cfg: KernelConfig,
@@ -387,7 +351,10 @@ def stationarity_polar_exact(
     ray through the origin.  This oracle finds those rays (sign scan plus
     bisection over all pairwise turn functionals), integrates angularly with
     Gauss-Legendre panels between consecutive rays, and radially with
-    Gauss-Legendre panels in ``u = r^2/2`` against ``e^{-u}``.  Between rays
+    Gauss-Legendre panels in ``u = r^2/2`` against ``e^{-u}``.  At an angle
+    node, each interval of the orbit law gives one weight tree per radial
+    node (the log-weights scale as ``r^2``), and the index rows of all of
+    them come from one batched :meth:`WeightTree.qhat_row_log`.  Between rays
     the integrand is piecewise analytic, so the rule resolves the pushforward
     moments far beyond the requested tolerance; unlike the plain tensor
     Gauss-Hermite rule of :func:`stationarity_quadrature`, it is not limited
@@ -514,16 +481,10 @@ def stationarity_polar_exact(
             cache = OrbitCache(target, params, x0)
             for iv, frac in orbit_select_pmf(cache, cfg.k_m):
                 node_w = w_ang * float(frac)
-                if len(iv) == 1:
-                    q0u = float(x0.q[0])
-                    qdest = r_nodes * q0u
-                    for m in (1, 2, 4):
-                        push[m] += node_w * float(np.sum(u_weights * qdest**m))
-                    continue
                 eta = np.array([-cache.logw(j) for j in iv])  # H at unit radius
                 qs_unit = np.array([float(cache.state(j).q[0]) for j in iv])
                 logw = -2.0 * np.outer(u_nodes, eta)
-                rows = np.exp(_qhat_rows_batch(logw, iv.iota(0)))
+                rows = np.exp(WeightTree(logw).qhat_row_log(iv.iota(0)))
                 qdest = r_nodes[:, None] * qs_unit[None, :]
                 for m in (1, 2, 4):
                     push[m] += node_w * float(

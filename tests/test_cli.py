@@ -270,6 +270,17 @@ class TestVerify:
         assert check["violation"] == -math.log10(check["details"][0]["min_chi2_pvalue"])
         assert 1e-3 / 18 <= check["details"][0]["min_chi2_pvalue"] < 1e-3
 
+    def test_mutated_equivalence_suite_fails(self, tmp_path):
+        # the negative control samples the same vectorized twin as the clean arm
+        out = str(tmp_path / "rep.json")
+        rc = main(
+            ["verify", "--suite", "equivalence", "--mutate", "always-swap", "--seed", "3",
+             "--out", out]
+        )
+        assert rc == 1
+        (check,) = json.load(open(out))["checks"]
+        assert check["config"]["mutate"] == "always-swap" and check["pass"] is False
+
     def test_mutated_accessibility_unaffected(self, tmp_path):
         # mutation only touches mutation-sensitive checks
         out = str(tmp_path / "rep.json")
@@ -299,6 +310,23 @@ class TestTrajectory:
         assert rc == 0
         sol = json.loads(capsys.readouterr().out)
         assert sol["roundtrip_error"] <= 1e-10
+
+    @pytest.mark.parametrize("diag, h, rc_want", [(0.1, 0.5, 2), (10.0, 1.0, 0)])
+    def test_condition_uses_configured_mass(self, diag, h, rc_want, tmp_path, capsys):
+        # L1 = 1 / diag here: L1 h^2 = 2.5 violates 2(1 - cos(pi/4)) = 0.59,
+        # and 0.1 meets it, though the identity-mass L1 h^2 = 1 would not
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "target": {"kind": "standard_gaussian", "dim": 1},
+            "kernel": {"h": h, "mass": {"kind": "diagonal", "diag": [diag]}},
+        }))
+        rc = main(["trajectory", "--config", str(path), "--q0", "1.0", "--qT", "-0.3", "--steps", "4"])
+        assert rc == rc_want
+        out = capsys.readouterr()
+        if rc_want == 2:
+            assert "step-size condition violated" in out.err
+        else:
+            assert json.loads(out.out)["roundtrip_error"] <= 1e-10
 
     def test_boundary_step_exit_2(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -42,6 +42,24 @@ class TestWeightTree:
         with pytest.raises(ValueError):
             WeightTree(np.zeros(3))
 
+    def test_one_leaf_row(self):
+        assert WeightTree([1.7]).qhat_row_log(0).tolist() == [0.0]
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_batch_rows_equal_single_tree_rows(self, k):
+        # leaves of weight zero included: whole subtrees, and origins, too
+        rng = np.random.default_rng(20 + k)
+        logw = 3.0 * rng.standard_normal((4, 3, 1 << k))
+        logw[rng.random(logw.shape) < 0.3] = -math.inf
+        logw[0, 0] = -math.inf
+        batch = WeightTree(logw)
+        for a in range(1 << k):
+            rows = batch.qhat_row_log(a)
+            assert rows.shape == logw.shape
+            for i in np.ndindex(logw.shape[:-1]):
+                assert np.array_equal(rows[i], WeightTree(logw[i]).qhat_row_log(a))
+            assert not np.isnan(rows).any()
+
 
 def rejection_product(tree: WeightTree, a: int, t: int) -> float:
     """``Pi(a, t)``, the paper's probability that the first ``t`` top-down

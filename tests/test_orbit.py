@@ -260,15 +260,26 @@ class TestOrbitSelectPmf:
         pmf = orbit_select_pmf(cache, 3)
         assert sum(fr for _, fr in pmf) == 1
 
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(6)
+        for k_m in (4, 6):
+            for _ in range(5):
+                x0 = PhasePoint(rng.standard_normal(1) * 2, rng.standard_normal(1))
+                yield STD1, LeapfrogParams(1.0, I1), x0, k_m
+        # a double-well orbit that diverges within the enumerated range
+        dw = builtin_target("double_well", 1)
+        x0 = PhasePoint(np.array([5.0]), np.array([0.0]))
+        for k_m in (4, 6):
+            yield dw, LeapfrogParams(0.25, I1), x0, k_m
+
     def test_matches_direct_record_aggregation(self):
         # independent oracle: aggregate P(V = b) 2^-K_m over stopped prefixes
-        params = LeapfrogParams(1.0, I1)
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            x0 = PhasePoint(rng.standard_normal(1) * 2, rng.standard_normal(1))
-            cache = OrbitCache(STD1, params, x0)
-            cache.extend_to(-15, 15)
-            k_m = 4
+        diverged = False
+        for target, params, x0, k_m in self._cases():
+            cache = OrbitCache(target, params, x0)
+            cache.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
+            diverged = diverged or cache.any_diverged(cache.lo, cache.hi)
             masses = {}
             for b in range(2**k_m):
                 s = stopping_time(BinWord(k_m, b), cache)
@@ -281,6 +292,7 @@ class TestOrbitSelectPmf:
                 masses[key] = masses.get(key, Fraction(0)) + Fraction(1, 2**k_m)
             got = {(iv.lo, iv.hi): fr for iv, fr in orbit_select_pmf(cache, k_m)}
             assert got == masses
+        assert diverged
 
 
 class TestSymmetryProperty:

@@ -50,16 +50,26 @@ def test_potential_finite(target):
         assert math.isfinite(target.potential(q))
 
 
+DIAG_MASS = MassMatrix.diagonal(np.array([0.1, 2.0]))
+LIPSCHITZ_CASES = [(t, MassMatrix.identity(t.dim)) for t in ALL_BUILTINS] + [
+    (builtin_target("perturbed_gaussian", 2, a5=0.5, mass=DIAG_MASS), DIAG_MASS)
+]
+
+
 def test_lipschitz_constant_statistical():
-    for target in ALL_BUILTINS:
+    # L1 bounds the slope of q -> M^{-1} grad U(q); the near pairs probe the
+    # steepest slope, which the perturbed targets take at the origin
+    for target, mass in LIPSCHITZ_CASES:
         if target.lipschitz_l1 is None:
             continue
         rng = np.random.default_rng(9)
         for _ in range(200):
-            q1 = 5.0 * rng.standard_normal(target.dim)
-            q2 = 5.0 * rng.standard_normal(target.dim)
-            lhs = np.linalg.norm(target.gradient(q1) - target.gradient(q2))
-            assert lhs <= target.lipschitz_l1 * np.linalg.norm(q1 - q2) * (1 + 1e-12)
+            far = 5.0 * rng.standard_normal((2, target.dim))
+            near = 0.01 * rng.standard_normal(target.dim)
+            near = (near, near + 1e-4 * rng.standard_normal(target.dim))
+            for q1, q2 in (far, near):
+                lhs = np.linalg.norm(mass.inv_mul(target.gradient(q1) - target.gradient(q2)))
+                assert lhs <= target.lipschitz_l1 * np.linalg.norm(q1 - q2) * (1 + 1e-12)
 
 
 class TestBuiltinConstants:
@@ -111,6 +121,9 @@ class TestBuiltinConstants:
         assert g == pytest.approx(1.0 + 0.5 * math.tanh(1.0), abs=1e-12)
         assert g == pytest.approx(1.380797, abs=1e-6)
         assert t.lipschitz_l1 == pytest.approx(1.5)
+        # under M = 0.1, M^{-1} (q + a5 tanh q) has slope 10 (1 + 0.5) at 0
+        t_m = builtin_target("perturbed_gaussian", 1, a5=0.5, mass=MassMatrix.diagonal(np.array([0.1])))
+        assert t_m.lipschitz_l1 == pytest.approx(15.0)
         assert t.growth_class == "h8"
         assert t.constants["rho"] == 1.0
 
