@@ -15,7 +15,12 @@ level is accepted and however many of its states are computed.  This makes
 every run reproducible from ``(seed, config)`` independent of internal
 control flow.  The multinomial uniform is drawn at every level even where
 it is not read: stage 0 adds a single state, which is its own pick, and a
-later stage picks from its new half only when the swap accepts.
+later stage picks from its new half only when the swap accepts.  The rows
+sampler (:func:`nuts_step_iterative_rows`) moves C independent chains at
+once and draws the same uniforms in blocks: one ``(C, d)`` block of
+momentum normals, then per stage one ``(C_stage, 3)`` block with a row for
+each chain that enters the stage, in chain order.  At ``C = 1`` this is
+the scalar stream.
 
 ``nuts_exact_pmf`` computes the one-step law at a fixed phase point exactly
 (dyadic orbit probabilities times closed-form index rows); it is the oracle
@@ -54,12 +59,14 @@ from .orbit import (  # noqa: F401
     _Entry,
     _make_entry,
     _weigh,
+    _weigh_rows,
     is_uturn,
+    is_uturn_rows,
     no_uturns,
     orbit_select_pmf,
     step_entry,
 )
-from .targets import MassMatrix, PhasePoint, Target, momentum_refresh
+from .targets import MassMatrix, PhasePoint, Target, gradient_rows, momentum_refresh
 
 KERNEL_KINDS = ("nuts_iterative", "nuts_recursive", "hmc", "rhmc")
 
@@ -226,6 +233,152 @@ def nuts_transition_iterative(
     return cache.state(j).q, TransitionInfo(
         j_f=j, i_f=(lo, hi), k_f=k_f, n_grad=cache.n_grad, diverged=diverged
     )
+
+
+@dataclass(frozen=True)
+class TransitionRows:
+    """:class:`TransitionInfo` of many chains, one array entry per row.
+
+    ``i_f`` has shape ``(C, 2)``; the other fields have shape ``(C,)``.
+    """
+
+    j_f: np.ndarray
+    i_f: np.ndarray
+    k_f: np.ndarray
+    n_grad: np.ndarray
+    diverged: np.ndarray
+
+
+def nuts_step_iterative_rows(
+    target: Target,
+    cfg: KernelConfig,
+    q: np.ndarray,
+    rng: np.random.Generator,
+    mutate: str | None = None,
+) -> tuple[np.ndarray, TransitionRows]:
+    """:func:`nuts_step_iterative` from each row of the ``(C, d)`` array ``q``.
+
+    The momenta are one ``(C, d)`` block of normals times the mass factor;
+    at ``C = 1`` the stream is the scalar sampler's.
+    """
+    q = np.asarray(q, dtype=float)
+    p = cfg.mass.chol_mul(rng.standard_normal(q.shape))
+    return nuts_transition_iterative_rows(target, cfg, PhasePoint(q, p), rng, mutate=mutate)
+
+
+def nuts_transition_iterative_rows(
+    target: Target,
+    cfg: KernelConfig,
+    x0: PhasePoint,
+    rng: np.random.Generator,
+    mutate: str | None = None,
+) -> tuple[np.ndarray, TransitionRows]:
+    """:func:`nuts_transition_iterative` from each row of ``(C, d)`` anchors.
+
+    Each stage steps, weighs and checks the rows still growing as arrays; a
+    row stops where the scalar sampler stops (divergent anchor, turned
+    stage-start pair, divergent state, turned block of the new half) and
+    takes no further part.  A stage draws one ``(C_stage, 3)`` block of
+    ``[u_dir, u_mult, u_swap]`` for the rows that enter it, in row order.
+    Given the same uniforms, each row's position and diagnostics equal the
+    scalar sampler's bit for bit; the log of each log-sum, the swap coin and
+    the running total stay per-row ``math`` calls for that reason.
+    """
+    if mutate not in MUTATIONS:
+        raise ValueError(f"unknown mutation {mutate!r}")
+    mass, h = cfg.mass, cfg.h
+    q0 = np.ascontiguousarray(x0.q, dtype=float)
+    p0 = np.ascontiguousarray(x0.p, dtype=float)
+    c = len(q0)
+    out = q0.copy()
+    j_f = np.zeros(c, dtype=np.int64)
+    i_f = np.zeros((c, 2), dtype=np.int64)  # the accepted interval [lo, hi]
+    k_f = np.zeros(c, dtype=np.int64)
+    n_grad = np.ones(c, dtype=np.int64)
+    # one errstate for every state stepped and weighed, as in OrbitCache
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0 = gradient_rows(target, q0)
+        vel0, logw_tot, diverged = _weigh_rows(target, mass, q0, p0)
+        # the state at each end of the accepted interval: index 0 lo, 1 hi
+        end_q, end_p = np.stack([q0, q0]), np.stack([p0, p0])
+        end_v, end_g = np.stack([vel0, vel0]), np.stack([g0, g0])
+        rows = np.flatnonzero(~diverged)
+        for k in range(cfg.k_m):
+            if not rows.size:
+                break
+            u = rng.random((rows.size, 3))
+            if k:
+                go = ~is_uturn_rows(end_q[0, rows], end_v[0, rows], end_q[1, rows], end_v[1, rows])
+                rows, u = rows[go], u[go]
+                if not rows.size:
+                    break
+            n = 1 << k
+            right = u[:, 0] < 0.5
+            side = right.astype(np.intp)
+            q, p, g = end_q[side, rows], end_p[side, rows], end_g[side, rows]
+            h_row = np.where(right, h, -h)[:, None]
+            half_h = 0.5 * h_row
+            live = np.arange(rows.size)  # the stage's rows still growing
+            new_q = np.empty((n, rows.size, q0.shape[1]))
+            new_w = np.empty((rows.size, n))  # log-weights in the order computed
+            starts: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block size -> first state
+            for i in range(1, n + 1):
+                p_half = p - half_h * g
+                q = q + h_row * mass.inv_mul(p_half)
+                g = gradient_rows(target, q)
+                p = p_half - half_h * g
+                vel, logw, stop = _weigh_rows(target, mass, q, p)
+                n_grad[rows[live]] += 1
+                new_q[i - 1, live] = q
+                new_w[live, i - 1] = logw
+                size, fwd = 2, right[live, None]
+                while not i % size:  # the aligned blocks the i-th state completes
+                    sq, sv = starts[size]
+                    stop |= is_uturn_rows(np.where(fwd, sq, q), np.where(fwd, sv, vel),
+                                          np.where(fwd, q, sq), np.where(fwd, vel, sv))
+                    size <<= 1
+                if stop.any():
+                    diverged[rows[live[stop]]] = logw[stop] == -math.inf
+                    go = ~stop
+                    live, q, p, g, vel = live[go], q[go], p[go], g[go], vel[go]
+                    h_row, half_h = h_row[go], half_h[go]
+                    starts = {s: (a[go], b[go]) for s, (a, b) in starts.items()}
+                size = 2
+                while size <= n and not (i - 1) % size:  # blocks the i-th state opens
+                    starts[size] = (q, vel)
+                    size <<= 1
+            if not live.size:
+                break
+            rows, right, u = rows[live], right[live], u[live]
+            seg = new_w[live]
+            seg[~right] = seg[~right, ::-1]  # index order
+            if k:
+                top = seg.max(axis=1)
+                sums = np.exp(seg - top[:, None]).sum(axis=1)
+                logw_new = [m + math.log(t) for m, t in zip(top.tolist(), sums.tolist())]
+            else:  # one state: its own log-sum and its own pick
+                logw_new = seg[:, 0].tolist()
+            old = logw_tot[rows].tolist()
+            swap = np.flatnonzero(
+                [_swap(a, b, w, mutate) for a, b, w in zip(logw_new, old, u[:, 2].tolist())]
+            )
+            pick = np.zeros(swap.size, dtype=np.int64)  # into the new half, in index order
+            if k and swap.size:
+                # multinomial_pick on each swapped row: the count of cumulative
+                # weights at or below u_mult
+                cum = np.exp(seg[swap] - np.array(logw_new)[swap, None]).cumsum(axis=1)
+                pick = np.minimum((cum <= u[swap, 1:2]).sum(axis=1), n - 1)
+            took, fwd = rows[swap], right[swap]
+            j_f[took] = np.where(fwd, i_f[took, 1] + 1, i_f[took, 0] - n) + pick
+            out[took] = new_q[np.where(fwd, pick, n - 1 - pick), live[swap]]
+            side = right.astype(np.intp)
+            end_q[side, rows], end_p[side, rows] = q, p
+            end_v[side, rows], end_g[side, rows] = vel, g
+            i_f[rows, side] += np.where(right, n, -n)
+            logw_tot[rows] = [logaddexp(a, b) for a, b in zip(old, logw_new)]
+            k_f[rows] = k + 1
+
+    return out, TransitionRows(j_f, i_f, k_f, n_grad, diverged)
 
 
 # --- recursive (depth-first) implementation ---------------------------------

@@ -20,7 +20,9 @@ one walk over the tree of records.
 
 This module owns, for every sampler, how a state is weighed
 (:func:`_make_entry`), how one step is taken in either direction
-(:func:`step_entry`) and what a U-turn is (:func:`is_uturn`).  A state is
+(:func:`step_entry`) and what a U-turn is (:func:`is_uturn`).  The rows
+sampler weighs and checks ``(C, d)`` arrays of states with
+:func:`_weigh_rows` and :func:`is_uturn_rows`, equal row by row.  A state is
 divergent, with weight zero, on non-finite states or energies, or a squared
 norm ``|q|^2 + |p|^2`` that overflows.
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from .binwords import BinWord, IndexInterval, low_trunc, t_minus
 from .leapfrog import LeapfrogParams, leapfrog_step_with_grad
-from .targets import MassMatrix, PhasePoint, Target
+from .targets import MassMatrix, PhasePoint, Target, potential_rows
 
 
 class CacheCoverageError(RuntimeError):
@@ -82,6 +84,33 @@ def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> _E
     return _Entry(q, p, vel, logw, False)
 
 
+def _weigh_rows(
+    target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_weigh` on each row of ``(C, d)`` arrays, bit for bit.
+
+    Returns the velocities, the log-weights and the divergence flags.  As in
+    :func:`_weigh`, a row whose finiteness probe fails reaches neither the
+    mass matrix nor the target.  Enters no ``np.errstate``.
+    """
+    pp = np.vecdot(p, p)
+    ok = np.isfinite(np.vecdot(q, q) + pp)
+    if not ok.all():
+        vel, logw = p.copy(), np.full(len(q), -math.inf)
+        if ok.any():
+            vel[ok], logw[ok], _ = _weigh_rows(target, mass, q[ok], p[ok])
+        return vel, logw, logw == -math.inf
+    if mass.is_identity:
+        vel, kinetic = p, pp
+    else:
+        vel = mass.inv_mul(p)
+        kinetic = np.vecdot(p, vel)
+    logw = -potential_rows(target, q) - 0.5 * kinetic
+    diverged = ~np.isfinite(logw)
+    logw[diverged] = -math.inf
+    return vel, logw, diverged
+
+
 def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
     """:func:`_weigh` for a single state, in its own ``np.errstate``."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -114,6 +143,14 @@ def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.
     """
     dq = q_hi - q_lo
     return bool(vel_hi.dot(dq) < 0.0 or vel_lo.dot(dq) < 0.0)
+
+
+def is_uturn_rows(
+    q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.ndarray
+) -> np.ndarray:
+    """:func:`is_uturn` on each row of ``(C, d)`` arrays, bit for bit."""
+    dq = q_hi - q_lo
+    return (np.vecdot(vel_hi, dq) < 0.0) | (np.vecdot(vel_lo, dq) < 0.0)
 
 
 class OrbitCache:

@@ -34,8 +34,9 @@ class MassMatrix:
 
     Supports identity, diagonal and dense kinds.  Provides the forward action
     ``M v``, the inverse action ``M^{-1} v`` and multiplication by the lower
-    Cholesky factor ``L`` (for momentum refresh ``p = L z``).  Immutable after
-    construction.
+    Cholesky factor ``L`` (for momentum refresh ``p = L z``).  The inverse
+    action and the factor also take a ``(C, d)`` array of rows, each row
+    giving the bytes a single vector would.  Immutable after construction.
     """
 
     def __init__(self, kind: str, dim: int, diag=None, matrix=None):
@@ -100,6 +101,8 @@ class MassMatrix:
             return v
         if self.kind == "diagonal":
             return self._inv * v
+        if v.ndim == 2:  # one solve with the rows as right-hand sides
+            return np.ascontiguousarray(self._cho_solve(self._cho_factor, v.T).T)
         return self._cho_solve(self._cho_factor, v)
 
     def chol_mul(self, z: np.ndarray) -> np.ndarray:
@@ -108,6 +111,8 @@ class MassMatrix:
             return z
         if self.kind == "diagonal":
             return self._sqrt * z
+        if z.ndim == 2:
+            return np.matmul(self._chol, z[:, :, None])[:, :, 0]
         return self._chol @ z
 
     def inv_matrix(self) -> np.ndarray:
@@ -136,6 +141,11 @@ class Target:
     if none); ``growth_class`` tags the tail-growth family the target belongs
     to, with the associated constants stored in ``constants`` (keys among
     ``m``, ``M1``, ``A1`` ... ``A5``, ``rho``, ``R_U``).
+
+    ``potential_rows`` and ``gradient_rows``, when given, evaluate a
+    ``(C, d)`` array of positions at once, each row equal bit for bit to the
+    scalar function on that row; None means a loop over the rows (see
+    :func:`potential_rows` and :func:`gradient_rows`).
     """
 
     dim: int
@@ -145,6 +155,22 @@ class Target:
     lipschitz_l1: float | None = None
     growth_class: str = "general"
     constants: dict = field(default_factory=dict)
+    potential_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def potential_rows(target: Target, q: np.ndarray) -> np.ndarray:
+    """``U`` at each row of ``q``, by the target's row form if it has one."""
+    if target.potential_rows is not None:
+        return target.potential_rows(q)
+    return np.array([target.potential(x) for x in q], dtype=float)
+
+
+def gradient_rows(target: Target, q: np.ndarray) -> np.ndarray:
+    """``grad U`` at each row of ``q``, by the target's row form if it has one."""
+    if target.gradient_rows is not None:
+        return target.gradient_rows(q)
+    return np.array([target.gradient(x) for x in q], dtype=float)
 
 
 def hamiltonian(target: Target, mass: MassMatrix, x: PhasePoint) -> float:
@@ -248,6 +274,8 @@ def builtin_target(
             lipschitz_l1=lam_max_m,
             growth_class="h6",
             constants={"m": 2.0, "M1": 1.0, "A1": 1.0, "A2": 0.0},
+            potential_rows=lambda q: 0.5 * np.vecdot(q, q),
+            gradient_rows=gradient,
         )
     elif kind in ("gaussian", "perturbed_gaussian"):
         if sigma is None:
@@ -269,6 +297,9 @@ def builtin_target(
             with np.errstate(over="ignore", invalid="ignore"):
                 return q**3 - q
 
+        # no potential_rows: the array power Q[:, 0]**4 differs from the
+        # scalar's q[0]**4 in the last bit on some inputs, so the rows loop
+        # over the scalar formula
         return Target(
             dim=1,
             potential=potential_dw,
@@ -276,6 +307,7 @@ def builtin_target(
             name="double_well",
             lipschitz_l1=None,
             growth_class="general",
+            gradient_rows=gradient_dw,
         )
     else:
         raise ValueError(f"unknown builtin target kind {kind!r}")
@@ -298,6 +330,12 @@ def builtin_target(
         lam_max_m = lam_max
         lam_max_minv = 1.0
 
+    def sigma_rows(q):
+        return np.matmul(sigma, q[:, :, None])[:, :, 0]
+
+    def half_quad_rows(q):
+        return 0.5 * np.vecdot(q, sigma_rows(q))
+
     if kind == "gaussian":
         gradient, potential = _shared_sigma_product(sigma)
         return Target(
@@ -308,6 +346,8 @@ def builtin_target(
             lipschitz_l1=lam_max_m,
             growth_class="h6",
             constants={"m": 2.0, "M1": lam_max, "A1": lam_min, "A2": 0.0},
+            potential_rows=half_quad_rows,
+            gradient_rows=sigma_rows,
         )
 
     sigma_q, half_quad = _shared_sigma_product(sigma)
@@ -317,6 +357,12 @@ def builtin_target(
 
     def gradient_p(q, _a=a5):
         return sigma_q(q) + _a * np.tanh(q)
+
+    def potential_p_rows(q, _a=a5):
+        return half_quad_rows(q) + _a * _logcosh(q).sum(axis=1)
+
+    def gradient_p_rows(q, _a=a5):
+        return sigma_rows(q) + _a * np.tanh(q)
 
     # |grad U~| = a5 |tanh| <= a5 sqrt(d): bounded perturbation gradient (rho = 1)
     return Target(
@@ -335,4 +381,6 @@ def builtin_target(
             "A5": a5,
             "rho": 1.0,
         },
+        potential_rows=potential_p_rows,
+        gradient_rows=gradient_p_rows,
     )

@@ -33,6 +33,7 @@ from .kernels import (  # noqa: F401
     make_kernel,
     nuts_exact_pmf,
     nuts_step_iterative,
+    nuts_step_iterative_rows,
     nuts_step_recursive,
 )
 from .leapfrog import leapfrog_iter
@@ -540,6 +541,11 @@ def statistical_invariance(
     corrected to overall level ``alpha``.  With fewer than 1000 samples the
     report is marked under-powered rather than passed or failed.  The
     documented negative control is ``mutate="always-swap"``.
+
+    Iterative NUTS moves all ``n`` samples as the rows of one
+    :func:`kernels.nuts_step_iterative_rows` call, which draws the momenta
+    and then each stage's uniforms in blocks from the one generator; the
+    other kinds take their transitions one sample at a time.
     """
     if target.name not in ("standard_gaussian", "gaussian"):
         raise ValueError("statistical_invariance needs exact target sampling (Gaussian)")
@@ -553,10 +559,13 @@ def statistical_invariance(
         sigma = _precision_of(target, d)
         lmat = np.linalg.cholesky(sigma)
         before = np.linalg.solve(lmat.T, z.T).T
-    step = make_kernel(target, cfg, mutate=mutate)
-    after = np.empty_like(before)
-    for i in range(n):
-        after[i], _ = step(before[i], rng)
+    if cfg.kind == "nuts_iterative":
+        after, _ = nuts_step_iterative_rows(target, cfg, before, rng, mutate=mutate)
+    else:
+        step = make_kernel(target, cfg, mutate=mutate)
+        after = np.empty_like(before)
+        for i in range(n):
+            after[i], _ = step(before[i], rng)
 
     n_tests = d + d * (d + 1) // 2 + d
     each = alpha / n_tests
@@ -624,18 +633,25 @@ def drift_estimate(
     n: int,
     seed: int = 0,
 ) -> DriftEstimate:
-    """Estimate the Lyapunov ratio ``E exp(a(|q'| - |q|))`` at ``|q| = radius``."""
+    """Estimate the Lyapunov ratio ``E exp(a(|q'| - |q|))`` at ``|q| = radius``.
+
+    The ``n`` transitions start from one ``q`` with fresh momenta; for
+    iterative NUTS they are the ``n`` rows of one
+    :func:`kernels.nuts_step_iterative_rows` call, as in
+    :func:`statistical_invariance`.
+    """
     if a < 0:
         raise ValueError("drift exponent must be nonnegative")
     rng = np.random.default_rng(seed)
     direction = rng.standard_normal(target.dim)
     direction /= np.linalg.norm(direction)
     q = radius * direction
-    step = make_kernel(target, cfg)
-    ratios = np.empty(n)
-    for i in range(n):
-        q_new, _ = step(q, rng)
-        ratios[i] = math.exp(a * (float(np.linalg.norm(q_new)) - radius))
+    if cfg.kind == "nuts_iterative":
+        after, _ = nuts_step_iterative_rows(target, cfg, np.tile(q, (n, 1)), rng)
+    else:
+        step = make_kernel(target, cfg)
+        after = [step(q, rng)[0] for _ in range(n)]
+    ratios = np.array([math.exp(a * (float(np.linalg.norm(q_new)) - radius)) for q_new in after])
     mean = float(np.mean(ratios))
     se = float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
     zq = 2.5758293035489004  # 99% two-sided normal quantile

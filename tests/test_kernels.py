@@ -11,13 +11,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dynhmc.kernels import (
     KernelConfig,
+    TransitionInfo,
     hmc_step,
     make_kernel,
     nuts_exact_pmf,
     nuts_recursive_index_batch,
     nuts_step_iterative,
+    nuts_step_iterative_rows,
     nuts_step_recursive,
     nuts_transition_iterative,
+    nuts_transition_iterative_rows,
     nuts_transition_recursive,
     rhmc_step,
 )
@@ -564,6 +567,121 @@ class TestCheckedGrowthMatchesOracle:
         assert stops[False] > 0
         if name == "double_well":
             assert stops[True] > 0
+
+
+class _Recorder:
+    """A generator that keeps every block of uniforms it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.blocks = []
+
+    def random(self, size):
+        block = self._rng.random(size)
+        self.blocks.append(block)
+        return block
+
+
+def _info_row(rows, r):
+    """Row ``r`` of a :class:`TransitionRows` as a :class:`TransitionInfo`."""
+    return TransitionInfo(int(rows.j_f[r]), tuple(rows.i_f[r].tolist()), int(rows.k_f[r]),
+                          int(rows.n_grad[r]), bool(rows.diverged[r]))
+
+
+def _rows_case(name):
+    """(target, cfg, anchors q, momenta p) for the rows-against-scalar pins."""
+    g = np.random.default_rng(sum(map(ord, name)))
+    if name == "double_well":
+        # the edge orbit diverges mid-stage; three anchors diverge at once
+        anchors = _double_well_anchors(g) * 8
+        q = np.array([x.q for x in anchors])
+        p = np.array([x.p for x in anchors])
+        q[:3] = [[1e100], [np.inf], [np.nan]]
+        cfg = KernelConfig("nuts_iterative", h=0.25, mass=I1, k_m=5)
+        return builtin_target("double_well", 1), cfg, q, p
+    if name == "custom":  # no row forms: the rows loop over the scalar functions
+        target = Target(dim=3, potential=lambda x: 0.5 * float(x @ x) + 0.1 * float(np.sum(x**4)),
+                        gradient=lambda x: x + 0.4 * x**3, name="quartic")
+        mass, h, k_m = MassMatrix.identity(3), 0.5, 7
+    elif name.startswith("std"):
+        d, h, k_m = {"std1": (1, 1.3, 8), "std2": (2, 0.4, 6), "std5": (5, 1.0, 4),
+                     "std5_km1": (5, 0.7, 1), "std100": (100, 0.5, 3)}[name]
+        mass = MassMatrix.identity(d)
+        target = builtin_target("standard_gaussian", d)
+    else:
+        kind, mass_kind = name.rsplit("_", 1)
+        d = 4
+        mass = {"identity": MassMatrix.identity(d),
+                "diagonal": MassMatrix.diagonal(g.uniform(0.5, 2.0, d)),
+                "dense": MassMatrix.dense(_spd(g, d))}[mass_kind]
+        target = builtin_target(kind, d, sigma=_spd(g, d), mass=mass)
+        h, k_m = {"identity": (1.1, 2), "diagonal": (0.6, 5), "dense": (0.5, 6)}[mass_kind]
+    cfg = KernelConfig("nuts_iterative", h=h, mass=mass, k_m=k_m)
+    n = 40 if target.dim == 100 else 150
+    q = 1.5 * g.standard_normal((n, target.dim))
+    return target, cfg, q, mass.chol_mul(g.standard_normal((n, target.dim)))
+
+
+ROWS_CASES = ["std1", "std2", "std5", "std5_km1", "std100", "gaussian_identity",
+              "gaussian_dense", "perturbed_gaussian_diagonal", "perturbed_gaussian_dense",
+              "double_well", "custom"]
+
+
+class TestIterativeRowsMatchScalar:
+    """Each row of the rows sampler is the scalar sampler given that row's
+    uniforms: a stage's block holds three uniforms per row that entered the
+    stage, in row order, and a row enters stage k iff its anchor did not
+    diverge (then ``n_grad > 1``) and it passed stage k - 1 (``k_f >= k``)."""
+
+    @pytest.mark.parametrize("mutate", [None, "always-swap"])
+    @pytest.mark.parametrize("name", ROWS_CASES)
+    def test_each_row_is_the_scalar_transition(self, name, mutate):
+        target, cfg, q, p = _rows_case(name)
+        rng = _Recorder(7)
+        out, rows = nuts_transition_iterative_rows(target, cfg, PhasePoint(q, p), rng, mutate=mutate)
+        scripts = [[] for _ in q]
+        for k, block in enumerate(rng.blocks):
+            entered = np.flatnonzero((rows.n_grad > 1) & (rows.k_f >= k))
+            assert block.shape == (entered.size, 3)
+            for r, u in zip(entered, block.tolist()):
+                scripts[r] += u
+        for r in range(len(q)):
+            script = _Script(scripts[r])
+            q1, info = nuts_transition_iterative(target, cfg, PhasePoint(q[r], p[r]), script,
+                                                 mutate=mutate)
+            assert q1.tobytes() == out[r].tobytes() and info == _info_row(rows, r)
+            assert next(script._values, None) is None  # every uniform was read
+        if name == "double_well":
+            assert np.all(rows.diverged[:3] & (rows.n_grad[:3] == 1))
+            assert np.any(rows.diverged & (rows.k_f > 0))  # stopped mid-stage
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_row_is_the_scalar_stream(self, seed):
+        g = np.random.default_rng(seed + 100)
+        mass = MassMatrix.dense(_spd(g, 3)) if seed % 2 else MassMatrix.identity(3)
+        cfg = KernelConfig("nuts_iterative", h=0.7, mass=mass, k_m=5)
+        target = builtin_target("standard_gaussian", 3, mass=mass)
+        q = g.standard_normal(3)
+        scalar_rng, rows_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        q1, info = nuts_step_iterative(target, cfg, q, scalar_rng)
+        out, rows = nuts_step_iterative_rows(target, cfg, q[None], rows_rng)
+        assert q1.tobytes() == out[0].tobytes() and info == _info_row(rows, 0)
+        assert scalar_rng.random() == rows_rng.random()
+
+    def test_unknown_mutation_raises(self):
+        cfg = KernelConfig("nuts_iterative", h=0.5, mass=I2, k_m=3)
+        with pytest.raises(ValueError, match="mutation"):
+            nuts_step_iterative_rows(STD2, cfg, np.zeros((4, 2)), np.random.default_rng(0),
+                                     mutate="never-swap")
+
+    def test_overflow_is_silent(self):
+        steep = TestOverflowIsSilent.STEEP
+        cfg = KernelConfig("nuts_iterative", h=4.0, mass=I2, k_m=3)
+        x0 = PhasePoint(np.zeros((3, 2)), np.ones((3, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, rows = nuts_transition_iterative_rows(steep, cfg, x0, np.random.default_rng(0))
+        assert rows.diverged.all() and np.array_equal(out, x0.q)
 
 
 class TestOverflowIsSilent:

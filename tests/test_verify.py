@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynhmc.kernels import KernelConfig, nuts_step_recursive
+from dynhmc.kernels import KernelConfig, nuts_step_iterative_rows, nuts_step_recursive
 from dynhmc.targets import MassMatrix, PhasePoint, builtin_target, momentum_refresh
 from dynhmc.verify import (
     batch_means_se,
@@ -146,6 +146,16 @@ class TestStatisticalInvariance:
             with pytest.raises(ValueError, match="mutation"):
                 statistical_invariance(STD2, cfg, n=2000, seed=1, mutate="always-swap")
 
+    def test_iterative_is_one_rows_call(self):
+        cfg = KernelConfig("nuts_iterative", h=0.6, mass=I2, k_m=4)
+        rep = statistical_invariance(STD2, cfg, n=1500, seed=3, mutate="always-swap")
+        rng = np.random.default_rng(3)
+        before = rng.standard_normal((1500, 2))
+        after, _ = nuts_step_iterative_rows(STD2, cfg, before, rng, mutate="always-swap")
+        diff = after[:, 1] - before[:, 1]
+        z = float(np.mean(diff)) / (float(np.std(diff, ddof=1)) / math.sqrt(1500))
+        assert rep.details[1] == {"test": "mean[1]", "z": z}
+
     def test_underpowered_guard(self):
         cfg = KernelConfig("nuts_iterative", h=0.4, mass=I2, k_m=4)
         rep = statistical_invariance(STD2, cfg, n=100, seed=1)
@@ -168,6 +178,16 @@ class TestDrift:
             math.exp(float(np.linalg.norm(nuts_step_recursive(STD2, cfg, q, rng)[0])) - 5.0)
             for _ in range(50)
         ]
+        assert est.ratio == float(np.mean(ratios))
+
+    def test_iterative_is_one_rows_call(self):
+        cfg = KernelConfig("nuts_iterative", h=0.2, mass=I2, k_m=3)
+        est = drift_estimate(STD2, cfg, a=1.0, radius=5.0, n=300, seed=4)
+        rng = np.random.default_rng(4)
+        direction = rng.standard_normal(2)
+        q = 5.0 * (direction / np.linalg.norm(direction))
+        after, _ = nuts_step_iterative_rows(STD2, cfg, np.tile(q, (300, 1)), rng)
+        ratios = [math.exp(float(np.linalg.norm(x)) - 5.0) for x in after]
         assert est.ratio == float(np.mean(ratios))
 
     def test_zero_exponent_ratio_is_one(self):
