@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .kernels import KernelConfig, make_kernel, nuts_exact_pmf
+from .orbit import _make_entry
 from .targets import MassMatrix, PhasePoint, Target, builtin_target, momentum_refresh
 
 DEFAULT_SEED = 20230710
@@ -131,13 +132,18 @@ def _replaced(config: dict, path: tuple[str, ...], value) -> dict:
 
 
 def _build_mass(spec: dict | None, dim: int, echoes: dict | None = None) -> MassMatrix:
+    if spec is not None and not isinstance(spec, dict):
+        raise ConfigError("kernel.mass must be a JSON object")
     if not spec or spec.get("kind", "identity") == "identity":
         return MassMatrix.identity(dim)
     kind = spec["kind"]
     if kind == "diagonal":
         if "diag" not in spec:
             raise ConfigError("mass.kind=diagonal requires key mass.diag")
-        return MassMatrix.diagonal(_float_array(spec["diag"], "kernel.mass.diag", (dim,)))
+        try:
+            return MassMatrix.diagonal(_float_array(spec["diag"], "kernel.mass.diag", (dim,)))
+        except ValueError as exc:
+            raise ConfigError(f"kernel.mass.diag: {exc}") from exc
     if kind == "dense":
         if "matrix" not in spec:
             raise ConfigError("mass.kind=dense requires key mass.matrix")
@@ -220,6 +226,8 @@ def cmd_sample(args) -> int:
     out_path = args.out or config.get("out")
     d = target.dim
     q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
+    if _make_entry(target, cfg.mass, PhasePoint(q0, np.zeros(d))).diverged:
+        raise ConfigError("q0: the energy at q0 is not finite, so every transition would diverge")
 
     kernel = make_kernel(target, cfg)
     header = (

@@ -26,7 +26,8 @@ the scalar stream.
 (dyadic orbit probabilities times closed-form index rows); it is the oracle
 against which both samplers are tested.
 
-Every kernel steps and weighs states through :mod:`orbit` and so shares its
+Every kernel steps through :func:`leapfrog.leapfrog_step_with_grad`, one call
+per state, and weighs states through :mod:`orbit`, so all share its
 divergence rule: non-finite states or energies, or a squared norm
 ``|q|^2 + |p|^2`` that overflows.  A divergent state has weight zero.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -47,8 +48,9 @@ from .index_select import (
     logsumexp,
     multinomial_pick,
 )
-# leapfrog_step_with_grad and no_uturns stay importable from here:
-# perfbench/tracing.py wraps them under this module as well as under orbit
+# the samplers here call leapfrog_step_with_grad by this module's name, and
+# no_uturns stays importable from here: perfbench/tracing.py wraps both under
+# this module as well as under orbit
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
     leapfrog_forward,
@@ -64,7 +66,6 @@ from .orbit import (  # noqa: F401
     is_uturn_rows,
     no_uturns,
     orbit_select_pmf,
-    step_entry,
 )
 from .targets import MassMatrix, PhasePoint, Target, gradient_rows, momentum_refresh
 
@@ -287,6 +288,7 @@ def nuts_transition_iterative_rows(
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
     mass, h = cfg.mass, cfg.h
+    grad_rows = partial(gradient_rows, target)
     q0 = np.ascontiguousarray(x0.q, dtype=float)
     p0 = np.ascontiguousarray(x0.p, dtype=float)
     c = len(q0)
@@ -297,11 +299,12 @@ def nuts_transition_iterative_rows(
     n_grad = np.ones(c, dtype=np.int64)
     # one errstate for every state stepped and weighed, as in OrbitCache
     with np.errstate(over="ignore", invalid="ignore"):
-        g0 = gradient_rows(target, q0)
+        kick0 = (0.5 * h) * grad_rows(q0)
         vel0, logw_tot, diverged = _weigh_rows(target, mass, q0, p0)
-        # the state at each end of the accepted interval: index 0 lo, 1 hi
+        # the state at each end of the accepted interval, index 0 lo and 1 hi,
+        # with its half-kick signed for a step away from the anchor
         end_q, end_p = np.stack([q0, q0]), np.stack([p0, p0])
-        end_v, end_g = np.stack([vel0, vel0]), np.stack([g0, g0])
+        end_v, end_k = np.stack([vel0, vel0]), np.stack([-kick0, kick0])
         rows = np.flatnonzero(~diverged)
         for k in range(cfg.k_m):
             if not rows.size:
@@ -315,18 +318,14 @@ def nuts_transition_iterative_rows(
             n = 1 << k
             right = u[:, 0] < 0.5
             side = right.astype(np.intp)
-            q, p, g = end_q[side, rows], end_p[side, rows], end_g[side, rows]
+            q, p, kick = end_q[side, rows], end_p[side, rows], end_k[side, rows]
             h_row = np.where(right, h, -h)[:, None]
-            half_h = 0.5 * h_row
             live = np.arange(rows.size)  # the stage's rows still growing
             new_q = np.empty((n, rows.size, q0.shape[1]))
             new_w = np.empty((rows.size, n))  # log-weights in the order computed
             starts: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block size -> first state
             for i in range(1, n + 1):
-                p_half = p - half_h * g
-                q = q + h_row * mass.inv_mul(p_half)
-                g = gradient_rows(target, q)
-                p = p_half - half_h * g
+                q, p, kick = leapfrog_step_with_grad(grad_rows, mass.inv_mul, h_row, q, p, kick)
                 vel, logw, stop = _weigh_rows(target, mass, q, p)
                 n_grad[rows[live]] += 1
                 new_q[i - 1, live] = q
@@ -340,8 +339,8 @@ def nuts_transition_iterative_rows(
                 if stop.any():
                     diverged[rows[live[stop]]] = logw[stop] == -math.inf
                     go = ~stop
-                    live, q, p, g, vel = live[go], q[go], p[go], g[go], vel[go]
-                    h_row, half_h = h_row[go], half_h[go]
+                    live, q, p, kick, vel = live[go], q[go], p[go], kick[go], vel[go]
+                    h_row = h_row[go]
                     starts = {s: (a[go], b[go]) for s, (a, b) in starts.items()}
                 size = 2
                 while size <= n and not (i - 1) % size:  # blocks the i-th state opens
@@ -373,7 +372,7 @@ def nuts_transition_iterative_rows(
             out[took] = new_q[np.where(fwd, pick, n - 1 - pick), live[swap]]
             side = right.astype(np.intp)
             end_q[side, rows], end_p[side, rows] = q, p
-            end_v[side, rows], end_g[side, rows] = vel, g
+            end_v[side, rows], end_k[side, rows] = vel, kick
             i_f[rows, side] += np.where(right, n, -n)
             logw_tot[rows] = [logaddexp(a, b) for a, b in zip(old, logw_new)]
             k_f[rows] = k + 1
@@ -385,12 +384,13 @@ def nuts_transition_iterative_rows(
 
 
 class _RecState:
-    """A single phase-space state held by the recursive builder."""
+    """A single phase-space state held by the recursive builder, with its
+    half-kick signed for a step away from the anchor."""
 
-    __slots__ = ("entry", "grad", "idx")
+    __slots__ = ("entry", "kick", "idx")
 
-    def __init__(self, entry: _Entry, grad: np.ndarray, idx: int):
-        self.entry, self.grad, self.idx = entry, grad, idx
+    def __init__(self, entry: _Entry, kick: np.ndarray, idx: int):
+        self.entry, self.kick, self.idx = entry, kick, idx
 
 
 class _RecTree:
@@ -406,21 +406,26 @@ class _RecTree:
 
 def _build_tree(
     target: Target,
-    params: LeapfrogParams,
+    mass: MassMatrix,
+    h: float,
     frm: _RecState,
-    direction: int,
     depth: int,
     rng: np.random.Generator,
 ) -> _RecTree:
+    """The subtree of ``2^depth`` states past ``frm``; ``h`` is signed by the
+    direction of growth."""
     if depth == 0:
-        entry, grad = step_entry(target, params, frm.entry, frm.grad, direction > 0)
-        st = _RecState(entry, grad, frm.idx + direction)
+        q, p, kick = leapfrog_step_with_grad(
+            target.gradient, mass.inv_mul, h, frm.entry.q, frm.entry.p, frm.kick
+        )
+        entry = _weigh(target, mass, q, p)
+        st = _RecState(entry, kick, frm.idx + 1 if h > 0 else frm.idx - 1)
         return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged, 1)
-    t1 = _build_tree(target, params, frm, direction, depth - 1, rng)
+    t1 = _build_tree(target, mass, h, frm, depth - 1, rng)
     if t1.stop:
         return t1
-    t2 = _build_tree(target, params, t1.end, direction, depth - 1, rng)
-    if direction > 0:
+    t2 = _build_tree(target, mass, h, t1.end, depth - 1, rng)
+    if h > 0:
         lo, hi = t1.lo, t2.hi
     else:
         lo, hi = t2.lo, t1.hi
@@ -466,24 +471,24 @@ def nuts_transition_recursive(
     """The tree recursion at a fixed phase point (momentum already drawn)."""
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
-    params = cfg.params
+    mass, h = cfg.mass, cfg.h
     # one errstate for every state the recursion steps and weighs
     with np.errstate(over="ignore", invalid="ignore"):
-        grad0 = target.gradient(x0.q)  # before the potential, as in OrbitCache
-        st0 = _RecState(_weigh(target, cfg.mass, x0.q, x0.p), grad0, 0)
+        # the gradient before the potential, as in OrbitCache
+        kick0 = (0.5 * h) * target.gradient(x0.q)
+        entry0 = _weigh(target, mass, x0.q, x0.p)
         n_grad = 1  # the anchor's gradient
-        if st0.entry.diverged:
+        if entry0.diverged:
             return x0.q, TransitionInfo(0, (0, 0), 0, n_grad, True)
 
-        sel = st0
-        lo = hi = st0
-        logw_tot = st0.entry.logw
+        lo, hi = _RecState(entry0, -kick0, 0), _RecState(entry0, kick0, 0)
+        sel = hi
+        logw_tot = entry0.logw
         k_f = 0
         diverged = False
         for k in range(cfg.k_m):
             v_k = 1 if rng.random() < 0.5 else 0
-            frm = hi if v_k else lo
-            node = _build_tree(target, params, frm, 1 if v_k else -1, k, rng)
+            node = _build_tree(target, mass, h if v_k else -h, hi if v_k else lo, k, rng)
             n_grad += node.n
             if node.stop:
                 diverged = diverged or node.diverged

@@ -11,12 +11,16 @@ the momentum-flip identity ``Phi^{(-T)}(q, p) = flip(Phi^{(T)}(q, -p))``,
 which reuses the forward code path and is exactly the identity used by the
 reversibility checks.
 
-:func:`leapfrog_step_with_grad` is the bare step and enters no
-``np.errstate``: an overflowing step is the flagged-divergence path, and its
-caller silences it once for all the steps it takes.
-:func:`leapfrog_forward` holds the context for a whole trajectory (one step
-is ``leapfrog_iter(target, params, x, 1)``), :class:`orbit.OrbitCache` for
-each extension and the recursive NUTS sampler for a whole transition.
+Every sampler takes its steps through :func:`leapfrog_step_with_grad`, one
+call per orbit state: :func:`leapfrog_forward` (HMC, :func:`leapfrog_iter`
+and the trajectory solver), :class:`orbit.OrbitCache` (iterative NUTS and the
+exact law) and the recursive and rows NUTS samplers.  The step carries the
+half-kick ``(h/2) grad U(q)`` with ``h`` signed by the direction: it finishes
+the step that reached ``q`` and starts the step that leaves it, so each
+gradient is scaled once.  The two half-kicks are not merged into one full
+kick, which would round differently.  The step enters no ``np.errstate``: an
+overflowing step is the flagged-divergence path, and its caller silences it
+once for all the steps it takes.
 
 For Gaussian targets ``U(q) = q^T Sigma q / 2`` the T-step map is linear and
 is computed here in closed form; for general targets the module also solves
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -55,34 +60,26 @@ class LeapfrogParams:
 
 
 def leapfrog_step_with_grad(
-    target: Target,
-    params: LeapfrogParams,
-    x: PhasePoint,
-    grad0: np.ndarray | None = None,
-    backward: bool = False,
-) -> tuple[PhasePoint, np.ndarray]:
-    """One step, reusing a cached ``grad U(q)`` and returning the new one.
+    gradient: Callable[[np.ndarray], np.ndarray],
+    inv_mul: Callable[[np.ndarray], np.ndarray],
+    h: float | np.ndarray,
+    q: np.ndarray,
+    p: np.ndarray,
+    kick: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One step ``(q, p, kick) -> (q1, p1, kick1)`` with ``kick = (0.5 * h) * grad U(q)``.
 
-    With the cache supplied a step costs exactly one gradient evaluation, so a
-    T-step trajectory costs T + 1 evaluations in total.  ``backward`` takes
-    ``Phi^{(-1)} = flip . Phi^{(1)} . flip`` as the step with ``-h``, which
-    equals it bit for bit: negating an operand negates every rounded result
-    of the step.  The caller holds
-    ``np.errstate(over="ignore", invalid="ignore")``: a step that overflows is
-    a divergence the caller flags, and this function, called once per state,
-    does not pay for entering the context itself.
+    ``h`` is signed by the direction: the step with ``-h`` is ``Phi^{(-1)} =
+    flip . Phi^{(1)} . flip`` bit for bit, because negating an operand
+    negates every rounded result.  A step costs one gradient evaluation, so
+    a T-step trajectory costs T + 1.  ``gradient`` and ``inv_mul`` act on a
+    vector, or on ``(C, d)`` rows with ``h`` a ``(C, 1)`` column.  The caller
+    holds ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    h, mass = params.h, params.mass
-    if backward:
-        h = -h
-    q, p = x
-    if grad0 is None:
-        grad0 = target.gradient(q)
-    p_half = p - 0.5 * h * grad0
-    q1 = q + h * mass.inv_mul(p_half)
-    grad1 = target.gradient(q1)
-    p1 = p_half - 0.5 * h * grad1
-    return PhasePoint(q1, p1), grad1
+    p_half = p - kick
+    q1 = q + h * inv_mul(p_half)
+    kick1 = (0.5 * h) * gradient(q1)
+    return q1, p_half - kick1, kick1
 
 
 def leapfrog_iter(target: Target, params: LeapfrogParams, x: PhasePoint, j: int) -> PhasePoint:
@@ -112,17 +109,19 @@ def leapfrog_forward(
     flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations,
     the one at ``x`` included.
     """
+    gradient, inv_mul, h = target.gradient, params.mass.inv_mul, params.h
+    q, p = x
     with np.errstate(over="ignore", invalid="ignore"):
+        kick = (0.5 * h) * (gradient(q) if grad is None else grad)
         for s in range(1, t + 1):
-            x, grad = leapfrog_step_with_grad(target, params, x, grad)
+            q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, q, p, kick)
             # a finite sum of squares means every entry is finite; one that
             # overflows on finite entries falls through to the exact check
-            q, p = x
             if not math.isfinite(q.dot(q) + p.dot(p)) and not (
                 np.isfinite(q).all() and np.isfinite(p).all()
             ):
                 break  # divergence flag propagates to the caller
-    return x, s + 1
+    return PhasePoint(q, p), s + 1
 
 
 @dataclass(frozen=True)

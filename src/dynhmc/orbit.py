@@ -19,23 +19,21 @@ the U-turn geometry, each final interval receives a dyadic rational mass, so
 one walk over the tree of records.
 
 This module owns, for every sampler, how a state is weighed
-(:func:`_make_entry`), how one step is taken in either direction
-(:func:`step_entry`) and what a U-turn is (:func:`is_uturn`).  The rows
-sampler weighs and checks ``(C, d)`` arrays of states with
-:func:`_weigh_rows` and :func:`is_uturn_rows`, equal row by row.  A state is
-divergent, with weight zero, on non-finite states or energies, or a squared
-norm ``|q|^2 + |p|^2`` that overflows.
+(:func:`_make_entry`) and what a U-turn is (:func:`is_uturn`); every
+sampler takes its steps through :func:`leapfrog.leapfrog_step_with_grad`,
+carrying the half-kick of the state it steps from.  The rows sampler weighs
+and checks ``(C, d)`` arrays of states with :func:`_weigh_rows` and
+:func:`is_uturn_rows`, equal row by row.  A state is divergent, with weight
+zero, on non-finite states or energies, or a squared norm ``|q|^2 + |p|^2``
+that overflows.
 
 Stepping and weighing overflow on a divergent state, and that is flagged,
-not warned about.  :func:`step_entry` and :func:`_weigh` enter no
-``np.errstate`` themselves: their caller holds
-``np.errstate(over="ignore", invalid="ignore")`` around all the states it
-computes.  :class:`OrbitCache` enters it once per extension call, so the
-iterative sampler pays for it once per doubling stage, and the recursive
-sampler once per transition; :func:`_make_entry` enters it to weigh a
-single state.  An extension takes :func:`step_entry`'s step and weighing
-itself, :func:`leapfrog.leapfrog_step_with_grad` then :func:`_weigh`, to
-save a call per state.
+not warned about.  The step and :func:`_weigh` enter no ``np.errstate``
+themselves: their caller holds ``np.errstate(over="ignore",
+invalid="ignore")`` around all the states it computes.
+:class:`OrbitCache` enters it once per extension call, so the iterative
+sampler pays for it once per doubling stage; the recursive sampler enters
+it once per transition, and :func:`_make_entry` to weigh a single state.
 """
 
 from __future__ import annotations
@@ -117,22 +115,6 @@ def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
         return _weigh(target, mass, x.q, x.p)
 
 
-def step_entry(
-    target: Target, params: LeapfrogParams, entry: _Entry, grad: np.ndarray, forward: bool
-) -> tuple[_Entry, np.ndarray]:
-    """One leapfrog step from ``entry`` away from the anchor, weighed.
-
-    ``grad`` is the gradient at ``entry.q``; the new state's gradient is
-    returned with it.  Backward steps are ``Phi^{(-1)} = flip . Phi^{(1)} .
-    flip``, for which the cached gradient stays valid.  Enters no
-    ``np.errstate``; the caller holds it.
-    """
-    x1, grad1 = leapfrog_step_with_grad(
-        target, params, PhasePoint(entry.q, entry.p), grad, not forward
-    )
-    return _weigh(target, params.mass, x1.q, x1.p), grad1
-
-
 def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.ndarray) -> bool:
     """The U-turn criterion on the (left, right) pair of positions and velocities.
 
@@ -157,8 +139,9 @@ class OrbitCache:
     """Lazily extended table ``j -> (Phi^{(j)}(anchor), -H)``.
 
     Entries are appended one leapfrog step at a time from the current extremes
-    (never recomputed from index 0), with the gradient at each extreme cached
-    so a fresh step costs exactly one gradient evaluation.  Once a divergence
+    (never recomputed from index 0), with the half-kick ``(h/2) grad U(q)``
+    at each extreme cached, ``h`` signed by the side, so a fresh step costs
+    exactly one gradient evaluation.  Once a divergence
     occurs on one side, all further entries on that side are flagged diverged
     without stepping.  Mutable; confine to a single chain.
     """
@@ -169,12 +152,13 @@ class OrbitCache:
         self.mass = params.mass
         q0 = np.asarray(anchor.q, dtype=float)
         p0 = np.asarray(anchor.p, dtype=float)
-        # the gradient first: a target may reuse its work in the potential
-        grad0 = target.gradient(q0)
-        self._anchor = _make_entry(target, self.mass, PhasePoint(q0, p0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the gradient first: a target may reuse its work in the potential
+            kick0 = (0.5 * params.h) * target.gradient(q0)
+            self._anchor = _weigh(target, self.mass, q0, p0)
         self._right: list[_Entry] = []  # indices 1, 2, ...
         self._left: list[_Entry] = []  # indices -1, -2, ...
-        self._grad = [grad0, grad0]  # at the leftmost, the rightmost state
+        self._kick = [-kick0, kick0]  # at the leftmost, the rightmost state
         self.n_grad = 1
         self._pair_memo: dict[tuple[int, int], bool] = {}
 
@@ -216,18 +200,17 @@ class OrbitCache:
     def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
         side = self._right if forward else self._left
         top = side[-1] if side else self._anchor
-        target, params, mass, grad = self.target, self.params, self.mass, self._grad[forward]
-        backward = not forward
+        target, mass, kick = self.target, self.mass, self._kick[forward]
+        gradient, inv_mul = target.gradient, mass.inv_mul
+        h = self.params.h if forward else -self.params.h
         n_grad = 0
         logw: list[float] = []  # the new states' log-weights, in the order computed
         stopped = False
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, n + 1):
                 if not top.diverged:
-                    x, grad = leapfrog_step_with_grad(
-                        target, params, PhasePoint(top.q, top.p), grad, backward
-                    )
-                    top = _weigh(target, mass, x.q, x.p)
+                    q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, top.q, top.p, kick)
+                    top = _weigh(target, mass, q, p)
                     n_grad += 1
                 side.append(top)
                 if check:
@@ -236,13 +219,13 @@ class OrbitCache:
                         stopped = True
                         break
                     logw.append(top.logw)
-        self._grad[forward] = grad
+        self._kick[forward] = kick
         self.n_grad += n_grad
         if not check:
             return None
         if stopped:
             return None, top.diverged
-        if backward:
+        if not forward:
             logw.reverse()
         return logw, False
 

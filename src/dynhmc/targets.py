@@ -47,10 +47,12 @@ class MassMatrix:
         if kind == "identity":
             pass
         elif kind == "diagonal":
-            if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-                raise ValueError("diagonal mass entries must be positive and finite")
+            with np.errstate(divide="ignore", over="ignore"):
+                self._inv = 1.0 / diag
+            if np.any(diag <= 0) or not np.all(np.isfinite(diag) & np.isfinite(self._inv)):
+                raise ValueError("diagonal mass entries must be positive and finite, "
+                                 "with a finite inverse")
             self._sqrt = np.sqrt(diag)
-            self._inv = 1.0 / diag
         elif kind == "dense":
             if matrix.shape != (dim, dim):
                 raise ValueError("dense mass matrix has wrong shape")

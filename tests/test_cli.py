@@ -123,13 +123,26 @@ class TestSample:
             ({"iters": 2.7}, "iters"),
             ({"kernel": {"k_m": 3.9}}, "kernel.k_m"),
             ({"seed": -1}, "seed"),
+            ({"target": {"dim": 2}, "kernel": {"mass": {"kind": "diagonal", "diag": [1.0, 0.0]}}},
+             "kernel.mass.diag"),
+            ({"target": {"dim": 2}, "kernel": {"mass": {"kind": "diagonal", "diag": [1.0, -2.0]}}},
+             "kernel.mass.diag"),
+            ({"target": {"dim": 2}, "kernel": {"mass": {"kind": "diagonal",
+                                                        "diag": [1e-320, 1.0]}}},
+             "kernel.mass.diag"),
+            ({"kernel": {"mass": "identity"}}, "kernel.mass"),
+            ({"target": {"kind": "double_well"}, "q0": [1e80]}, "q0"),
+            ({"target": {"dim": 2}, "q0": [1e200, 0.0]}, "q0"),
+            ({"target": {"dim": 2}, "q0": [1e308, 1e308]}, "q0"),
         ],
         ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
              "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object",
              "dim_not_a_number", "iters_not_a_number", "h_not_a_number", "a5_not_a_number",
              "k_m_a_list", "t_null", "weights_not_numbers", "chains_not_a_number",
              "seed_not_a_number", "dim_fractional", "iters_fractional", "k_m_fractional",
-             "seed_negative"],
+             "seed_negative", "mass_diag_zero", "mass_diag_negative", "mass_diag_no_finite_inverse",
+             "mass_not_an_object", "q0_double_well_energy_overflows",
+             "q0_gaussian_energy_overflows", "q0_gaussian_norm_overflows"],
     )
     def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -8,6 +8,7 @@ from dynhmc.leapfrog import (
     LeapfrogParams,
     NoConvergence,
     gaussian_maps,
+    leapfrog_forward,
     leapfrog_iter,
     leapfrog_step_with_grad,
     trajectory_solve,
@@ -58,14 +59,54 @@ class TestLeapfrogStep:
             "dense": MassMatrix.dense(a @ a.T + np.eye(3)),
         }[mass_kind]
         target = builtin_target("perturbed_gaussian", 3, sigma=a.T @ a / 3 + np.eye(3))
-        params = LeapfrogParams(0.37, mass)
+        h = 0.37
         for _ in range(20):
             x = PhasePoint(rng.standard_normal(3), rng.standard_normal(3))
             grad = target.gradient(x.q)
-            back, grad_b = leapfrog_step_with_grad(target, params, x, grad, backward=True)
-            fwd, grad_f = leapfrog_step_with_grad(target, params, flip(x), grad)
-            assert np.array_equal(back.q, fwd.q) and np.array_equal(back.p, -fwd.p)
-            assert np.array_equal(grad_b, grad_f)
+            q_b, p_b, kick_b = leapfrog_step_with_grad(
+                target.gradient, mass.inv_mul, -h, x.q, x.p, (0.5 * -h) * grad
+            )
+            q_f, p_f, kick_f = leapfrog_step_with_grad(
+                target.gradient, mass.inv_mul, h, x.q, -x.p, (0.5 * h) * grad
+            )
+            assert np.array_equal(q_b, q_f) and np.array_equal(p_b, -p_f)
+            assert np.array_equal(kick_b, -kick_f)
+
+    @pytest.mark.parametrize("h", [0.37, -0.37])
+    def test_returned_kick_is_half_step_times_gradient(self, h):
+        rng = np.random.default_rng(7)
+        target = builtin_target("perturbed_gaussian", 3, a5=0.4)
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, 3))
+        q, p = rng.standard_normal(3), rng.standard_normal(3)
+        kick = (0.5 * h) * target.gradient(q)
+        for _ in range(10):
+            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+            assert kick.tobytes() == ((0.5 * h) * target.gradient(q)).tobytes()
+
+    @pytest.mark.parametrize("t", [1, 5, 16])
+    @pytest.mark.parametrize(
+        "kind,h,q0,p0",
+        [
+            ("perturbed_gaussian", 0.3, [0.8, -1.1], [0.5, 0.2]),
+            ("standard_gaussian", 0.9, [1.5, 0.1], [-0.3, 1.0]),
+            ("double_well", 5.0, [10.0], [0.0]),  # non-finite after a few steps
+        ],
+    )
+    def test_chained_steps_equal_leapfrog_forward(self, t, kind, h, q0, p0):
+        target = builtin_target(kind, len(q0))
+        mass = MassMatrix.identity(len(q0))
+        q, p = np.array(q0), np.array(p0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_t, n_grad = leapfrog_forward(target, LeapfrogParams(h, mass), PhasePoint(q, p), t)
+            kick = (0.5 * h) * target.gradient(q)
+            for s in range(1, t + 1):
+                q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+                if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                    break
+        assert x_t.q.tobytes() == q.tobytes() and x_t.p.tobytes() == p.tobytes()
+        assert n_grad == s + 1
+        if kind == "double_well" and t > 1:
+            assert n_grad < t + 1  # the trajectory stopped early
 
 
 class TestLeapfrogIter:
