@@ -103,6 +103,14 @@ def _flag_array(text: str, flag: str, dim: int) -> np.ndarray:
     return _float_array(text.split(","), flag, (dim,))
 
 
+def _check_finite_energy(target: Target, mass: MassMatrix, key: str, q: np.ndarray,
+                         p: np.ndarray | None = None) -> None:
+    """A config error naming ``key`` if the phase point ``(q, p)``, ``p = 0``
+    by default, is divergent by the samplers' own rule (``orbit._make_entry``)."""
+    if _make_entry(target, mass, PhasePoint(q, np.zeros_like(q) if p is None else p)).diverged:
+        raise ConfigError(f"{key}: the energy there is not finite, a divergent state")
+
+
 def _resolve_seed(args, config: dict) -> int:
     if getattr(args, "seed", None) is not None:
         key, seed = "--seed", args.seed
@@ -226,8 +234,7 @@ def cmd_sample(args) -> int:
     out_path = args.out or config.get("out")
     d = target.dim
     q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
-    if _make_entry(target, cfg.mass, PhasePoint(q0, np.zeros(d))).diverged:
-        raise ConfigError("q0: the energy at q0 is not finite, so every transition would diverge")
+    _check_finite_energy(target, cfg.mass, "q0", q0)
 
     kernel = make_kernel(target, cfg)
     header = (
@@ -302,15 +309,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _default_anchors(dim: int, mass: MassMatrix, n: int, rng: np.random.Generator):
-    out = []
-    for _ in range(n):
-        q = 1.5 * rng.standard_normal(dim)
-        p = momentum_refresh(mass, rng)
-        out.append(PhasePoint(q, p))
-    return out
-
-
 def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.CheckReport]:
     # imported here, where they are used: verify loads scipy.stats
     from . import verify as verify_mod
@@ -323,13 +321,13 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
             target = builtin_target("standard_gaussian", dim)
             mass = MassMatrix.identity(dim)
             cfg = KernelConfig("nuts_iterative", h=1.0, mass=mass, k_m=3)
-            anchors = _default_anchors(dim, mass, 10, rng)
+            anchors = [verify_mod._gauss_anchor(dim, mass, rng) for _ in range(10)]
             reports.append(verify_mod.check_ph_symmetry(target, cfg, anchors, seed=seed))
     elif name == "balance":
         target = builtin_target("standard_gaussian", 2)
         mass = MassMatrix.identity(2)
         cfg = KernelConfig("nuts_iterative", h=0.5, mass=mass, k_m=5)
-        anchors = _default_anchors(2, mass, 50, rng)
+        anchors = [verify_mod._gauss_anchor(2, mass, rng) for _ in range(50)]
         reports.append(verify_mod.check_detailed_balance(target, cfg, anchors, seed=seed))
     elif name == "accessibility":
         trees = verify_mod.random_weight_trees(100, 5, rng)
@@ -346,8 +344,6 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
             verify_mod.statistical_invariance(target5, cfg5, n=20_000, seed=seed, mutate=mutate)
         )
     elif name == "equivalence":
-        from .kernels import nuts_recursive_index_batch
-
         target = builtin_target("standard_gaussian", 2)
         mass = MassMatrix.identity(2)
         worst_p = 1.0
@@ -356,15 +352,12 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
         # Bonferroni over the chi-square tests, as in the invariance check
         alpha, tests = 1e-3, len(k_ms) * anchors
         for k_m in k_ms:
-            cfg = KernelConfig("nuts_recursive", h=0.8, mass=mass, k_m=k_m)
+            cfg = KernelConfig("nuts_iterative", h=0.8, mass=mass, k_m=k_m)
             for _ in range(anchors):
-                x0 = _default_anchors(2, mass, 1, rng)[0]
+                x0 = verify_mod._gauss_anchor(2, mass, rng)
                 pmf = nuts_exact_pmf(target, cfg, x0)
-                # the negative control samples the same twin, its swap coin broken
-                idx = nuts_recursive_index_batch(target, cfg, x0, n, rng, mutate=mutate)
-                counts = {}
-                for j in idx.tolist():
-                    counts[j] = counts.get(j, 0) + 1
+                # the negative control samples the same rows sampler, its swap coin broken
+                counts = verify_mod.index_counts(target, cfg, x0, n, rng, mutate=mutate)
                 worst_p = min(worst_p, verify_mod.chi2_gof(counts, pmf.probs_dict(), n))
         # reported as -log10 of the p-value and of its level, so that, as in
         # every other check, it passes when violation <= tolerance
@@ -487,10 +480,12 @@ def cmd_pmf(args) -> int:
         print(f"k_m = {cfg.k_m} exceeds the exact-enumeration budget (8)", file=sys.stderr)
         return EXIT_CONFIG
     q = _flag_array(args.q, "--q", target.dim)
+    _check_finite_energy(target, cfg.mass, "--q", q)
     if args.p:
         p = _flag_array(args.p, "--p", target.dim)
     else:
         p = momentum_refresh(cfg.mass, np.random.default_rng(seed))
+    _check_finite_energy(target, cfg.mass, "--p", q, p)
     pmf = nuts_exact_pmf(target, cfg, PhasePoint(q, p))
     total = pmf.total()
     payload = {
@@ -554,6 +549,8 @@ def cmd_trajectory(args) -> int:
     target = _build_target(config, mass=cfg.mass)
     q0 = _flag_array(args.q0, "--q0", target.dim)
     q_t = _flag_array(args.qT, "--qT", target.dim)
+    _check_finite_energy(target, cfg.mass, "--q0", q0)
+    _check_finite_energy(target, cfg.mass, "--qT", q_t)
     if args.steps < 1:
         print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
         return EXIT_CONFIG

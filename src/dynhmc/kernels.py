@@ -20,7 +20,9 @@ sampler (:func:`nuts_step_iterative_rows`) moves C independent chains at
 once and draws the same uniforms in blocks: one ``(C, d)`` block of
 momentum normals, then per stage one ``(C_stage, 3)`` block with a row for
 each chain that enters the stage, in chain order.  At ``C = 1`` this is
-the scalar stream.
+the scalar stream.  Its rows are the scalar sampler's bit for bit, the
+logs, swap coins and running totals of a stage included; its rows from one
+anchor tiled ``n`` times are the ``n`` draws that the law checks count.
 
 ``nuts_exact_pmf`` computes the one-step law at a fixed phase point exactly
 (dyadic orbit probabilities times closed-form index rows); it is the oracle
@@ -147,6 +149,30 @@ def _swap(logw_new: float, logw_old: float, u: float, mutate: str | None) -> boo
     if mutate == "always-swap":
         return logw_new > -math.inf
     return log_r > -math.inf and u < math.exp(log_r)
+
+
+def _swap_rows(
+    logw_new: np.ndarray, logw_old: np.ndarray, u: np.ndarray, mutate: str | None
+) -> np.ndarray:
+    """:func:`_swap` on each row of three arrays, bit for bit.
+
+    The ratio is :func:`accept_log_ratio`'s as arrays: ``new - old`` kept
+    where it is below 0 (Python's ``min(0.0, ·)``, a nan included), 0 where
+    ``old`` is ``-inf``, and ``-inf`` where ``new`` is.  A ratio of 0 swaps
+    when ``u < 1``; only the rows strictly between ``-inf`` and 0 call
+    ``math.exp``, the exp the scalar coin uses.
+    """
+    if mutate == "always-swap":
+        return logw_new > -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = logw_new - logw_old
+    log_r = np.where(diff < 0.0, diff, 0.0)
+    log_r[logw_old == -math.inf] = 0.0
+    log_r[logw_new == -math.inf] = -math.inf
+    swap = (log_r == 0.0) & (u < 1.0)
+    mid = np.flatnonzero((log_r > -math.inf) & (log_r < 0.0))
+    swap[mid] = u[mid] < np.fromiter(map(math.exp, log_r[mid].tolist()), float, mid.size)
+    return swap
 
 
 def nuts_step_iterative(
@@ -282,8 +308,10 @@ def nuts_transition_iterative_rows(
     takes no further part.  A stage draws one ``(C_stage, 3)`` block of
     ``[u_dir, u_mult, u_swap]`` for the rows that enter it, in row order.
     Given the same uniforms, each row's position and diagnostics equal the
-    scalar sampler's bit for bit; the log of each log-sum, the swap coin and
-    the running total stay per-row ``math`` calls for that reason.
+    scalar sampler's bit for bit.  The stage's tail is arrays with the
+    scalar sampler's bits: the log of each log-sum is a per-row
+    ``math.log``, the swap coin :func:`_swap_rows`, and the running total
+    ``np.logaddexp``, which :func:`index_select.logaddexp` equals.
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -354,18 +382,17 @@ def nuts_transition_iterative_rows(
             if k:
                 top = seg.max(axis=1)
                 sums = np.exp(seg - top[:, None]).sum(axis=1)
-                logw_new = [m + math.log(t) for m, t in zip(top.tolist(), sums.tolist())]
+                # math.log, as logsumexp takes it: np.log differs in the last bit
+                logw_new = top + np.fromiter(map(math.log, sums.tolist()), float, sums.size)
             else:  # one state: its own log-sum and its own pick
-                logw_new = seg[:, 0].tolist()
-            old = logw_tot[rows].tolist()
-            swap = np.flatnonzero(
-                [_swap(a, b, w, mutate) for a, b, w in zip(logw_new, old, u[:, 2].tolist())]
-            )
+                logw_new = seg[:, 0]
+            old = logw_tot[rows]
+            swap = np.flatnonzero(_swap_rows(logw_new, old, u[:, 2], mutate))
             pick = np.zeros(swap.size, dtype=np.int64)  # into the new half, in index order
             if k and swap.size:
                 # multinomial_pick on each swapped row: the count of cumulative
                 # weights at or below u_mult
-                cum = np.exp(seg[swap] - np.array(logw_new)[swap, None]).cumsum(axis=1)
+                cum = np.exp(seg[swap] - logw_new[swap, None]).cumsum(axis=1)
                 pick = np.minimum((cum <= u[swap, 1:2]).sum(axis=1), n - 1)
             took, fwd = rows[swap], right[swap]
             j_f[took] = np.where(fwd, i_f[took, 1] + 1, i_f[took, 0] - n) + pick
@@ -374,7 +401,7 @@ def nuts_transition_iterative_rows(
             end_q[side, rows], end_p[side, rows] = q, p
             end_v[side, rows], end_k[side, rows] = vel, kick
             i_f[rows, side] += np.where(right, n, -n)
-            logw_tot[rows] = [logaddexp(a, b) for a, b in zip(old, logw_new)]
+            logw_tot[rows] = np.logaddexp(old, logw_new)  # index_select.logaddexp's bits
             k_f[rows] = k + 1
 
     return out, TransitionRows(j_f, i_f, k_f, n_grad, diverged)
@@ -510,92 +537,6 @@ def nuts_transition_recursive(
         j_f=sel.idx, i_f=(lo.idx, hi.idx), k_f=k_f, n_grad=n_grad, diverged=diverged
     )
     return sel.entry.q, info
-
-
-def nuts_recursive_index_batch(
-    target: Target,
-    cfg: KernelConfig,
-    x0: PhasePoint,
-    n: int,
-    rng: np.random.Generator,
-    mutate: str | None = None,
-) -> np.ndarray:
-    """``n`` draws of the recursive sampler's index at a fixed phase point.
-
-    Vectorized twin of :func:`nuts_step_recursive` for conditional
-    goodness-of-fit testing: at a fixed ``(q0, p0)`` the orbit geometry is
-    deterministic, so the tree merges reduce to coin flips with fixed biases
-    that can be applied to whole arrays of draws at once.  Same merge rules,
-    same stopping rules, orders of magnitude faster than looping the scalar
-    sampler.  ``mutate`` is one of :data:`MUTATIONS`, as for the samplers:
-    ``always-swap`` takes the new half whenever its log-sum is finite.
-    """
-    if mutate not in MUTATIONS:
-        raise ValueError(f"unknown mutation {mutate!r}")
-    cache = OrbitCache(target, cfg.params, x0)
-    cache.extend_to(-(1 << cfg.k_m) + 1, (1 << cfg.k_m) - 1)
-
-    def batch_tree(seg_lo: int, seg_hi: int, direction: int, depth: int, count: int):
-        # returns (sel indices array, logw, stop flag); stop is deterministic
-        if depth == 0:
-            idx = seg_lo
-            return (
-                np.full(count, idx, dtype=np.int64),
-                cache.logw(idx),
-                cache.diverged(idx),
-            )
-        half = 1 << (depth - 1)
-        if direction > 0:
-            first = (seg_lo, seg_lo + half - 1)
-            second = (seg_lo + half, seg_hi)
-        else:
-            first = (seg_hi - half + 1, seg_hi)
-            second = (seg_lo, seg_hi - half)
-        sel1, w1, stop1 = batch_tree(*first, direction, depth - 1, count)
-        if stop1:
-            return sel1, w1, True
-        sel2, w2, stop2 = batch_tree(*second, direction, depth - 1, count)
-        logw = logaddexp(w1, w2)
-        u = rng.random(count)
-        p2 = math.exp(w2 - logw) if logw > -math.inf else 0.0
-        sel = np.where(u < p2, sel2, sel1)
-        stop = stop2 or cache.pair_uturn(seg_lo, seg_hi)
-        return sel, logw, stop
-
-    sel = np.zeros(n, dtype=np.int64)
-    if cache.diverged(0):
-        return sel
-    groups: dict[tuple[int, int], np.ndarray] = {(0, 0): np.arange(n)}
-    for k in range(cfg.k_m):
-        next_groups: dict[tuple[int, int], np.ndarray] = {}
-        for (glo, ghi), ids in groups.items():
-            right = rng.random(ids.size) < 0.5
-            group_logw = logsumexp(cache.logw_range(glo, ghi))
-            for v_k, sub in ((1, ids[right]), (0, ids[~right])):
-                if sub.size == 0:
-                    continue
-                step = 1 << k
-                seg = (ghi + 1, ghi + step) if v_k else (glo - step, glo - 1)
-                node_sel, node_logw, node_stop = batch_tree(
-                    *seg, 1 if v_k else -1, k, sub.size
-                )
-                if node_stop:
-                    continue  # these draws are finished; sel already holds their state
-                u_swap = rng.random(sub.size)
-                # always-swap: ratio 1, so that every u_swap < 1 swaps
-                swap_all = mutate == "always-swap" and node_logw > -math.inf
-                log_r = 0.0 if swap_all else accept_log_ratio(node_logw, group_logw)
-                if log_r > -math.inf:
-                    swap = u_swap < math.exp(log_r)
-                    sel[sub[swap]] = node_sel[swap]
-                merged = (min(glo, seg[0]), max(ghi, seg[1]))
-                if cache.pair_uturn(merged[0], merged[1]):
-                    continue
-                next_groups[merged] = sub
-        groups = next_groups
-        if not groups:
-            break
-    return sel
 
 
 def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPMF:

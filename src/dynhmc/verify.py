@@ -35,6 +35,7 @@ from .kernels import (  # noqa: F401
     nuts_step_iterative,
     nuts_step_iterative_rows,
     nuts_step_recursive,
+    nuts_transition_iterative_rows,
 )
 from .leapfrog import leapfrog_iter
 from .orbit import OrbitCache, orbit_select_pmf
@@ -998,6 +999,23 @@ def ergodicity_run(
 
 
 # --- chi-squared goodness of fit (shared by sampler-vs-pmf tests) ----------------
+
+
+def index_counts(
+    target: Target,
+    cfg: KernelConfig,
+    x0: PhasePoint,
+    n: int,
+    rng: np.random.Generator,
+    mutate: str | None = None,
+) -> dict[int, int]:
+    """Counts of ``j_f`` over ``n`` iterative NUTS transitions from ``x0``:
+    the rows of one :func:`kernels.nuts_transition_iterative_rows` call on
+    ``x0`` tiled ``n`` times."""
+    tiled = PhasePoint(np.tile(x0.q, (n, 1)), np.tile(x0.p, (n, 1)))
+    _, rows = nuts_transition_iterative_rows(target, cfg, tiled, rng, mutate=mutate)
+    js, counts = np.unique(rows.j_f, return_counts=True)
+    return dict(zip(js.tolist(), counts.tolist()))
 
 
 def chi2_gof(counts: dict[int, int], probs: dict[int, float], n: int) -> float:

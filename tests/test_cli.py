@@ -252,6 +252,17 @@ class TestPmf:
         assert main(["pmf", "--config", str(path), "--q", "0,0", "--p", "abc"]) == 2
         assert main(["pmf", "--config", str(path), "--q", "0,0", "--p", "inf,0"]) == 2
 
+    @pytest.mark.parametrize("q,p,flag", [("1e200,0", "0,0", "--q"), ("1e200,0", None, "--q"),
+                                          ("0,0", "1e200,0", "--p"), ("1e308,1e308", "0,0", "--q")])
+    def test_divergent_anchor_exit_2_naming_flag(self, q, p, flag, tmp_path, capsys):
+        # finite flags at which the energy is not: the anchor would diverge
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"dim": 2}, "kernel": {"h": 0.5, "k_m": 2}}))
+        argv = ["pmf", "--config", str(path), "--q", q] + (["--p", p] if p else [])
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and flag in out.err
+
 
 class TestVerify:
     def test_unknown_suite_exit_2(self):
@@ -273,18 +284,18 @@ class TestVerify:
         assert main(["verify", "--suite", "symmetry", "--seed", "3", "--out", out]) == 0
 
     def test_equivalence_suite_passes_at_its_corrected_level(self, tmp_path):
-        # at seed 3 the smallest of the 18 chi-square p-values is 7.6e-4:
-        # below 1e-3, above the Bonferroni level 1e-3 / 18 of the suite
+        # the suite passes iff the smallest of its 18 chi-square p-values is
+        # at or above the Bonferroni level 1e-3 / 18 (at seed 3 it is 0.10)
         out = str(tmp_path / "rep.json")
         assert main(["verify", "--suite", "equivalence", "--seed", "3", "--out", out]) == 0
         (check,) = json.load(open(out))["checks"]
         assert check["config"]["alpha"] == 1e-3 and check["config"]["tests"] == 18
         assert check["tolerance"] == -math.log10(1e-3 / 18)
         assert check["violation"] == -math.log10(check["details"][0]["min_chi2_pvalue"])
-        assert 1e-3 / 18 <= check["details"][0]["min_chi2_pvalue"] < 1e-3
+        assert 1e-3 / 18 <= check["details"][0]["min_chi2_pvalue"]
 
     def test_mutated_equivalence_suite_fails(self, tmp_path):
-        # the negative control samples the same vectorized twin as the clean arm
+        # the negative control samples the same rows sampler as the clean arm
         out = str(tmp_path / "rep.json")
         rc = main(
             ["verify", "--suite", "equivalence", "--mutate", "always-swap", "--seed", "3",
@@ -363,13 +374,20 @@ class TestTrajectory:
         out = capsys.readouterr()
         assert out.out == "" and "no convergence" in out.err
 
-    @pytest.mark.parametrize("q0", ["nan", "abc", "1,2"])
-    def test_bad_endpoint_exit_2_naming_flag(self, q0, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "q0,q_t,flag",
+        [("nan", "0.0", "--q0"), ("abc", "0.0", "--q0"), ("1,2", "0.0", "--q0"),
+         # finite, but the energy at p = 0 is not: a divergent endpoint
+         ("1e200", "0.0", "--q0"), ("0.0", "1e200", "--qT")],
+        ids=["nan", "abc", "1,2", "q0_energy_overflows", "qT_energy_overflows"],
+    )
+    def test_bad_endpoint_exit_2_naming_flag(self, q0, q_t, flag, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"target": {"dim": 1}, "kernel": {"h": 0.5}}))
-        rc = main(["trajectory", "--config", str(path), "--q0", q0, "--qT", "0.0", "--steps", "4"])
+        rc = main(["trajectory", "--config", str(path), "--q0", q0, "--qT", q_t, "--steps", "4"])
         assert rc == 2
-        assert "--q0" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == "" and flag in out.err
 
 
 class TestConditions:

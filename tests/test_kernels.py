@@ -12,10 +12,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from dynhmc.kernels import (
     KernelConfig,
     TransitionInfo,
+    _swap,
+    _swap_rows,
     hmc_step,
     make_kernel,
     nuts_exact_pmf,
-    nuts_recursive_index_batch,
     nuts_step_iterative,
     nuts_step_iterative_rows,
     nuts_step_recursive,
@@ -684,6 +685,32 @@ class TestIterativeRowsMatchScalar:
         assert rows.diverged.all() and np.array_equal(out, x0.q)
 
 
+class TestSwapRows:
+    """``_swap_rows`` is ``_swap`` on each row, whatever the two log-weights
+    (equal, signed zeros, infinite on either side, a difference that
+    overflows) and with ``u`` at ``exp(log_r)`` and one ulp either side."""
+
+    @pytest.mark.parametrize("mutate", [None, "always-swap"])
+    def test_each_row_is_the_scalar_coin(self, mutate):
+        inf = math.inf
+        weights = (-inf, -1e308, -2.5, -0.0, 0.0, 1.0, 3.0, 1e308, inf, math.nan)
+        cases = [(a, b, u) for a in weights for b in weights
+                 for u in (0.0, 0.3, 0.999, math.nextafter(1.0, 0.0))]
+        # np.exp and math.exp differ in the last bit on a few percent of
+        # these ratios, so a coin taken with np.exp fails here
+        ratios = [(-1.0, 0.0), (2.0, 2.7), (-700.0, 40.0), (5.0, 5.0 + 1e-12)]
+        ratios += [(a, 0.0) for a in np.random.default_rng(0).uniform(-30.0, 0.0, 500).tolist()]
+        for a, b in ratios:
+            e = math.exp(a - b)
+            cases += [(a, b, u) for u in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
+        new, old, u = (np.array(c) for c in zip(*cases))
+        got = _swap_rows(new, old, u, mutate)
+        assert got.dtype == bool
+        assert got.tolist() == [_swap(a, b, w, mutate) for a, b, w in cases]
+        if mutate is None:  # below exp(log_r) swaps, at it or above does not
+            assert got[-3 * len(ratios):].tolist() == [True, False, False] * len(ratios)
+
+
 class TestOverflowIsSilent:
     """Every path that steps or weighs an overflowing state holds
     ``np.errstate`` around it: no RuntimeWarning, and the divergence is
@@ -866,6 +893,17 @@ def _sample_at(transition, cfg, x0, seed, n, **kw):
     return j_counts, iv_counts
 
 
+def _sample_rows_at(cfg, x0, seed, n, **kw):
+    """:func:`_sample_at` for iterative NUTS: the ``n`` transitions are the
+    rows of one rows sampler call on ``x0`` tiled ``n`` times."""
+    tiled = PhasePoint(np.tile(x0.q, (n, 1)), np.tile(x0.p, (n, 1)))
+    _, rows = nuts_transition_iterative_rows(STD1, cfg, tiled, np.random.default_rng(seed), **kw)
+    js, j_n = np.unique(rows.j_f, return_counts=True)
+    ivs, iv_n = np.unique(rows.i_f, axis=0, return_counts=True)
+    return (dict(zip(js.tolist(), j_n.tolist())),
+            dict(zip(map(tuple, ivs.tolist()), iv_n.tolist())))
+
+
 def _interval_pmf(cfg, x0):
     """The exact law of the selected interval, keyed like ``TransitionInfo.i_f``."""
     cache = OrbitCache(STD1, cfg.params, x0)
@@ -881,7 +919,7 @@ class TestSamplersAgainstPmf:
     @pytest.mark.parametrize("k_m", [1, 2, 3])
     def test_iterative_matches_exact_pmf(self, k_m):
         cfg = KernelConfig("nuts_iterative", h=1.1, mass=I1, k_m=k_m)
-        j_counts, iv_counts = _sample_at(nuts_transition_iterative, cfg, self.X0, k_m, self.N)
+        j_counts, iv_counts = _sample_rows_at(cfg, self.X0, k_m, self.N)
         assert chi2_gof(j_counts, nuts_exact_pmf(STD1, cfg, self.X0).probs_dict(), self.N) >= 1e-3
         assert chi2_gof(iv_counts, _interval_pmf(cfg, self.X0), self.N) >= 1e-3
 
@@ -894,27 +932,13 @@ class TestSamplersAgainstPmf:
         assert chi2_gof(j_counts, nuts_exact_pmf(STD1, cfg, self.X0).probs_dict(), self.N) >= 1e-3
         assert chi2_gof(iv_counts, _interval_pmf(cfg, self.X0), self.N) >= 1e-3
 
-    @pytest.mark.parametrize("k_m", [1, 2, 3])
-    def test_batch_twin_matches_scalar_recursive(self, k_m):
-        cfg = KernelConfig("nuts_recursive", h=0.9, mass=I2, k_m=k_m)
-        rng = np.random.default_rng(7)
-        x0 = PhasePoint(rng.standard_normal(2), rng.standard_normal(2))
-        pmf = nuts_exact_pmf(STD2, cfg, x0).probs_dict()
-        idx = nuts_recursive_index_batch(STD2, cfg, x0, 40000, rng)
-        counts: dict[int, int] = {}
-        for j in idx.tolist():
-            counts[j] = counts.get(j, 0) + 1
-        assert chi2_gof(counts, pmf, 40000) >= 1e-3
-
     def test_mutated_kernel_fails_gof(self):
         # negative control: removing the swap coin must break the law
         # (anchor chosen so some swap ratio is genuinely below 1)
         cfg = KernelConfig("nuts_iterative", h=1.1, mass=I1, k_m=3)
         x0 = PhasePoint(np.array([0.5]), np.array([-1.5]))
         pmf = nuts_exact_pmf(STD1, cfg, x0).probs_dict()
-        counts, _ = _sample_at(
-            nuts_transition_iterative, cfg, x0, 11, self.N, mutate="always-swap"
-        )
+        counts, _ = _sample_rows_at(cfg, x0, 11, self.N, mutate="always-swap")
         assert chi2_gof(counts, pmf, self.N) < 1e-3
 
 
