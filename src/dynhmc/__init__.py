@@ -25,12 +25,7 @@ from .leapfrog import (
     trajectory_solve,
     tridiag_a,
 )
-from .orbit import (
-    OrbitCache,
-    no_uturns,
-    orbit_select_pmf,
-    stopping_time,
-)
+from .orbit import OrbitCache, no_uturns, orbit_select_pmf
 from .index_select import WeightTree
 from .targets import (
     MassMatrix,

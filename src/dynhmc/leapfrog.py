@@ -282,7 +282,11 @@ def trajectory_solve(
 
         lam = np.linspace(0.0, 1.0, t + 1)[1:-1, None]
         interior = (1.0 - lam) * q0[None, :] + lam * q_t[None, :]
-        scale = max(1.0, float(np.linalg.norm(interior)))
+        with np.errstate(over="ignore"):
+            scale = max(1.0, float(np.linalg.norm(interior)))
+        if not math.isfinite(scale):
+            # every residual would read 0 against an infinite scale
+            raise NoConvergence("the norm of the interpolated interior positions overflows")
         residual = math.inf
         prev_diff = None
         contraction = 0.0

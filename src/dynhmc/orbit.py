@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binwords import BinWord, IndexInterval, low_trunc, t_minus
+from .binwords import BinWord, IndexInterval, t_minus
 from .leapfrog import LeapfrogParams, leapfrog_step_with_grad
 from .targets import MassMatrix, PhasePoint, Target, potential_rows
 
@@ -119,9 +119,10 @@ def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.
     """The U-turn criterion on the (left, right) pair of positions and velocities.
 
     ``v_r . (q_r - q_l) < 0`` or ``v_l . (q_r - q_l) < 0`` with velocity
-    ``v = M^{-1} p`` (the whitened-coordinate form of the identity-mass
-    criterion).  Both inequalities are strict, so a zero displacement is not
-    a U-turn.
+    ``v = M^{-1} p = dq/dt``.  This is not the identity-mass criterion in
+    whitened coordinates: with ``M = L L^T``, ``q' = L^T q`` and
+    ``p' = L^{-1} p``, that criterion's ``p' . dq'`` equals ``p . dq``.  Both
+    inequalities are strict, so a zero displacement is not a U-turn.
     """
     dq = q_hi - q_lo
     return bool(vel_hi.dot(dq) < 0.0 or vel_lo.dot(dq) < 0.0)
@@ -302,14 +303,6 @@ def no_uturns(v: BinWord, cache: OrbitCache) -> bool:
             if cache.pair_uturn(lo + block * size, lo + (block + 1) * size - 1):
                 return False
     return True
-
-
-def stopping_time(v: BinWord, cache: OrbitCache) -> float:
-    """First stage ``k`` whose prefix record lies in the U-turn set, else inf."""
-    for k in range(1, v.k + 1):
-        if not no_uturns(low_trunc(v, k), cache):
-            return k
-    return math.inf
 
 
 def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, Fraction]]:

@@ -37,7 +37,7 @@ from .kernels import (  # noqa: F401
     nuts_step_recursive,
     nuts_transition_iterative_rows,
 )
-from .leapfrog import leapfrog_iter
+from .leapfrog import gaussian_maps, leapfrog_iter
 from .orbit import OrbitCache, orbit_select_pmf
 from .targets import MassMatrix, PhasePoint, Target, hamiltonian, momentum_refresh
 
@@ -333,14 +333,16 @@ def stationarity_quadrature(
     )
 
 
+# the polar oracle's radial cut-off in u = r^2/2 (e^{-45} is below double
+# precision's resolution of 1) and its Gauss-Legendre nodes per panel
+_POLAR_U_MAX = 45.0
+_POLAR_GL_NODES = 12
+
+
 def stationarity_polar_exact(
     target: Target,
     cfg: KernelConfig,
-    n_scan: int = 32768,
-    u_max: float = 45.0,
     radial_panels: int = 60,
-    gl_radial: int = 12,
-    gl_angular: int = 12,
     tol_mean: float = 1e-8,
     tol_rel: float = 1e-6,
     seed: int | None = None,
@@ -350,10 +352,11 @@ def stationarity_polar_exact(
     The leapfrog flow of a Gaussian target is linear, so along each ray in
     the whitened ``(q0, p0)`` plane the U-turn pattern, and hence the orbit
     law, is constant: every discontinuity of the transition pushforward is a
-    ray through the origin.  This oracle finds those rays (sign scan plus
-    bisection over all pairwise turn functionals), integrates angularly with
-    Gauss-Legendre panels between consecutive rays, and radially with
-    Gauss-Legendre panels in ``u = r^2/2`` against ``e^{-u}``.  At an angle
+    ray through the origin.  Each pairwise turn functional is a quadratic
+    form in ``(cos psi, sin psi)``, so this oracle solves for those rays in
+    closed form, integrates angularly with Gauss-Legendre panels between
+    consecutive rays, and radially with ``radial_panels`` Gauss-Legendre
+    panels in ``u = r^2/2`` against ``e^{-u}``.  At an angle
     node, each interval of the orbit law gives one weight tree per radial
     node (the log-weights scale as ``r^2``), and the index rows of all of
     them come from one batched :meth:`WeightTree.qhat_row_log`.  Between rays
@@ -372,91 +375,45 @@ def stationarity_polar_exact(
     j_max = (1 << cfg.k_m) - 1
     idx = np.arange(-j_max, j_max + 1)
 
-    # closed-form one-step map, iterated: states are linear in (q0, p0)
-    from .leapfrog import gaussian_maps
-
-    mats = {}
-    for j in idx:
-        g = gaussian_maps(np.array([[sigma]]), cfg.mass, cfg.h, abs(int(j)))
-        m2 = np.array([[g.a[0, 0], g.b[0, 0]], [g.at[0, 0], g.bt[0, 0]]])
-        if j < 0:
-            flip = np.diag([1.0, -1.0])
-            m2 = flip @ m2 @ flip
-        mats[int(j)] = m2
-
     def anchor(psi: float) -> PhasePoint:
         return PhasePoint(
             np.array([math.cos(psi) / math.sqrt(sigma)]),
             np.array([math.sin(psi) * sqrt_m]),
         )
 
-    # pairwise turn functionals on the unit circle, vectorized over angles
+    # closed-form one-step map, iterated: states are linear in (q0, p0), and
+    # state j on the unit circle is (Q_j . x, P_j . x), x = (cos psi, sin psi)
+    flip = np.diag([1.0, -1.0])
     whiten = np.diag([1.0 / math.sqrt(sigma), sqrt_m])
-    stack = np.stack([mats[int(j)] @ whiten for j in idx])  # (n_idx, 2, 2)
+    stack = np.empty((len(idx), 2, 2))  # rows Q_j, P_j
+    for i, j in enumerate(idx):
+        g = gaussian_maps(np.array([[sigma]]), cfg.mass, cfg.h, abs(int(j)))
+        m2 = np.array([[g.a[0, 0], g.b[0, 0]], [g.at[0, 0], g.bt[0, 0]]])
+        stack[i] = (flip @ m2 @ flip if j < 0 else m2) @ whiten
 
-    # pair (ia[r], ib[r]), ia < ib, gives rows 2r (right) and 2r + 1 (left)
+    # The discontinuity rays, in closed form.  For a pair a < b and an end
+    # e in {a, b}, the turn functional (P_e . x)((Q_b - Q_a) . x) equals
+    # m + r cos(2 psi - phi), zero at psi = (phi +- arccos(-m/r))/2 + k pi.
+    # In 1-D p has the sign of M^{-1} p, so these are the criterion's rays.
     ia, ib = np.triu_indices(len(idx), 1)
-
-    def pair_values(psis: np.ndarray, lo=ia, hi=ib) -> np.ndarray:
-        x0 = np.stack([np.cos(psis), np.sin(psis)])  # (2, n)
-        states = np.einsum("jab,bn->jan", stack, x0)  # (n_idx, 2, n)
-        qs, ps = states[:, 0, :], states[:, 1, :]
-        dq = qs[hi] - qs[lo]
-        out = np.empty((2 * len(lo), len(psis)))
-        out[0::2] = ps[hi] * dq
-        out[1::2] = ps[lo] * dq
-        return out  # (n_pairs*2, n)
-
-    def bisect(row: int, lo_psi: float, hi_psi: float) -> float:
-        r = row // 2
-
-        # psi % 2pi is exact on [0, 2pi) and closes the wrap-around segment
-        def f(psi: float) -> float:
-            vals = pair_values(np.array([psi % (2.0 * math.pi)]), ia[r : r + 1], ib[r : r + 1])
-            return float(vals[row % 2, 0])
-
-        f_lo = f(lo_psi)
-        for _ in range(60):
-            mid = 0.5 * (lo_psi + hi_psi)
-            f_mid = f(mid)
-            if (f_mid < 0) == (f_lo < 0):
-                lo_psi, f_lo = mid, f_mid
-            else:
-                hi_psi = mid
-        return 0.5 * (lo_psi + hi_psi)
-
-    # locate discontinuity angles by sign scan + bisection
-    grid = np.linspace(0.0, 2.0 * math.pi, n_scan, endpoint=False)
-    roots: list[float] = []
-    chunk = 8192
-    prev_vals = pair_values(grid[:1])
-    first_vals = prev_vals.copy()
-    prev_psi = grid[0]
-    for start in range(1, n_scan, chunk):
-        psis = grid[start : start + chunk]
-        vals = pair_values(psis)
-        allv = np.concatenate([prev_vals, vals], axis=1)
-        allp = np.concatenate([[prev_psi], psis])
-        sign_change = np.signbit(allv[:, :-1]) != np.signbit(allv[:, 1:])
-        rows, cols = np.nonzero(sign_change)
-        for r, c in zip(rows, cols):
-            roots.append(bisect(r, allp[c], allp[c + 1]))
-        prev_vals = vals[:, -1:]
-        prev_psi = psis[-1]
-    # wrap-around segment
-    sign_change = np.signbit(prev_vals[:, 0]) != np.signbit(first_vals[:, 0])
-    for r in np.nonzero(sign_change)[0]:
-        roots.append(bisect(r, prev_psi, 2.0 * math.pi))
-
-    cuts = np.unique(np.asarray(sorted(roots)))
-    if cuts.size:
-        keep = np.concatenate([[True], np.diff(cuts) > 1e-12])
-        cuts = cuts[keep]
+    dq = np.tile(stack[ib, 0] - stack[ia, 0], (2, 1))
+    pe = stack[np.concatenate([ia, ib]), 1]
+    m = 0.5 * np.vecdot(pe, dq)
+    c = 0.5 * (pe[:, 0] * dq[:, 0] - pe[:, 1] * dq[:, 1])
+    s = 0.5 * (pe[:, 0] * dq[:, 1] + pe[:, 1] * dq[:, 0])
+    r = np.hypot(c, s)
+    hit = (r > 0.0) & (np.abs(m) <= r)
+    phi, alpha = np.arctan2(s[hit], c[hit]), np.arccos(-m[hit] / r[hit])
+    roots = np.concatenate([phi + alpha, phi - alpha]) / 2 + np.array([[0.0], [math.pi]])
+    roots = np.mod(roots.ravel(), 2.0 * math.pi)
+    roots[2.0 * math.pi - roots < 1e-12] = 0.0  # a zero at 2 pi is the ray at 0
+    cuts = np.unique(roots)
+    cuts = cuts[np.diff(cuts, prepend=-1.0) > 1e-12]  # one cut per ray
     panels = np.concatenate([[0.0], cuts, [2.0 * math.pi]])
 
     # radial rule: Gauss-Legendre panels in u = r^2/2 against e^{-u}
-    gl_x, gl_w = np.polynomial.legendre.leggauss(gl_radial)
-    edges = np.linspace(0.0, u_max, radial_panels + 1)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_POLAR_GL_NODES)
+    edges = np.linspace(0.0, _POLAR_U_MAX, radial_panels + 1)
     u_nodes = []
     u_weights = []
     for a_e, b_e in zip(edges[:-1], edges[1:]):
@@ -468,7 +425,7 @@ def stationarity_polar_exact(
     u_weights = np.concatenate(u_weights)
     r_nodes = np.sqrt(2.0 * u_nodes)
 
-    ang_x, ang_w = np.polynomial.legendre.leggauss(gl_angular)
+    ang_x, ang_w = np.polynomial.legendre.leggauss(_POLAR_GL_NODES)
     push = {1: 0.0, 2: 0.0, 4: 0.0}
     n_angles = 0
     for a_e, b_e in zip(panels[:-1], panels[1:]):
@@ -526,6 +483,24 @@ def stationarity_polar_exact(
 # --- statistical invariance -----------------------------------------------------
 
 
+def _transition_rows(
+    target: Target,
+    cfg: KernelConfig,
+    before: np.ndarray,
+    rng: np.random.Generator,
+    mutate: str | None = None,
+) -> np.ndarray:
+    """One transition of the kernel ``cfg.kind`` names from each row of
+    ``before``: for iterative NUTS the rows of one
+    :func:`kernels.nuts_step_iterative_rows` call, which draws the momenta and
+    then each stage's uniforms in blocks from ``rng``; for the other kinds one
+    transition per row, in order."""
+    if cfg.kind == "nuts_iterative":
+        return nuts_step_iterative_rows(target, cfg, before, rng, mutate=mutate)[0]
+    step = make_kernel(target, cfg, mutate=mutate)
+    return np.array([step(q, rng)[0] for q in before])
+
+
 def statistical_invariance(
     target: Target,
     cfg: KernelConfig,
@@ -543,10 +518,7 @@ def statistical_invariance(
     report is marked under-powered rather than passed or failed.  The
     documented negative control is ``mutate="always-swap"``.
 
-    Iterative NUTS moves all ``n`` samples as the rows of one
-    :func:`kernels.nuts_step_iterative_rows` call, which draws the momenta
-    and then each stage's uniforms in blocks from the one generator; the
-    other kinds take their transitions one sample at a time.
+    The transitions are taken by :func:`_transition_rows`.
     """
     if target.name not in ("standard_gaussian", "gaussian"):
         raise ValueError("statistical_invariance needs exact target sampling (Gaussian)")
@@ -560,13 +532,7 @@ def statistical_invariance(
         sigma = _precision_of(target, d)
         lmat = np.linalg.cholesky(sigma)
         before = np.linalg.solve(lmat.T, z.T).T
-    if cfg.kind == "nuts_iterative":
-        after, _ = nuts_step_iterative_rows(target, cfg, before, rng, mutate=mutate)
-    else:
-        step = make_kernel(target, cfg, mutate=mutate)
-        after = np.empty_like(before)
-        for i in range(n):
-            after[i], _ = step(before[i], rng)
+    after = _transition_rows(target, cfg, before, rng, mutate)
 
     n_tests = d + d * (d + 1) // 2 + d
     each = alpha / n_tests
@@ -636,10 +602,8 @@ def drift_estimate(
 ) -> DriftEstimate:
     """Estimate the Lyapunov ratio ``E exp(a(|q'| - |q|))`` at ``|q| = radius``.
 
-    The ``n`` transitions start from one ``q`` with fresh momenta; for
-    iterative NUTS they are the ``n`` rows of one
-    :func:`kernels.nuts_step_iterative_rows` call, as in
-    :func:`statistical_invariance`.
+    The ``n`` transitions start from one ``q`` with fresh momenta, taken by
+    :func:`_transition_rows` as in :func:`statistical_invariance`.
     """
     if a < 0:
         raise ValueError("drift exponent must be nonnegative")
@@ -647,11 +611,7 @@ def drift_estimate(
     direction = rng.standard_normal(target.dim)
     direction /= np.linalg.norm(direction)
     q = radius * direction
-    if cfg.kind == "nuts_iterative":
-        after, _ = nuts_step_iterative_rows(target, cfg, np.tile(q, (n, 1)), rng)
-    else:
-        step = make_kernel(target, cfg)
-        after = [step(q, rng)[0] for _ in range(n)]
+    after = _transition_rows(target, cfg, np.tile(q, (n, 1)), rng)
     ratios = np.array([math.exp(a * (float(np.linalg.norm(q_new)) - radius)) for q_new in after])
     mean = float(np.mean(ratios))
     se = float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
@@ -870,10 +830,11 @@ def uturn_degeneracy_scan(
     """Probe the zero set of the pairwise turn functionals at a fixed position.
 
     For each sampled momentum and every index pair ``T1 != T2`` in the orbit
-    range, evaluates ``F = p_{T1} . (q_{T1} - q_{T2})`` and reports the
-    fraction of exact zeros and near-zeros.  This is a density heuristic for
-    the non-degeneracy of the stopping geometry, not a proof; zero momenta
-    are reported separately and excluded from the statistic.
+    range, evaluates the U-turn criterion's functional
+    ``F = v_{T1} . (q_{T1} - q_{T2})`` with velocity ``v = M^{-1} p`` and
+    reports the fraction of exact zeros and near-zeros.  This is a density
+    heuristic for the non-degeneracy of the stopping geometry, not a proof;
+    zero momenta are reported separately and excluded from the statistic.
     """
     rng = np.random.default_rng(seed)
     params = cfg.params
@@ -891,9 +852,9 @@ def uturn_degeneracy_scan(
         cache = OrbitCache(target, params, PhasePoint(np.asarray(q, float), p))
         cache.extend_to(-j_max, j_max)
         qs = np.stack([cache.state(j).q for j in idx])
-        ps = np.stack([cache.state(j).p for j in idx])
-        g = ps @ qs.T
-        f = np.diag(g)[:, None] - g  # F[t1, t2] = p_{t1} . (q_{t1} - q_{t2})
+        vs = cfg.mass.inv_mul(np.stack([cache.state(j).p for j in idx]))
+        g = vs @ qs.T
+        f = np.diag(g)[:, None] - g  # F[t1, t2] = v_{t1} . (q_{t1} - q_{t2})
         scale = np.maximum(1.0, np.abs(np.diag(g))[:, None])
         mask = ~np.eye(len(idx), dtype=bool)
         total += int(mask.sum())

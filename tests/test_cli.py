@@ -289,6 +289,7 @@ class TestVerify:
         out = str(tmp_path / "rep.json")
         assert main(["verify", "--suite", "equivalence", "--seed", "3", "--out", out]) == 0
         (check,) = json.load(open(out))["checks"]
+        assert check["check"] == "exact_law"
         assert check["config"]["alpha"] == 1e-3 and check["config"]["tests"] == 18
         assert check["tolerance"] == -math.log10(1e-3 / 18)
         assert check["violation"] == -math.log10(check["details"][0]["min_chi2_pvalue"])
@@ -370,6 +371,18 @@ class TestTrajectory:
                                     "kernel": {"h": 1.0}}))
         rc = main(["trajectory", "--config", str(path), "--q0", "3.0", "--qT", "-3.0",
                    "--steps", "8"])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "no convergence" in out.err
+
+    def test_overflowing_interpolant_exit_1(self, tmp_path, capsys):
+        # each endpoint's energy is finite, but the norm of the straight line
+        # between them overflows: no convergence, not a trajectory whose
+        # residual reads 0 against an infinite scale
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"dim": 2}, "kernel": {"h": 0.5}}))
+        rc = main(["trajectory", "--config", str(path), "--q0", "1.3e154,0",
+                   "--qT", "1.3e154,0", "--steps", "4"])
         assert rc == 1
         out = capsys.readouterr()
         assert out.out == "" and "no convergence" in out.err

@@ -27,7 +27,7 @@ from dynhmc.kernels import (
 )
 from dynhmc.binwords import BinWord, interval, low_trunc
 from dynhmc.leapfrog import LeapfrogParams, leapfrog_forward, leapfrog_iter
-from dynhmc.orbit import OrbitCache, orbit_select_pmf, stopping_time
+from dynhmc.orbit import OrbitCache, orbit_select_pmf
 from dynhmc.targets import (
     MassMatrix,
     PhasePoint,
@@ -38,6 +38,7 @@ from dynhmc.targets import (
     momentum_refresh,
 )
 from dynhmc.verify import chi2_gof
+from test_orbit import stopping_time
 
 STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)

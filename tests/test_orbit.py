@@ -12,7 +12,6 @@ from dynhmc.orbit import (
     is_uturn,
     no_uturns,
     orbit_select_pmf,
-    stopping_time,
 )
 from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 
@@ -24,6 +23,15 @@ I2 = MassMatrix.identity(2)
 
 def flat_target(dim):
     return Target(dim=dim, potential=lambda q: 0.0, gradient=lambda q: np.zeros(dim), name="flat")
+
+
+def stopping_time(v: BinWord, cache: OrbitCache) -> float:
+    """The stopping time ``S(v)``: the first stage ``k`` whose prefix record
+    lies in the U-turn set, else inf."""
+    for k in range(1, v.k + 1):
+        if not no_uturns(low_trunc(v, k), cache):
+            return k
+    return math.inf
 
 
 def brute_force_pairs(k_len, t_min):
@@ -60,13 +68,15 @@ class TestUturnPair:
         assert is_uturn(q, np.array([5.0, 0.0]), q.copy(), np.array([-5.0, 0.0])) is False
 
     def test_mass_matrix_whitening(self):
-        # with M^{-1} weighting a pair can turn even if raw products disagree
+        # the criterion reads the velocity M^{-1} p, so a pair can turn though
+        # p . dq > 0.  The whitened identity-mass criterion reads p . dq
+        # instead: M = L L^T, q' = L^T q, p' = L^{-1} p give p' . dq' = p . dq
         mass = MassMatrix.diagonal(np.array([100.0, 0.01]))
         dq = np.array([1.0, -0.1])
         p = np.array([10.0, 20.0])
         raw = p @ dq
-        white = mass.inv_mul(p) @ dq
-        assert raw > 0 > white  # the construction is meaningful
+        by_velocity = mass.inv_mul(p) @ dq
+        assert raw > 0 > by_velocity  # the construction is meaningful
         vel = mass.inv_mul(p)
         assert is_uturn(np.zeros(2), vel, dq, vel) is True
         assert is_uturn(np.zeros(2), p, dq, p) is False

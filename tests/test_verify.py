@@ -81,7 +81,7 @@ class TestAccessibilityCheck:
 class TestStationarity:
     def test_polar_oracle_hits_tolerance(self):
         cfg = KernelConfig("nuts_iterative", h=0.5, mass=I1, k_m=2)
-        rep = stationarity_polar_exact(STD1, cfg, n_scan=4096, radial_panels=40)
+        rep = stationarity_polar_exact(STD1, cfg, radial_panels=40)
         assert rep.passed
         assert rep.details[0]["err_var_rel"] <= 1e-7
         # the ray search over the 42 turn functionals of the 21 index pairs
@@ -265,6 +265,30 @@ class TestDegeneracyScan:
         rep = uturn_degeneracy_scan(STD2, cfg, np.array([1.0, 0.5]), n=200, seed=0)
         assert rep.passed
         assert rep.details[0]["near_zero_fraction"] <= 1e-3
+
+    def test_diagonal_mass_probes_the_criterion_velocity(self):
+        # Under M = diag(4, 1/4), a constant gradient makes the first step's
+        # displacement the anchor's velocity v = M^{-1} p turned by 90
+        # degrees, so the criterion's v . (q_0 - q_1) is zero up to rounding
+        # while p . (q_0 - q_1) is not.  The scan, at anchor q = 0, must read
+        # the criterion's functional and find that near-zero.
+        from dynhmc.orbit import OrbitCache
+        from dynhmc.targets import Target
+
+        mass = MassMatrix.diagonal(np.array([4.0, 0.25]))
+        p = momentum_refresh(mass, np.random.default_rng(0))  # the scan's first draw
+        v = mass.inv_mul(p)
+        grad = 2.0 * (p - mass.mul(np.array([v[1], -v[0]])))
+        t = Target(dim=2, potential=lambda q: float(grad @ q), gradient=lambda q: grad.copy())
+        cfg = KernelConfig("nuts_iterative", h=1.0, mass=mass, k_m=1)
+        cache = OrbitCache(t, cfg.params, PhasePoint(np.zeros(2), p))
+        cache.extend_right()
+        q1 = cache.state(1).q
+        assert abs(v @ q1) <= 1e-15 and abs(p @ q1) >= 0.05  # the construction is meaningful
+        rep = uturn_degeneracy_scan(t, cfg, np.zeros(2), n=1, seed=0)
+        # of the six ordered pairs of [-1, 1], only (0, 1) is near zero
+        assert rep.details[0]["pairs"] == 6
+        assert rep.details[0]["near_zero_fraction"] == 1 / 6
 
 
 class TestErgodicityRun:
