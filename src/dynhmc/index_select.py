@@ -42,13 +42,9 @@ def accept_log_ratio(log_new: float, log_old: float) -> float:
     return min(0.0, log_new - log_old)
 
 
-def multinomial_pick(log_weights: np.ndarray, u: float, total: float | None = None) -> int:
-    """Inverse-CDF pick over ascending indices from unnormalized log-weights.
-
-    ``total`` is their :func:`logsumexp`, when the caller already has it.
-    """
-    if total is None:
-        total = logsumexp(log_weights)
+def multinomial_pick(log_weights: np.ndarray, u: float, total: float) -> int:
+    """Inverse-CDF pick over ascending indices from unnormalized log-weights
+    whose :func:`logsumexp` is ``total``."""
     if total == NEG_INF:
         return 0
     cum = np.exp(log_weights - total).cumsum()

@@ -308,7 +308,11 @@ def nuts_transition_iterative_rows(
     takes no further part.  A stage draws one ``(C_stage, 3)`` block of
     ``[u_dir, u_mult, u_swap]`` for the rows that enter it, in row order.
     Given the same uniforms, each row's position and diagnostics equal the
-    scalar sampler's bit for bit.  The stage's tail is arrays with the
+    scalar sampler's bit for bit.  Each end of the accepted interval is held
+    in its outward frame, the lo end as ``(q, -p)`` with velocity
+    ``-M^{-1} p``: by ``Phi^{(-1)} = flip . Phi^{(1)} . flip`` every row
+    grows with the step ``+h``, and each block check reads its first and
+    last state in the order of growth.  The stage's tail is arrays with the
     scalar sampler's bits: the log of each log-sum is a per-row
     ``math.log``, the swap coin :func:`_swap_rows`, and the running total
     ``np.logaddexp``, which :func:`index_select.logaddexp` equals.
@@ -330,16 +334,16 @@ def nuts_transition_iterative_rows(
         kick0 = (0.5 * h) * grad_rows(q0)
         vel0, logw_tot, diverged = _weigh_rows(target, mass, q0, p0)
         # the state at each end of the accepted interval, index 0 lo and 1 hi,
-        # with its half-kick signed for a step away from the anchor
-        end_q, end_p = np.stack([q0, q0]), np.stack([p0, p0])
-        end_v, end_k = np.stack([vel0, vel0]), np.stack([-kick0, kick0])
+        # in its outward frame, with its half-kick for the step +h
+        end_q, end_p = np.stack([q0, q0]), np.stack([-p0, p0])
+        end_v, end_k = np.stack([-vel0, vel0]), np.stack([kick0, kick0])
         rows = np.flatnonzero(~diverged)
         for k in range(cfg.k_m):
             if not rows.size:
                 break
             u = rng.random((rows.size, 3))
-            if k:
-                go = ~is_uturn_rows(end_q[0, rows], end_v[0, rows], end_q[1, rows], end_v[1, rows])
+            if k:  # the index-order pair: the lo end's velocity flipped back
+                go = ~is_uturn_rows(end_q[0, rows], -end_v[0, rows], end_q[1, rows], end_v[1, rows])
                 rows, u = rows[go], u[go]
                 if not rows.size:
                     break
@@ -347,36 +351,33 @@ def nuts_transition_iterative_rows(
             right = u[:, 0] < 0.5
             side = right.astype(np.intp)
             q, p, kick = end_q[side, rows], end_p[side, rows], end_k[side, rows]
-            h_row = np.where(right, h, -h)[:, None]
             live = np.arange(rows.size)  # the stage's rows still growing
+            n_grad[rows] += n  # less the states a row stops before
             new_q = np.empty((n, rows.size, q0.shape[1]))
             new_w = np.empty((rows.size, n))  # log-weights in the order computed
-            starts: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # block size -> first state
+            starts: list = [None] * k  # level l: first state of the open block of size 2^(l+1)
+            opens = k  # the first state opens every level
             for i in range(1, n + 1):
-                q, p, kick = leapfrog_step_with_grad(grad_rows, mass.inv_mul, h_row, q, p, kick)
+                q, p, kick = leapfrog_step_with_grad(grad_rows, mass.inv_mul, h, q, p, kick)
                 vel, logw, stop = _weigh_rows(target, mass, q, p)
-                n_grad[rows[live]] += 1
                 new_q[i - 1, live] = q
                 new_w[live, i - 1] = logw
-                size, fwd = 2, right[live, None]
-                while not i % size:  # the aligned blocks the i-th state completes
-                    sq, sv = starts[size]
-                    stop |= is_uturn_rows(np.where(fwd, sq, q), np.where(fwd, sv, vel),
-                                          np.where(fwd, q, sq), np.where(fwd, vel, sv))
-                    size <<= 1
+                starts[:opens] = [(q, vel)] * opens
+                # the blocks of size 2, ..., 2^opens end here, and the next state opens them
+                opens = (i & -i).bit_length() - 1
+                for sq, sv in starts[:opens]:
+                    stop |= is_uturn_rows(sq, sv, q, vel)
                 if stop.any():
                     diverged[rows[live[stop]]] = logw[stop] == -math.inf
+                    n_grad[rows[live[stop]]] -= n - i
                     go = ~stop
                     live, q, p, kick, vel = live[go], q[go], p[go], kick[go], vel[go]
-                    h_row = h_row[go]
-                    starts = {s: (a[go], b[go]) for s, (a, b) in starts.items()}
-                size = 2
-                while size <= n and not (i - 1) % size:  # blocks the i-th state opens
-                    starts[size] = (q, vel)
-                    size <<= 1
+                    if not live.size:
+                        break
+                    starts = [(sq[go], sv[go]) for sq, sv in starts]
             if not live.size:
                 break
-            rows, right, u = rows[live], right[live], u[live]
+            rows, right, side, u = rows[live], right[live], side[live], u[live]
             seg = new_w[live]
             seg[~right] = seg[~right, ::-1]  # index order
             if k:
@@ -397,7 +398,6 @@ def nuts_transition_iterative_rows(
             took, fwd = rows[swap], right[swap]
             j_f[took] = np.where(fwd, i_f[took, 1] + 1, i_f[took, 0] - n) + pick
             out[took] = new_q[np.where(fwd, pick, n - 1 - pick), live[swap]]
-            side = right.astype(np.intp)
             end_q[side, rows], end_p[side, rows] = q, p
             end_v[side, rows], end_k[side, rows] = vel, kick
             i_f[rows, side] += np.where(right, n, -n)
@@ -551,16 +551,12 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
     cache = OrbitCache(target, cfg.params, x0)
     if cache.diverged(0):
         return ExactPMF(anchor=x0, entries=[(0, 1.0, x0.q)])
-    probs: dict[int, float] = {}
+    off = (1 << cfg.k_m) - 1  # index j at probs[j + off], j in [-off, off]
+    probs = np.zeros(2 * off + 1)
     for iv, frac in orbit_select_pmf(cache, cfg.k_m):
-        weight = float(frac)
-        tree = WeightTree.from_orbit(cache, iv)
-        row = np.exp(tree.qhat_row_log(iv.iota(0)))
-        for leaf, pr in enumerate(row):
-            if pr > 0.0:
-                j = iv.iota_inv(leaf)
-                probs[j] = probs.get(j, 0.0) + weight * pr
-    entries = [(j, pr, cache.state(j).q) for j, pr in sorted(probs.items())]
+        row = WeightTree.from_orbit(cache, iv).qhat_row_log(-iv.lo)  # leaf -lo is index 0
+        probs[iv.lo + off:iv.hi + off + 1] += float(frac) * np.exp(row)
+    entries = [(j - off, probs[j], cache.state(j - off).q) for j in np.flatnonzero(probs).tolist()]
     return ExactPMF(anchor=x0, entries=entries)
 
 

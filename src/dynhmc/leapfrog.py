@@ -15,10 +15,12 @@ Every sampler takes its steps through :func:`leapfrog_step_with_grad`, one
 call per orbit state: :func:`leapfrog_forward` (HMC, :func:`leapfrog_iter`
 and the trajectory solver), :class:`orbit.OrbitCache` (iterative NUTS and the
 exact law) and the recursive and rows NUTS samplers.  The step carries the
-half-kick ``(h/2) grad U(q)`` with ``h`` signed by the direction: it finishes
-the step that reached ``q`` and starts the step that leaves it, so each
-gradient is scaled once.  The two half-kicks are not merged into one full
-kick, which would round differently.  The step enters no ``np.errstate``: an
+half-kick ``(h/2) grad U(q)``: it finishes the step that reached ``q`` and
+starts the step that leaves it, so each gradient is scaled once, and the
+two half-kicks are not merged into one full kick, which would round
+differently.  Only :class:`orbit.OrbitCache` and the recursive sampler sign
+``h`` by the direction; the rows sampler steps its backward ends, held as
+``(q, -p)``, with ``+h``.  The step enters no ``np.errstate``: an
 overflowing step is the flagged-divergence path, and its caller silences it
 once for all the steps it takes.
 
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .targets import MassMatrix, PhasePoint, Target, flip
+from .targets import MassMatrix, PhasePoint, Target, flip, gradient_rows
 
 
 class ContractionViolated(ValueError):
@@ -62,19 +64,19 @@ class LeapfrogParams:
 def leapfrog_step_with_grad(
     gradient: Callable[[np.ndarray], np.ndarray],
     inv_mul: Callable[[np.ndarray], np.ndarray],
-    h: float | np.ndarray,
+    h: float,
     q: np.ndarray,
     p: np.ndarray,
     kick: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One step ``(q, p, kick) -> (q1, p1, kick1)`` with ``kick = (0.5 * h) * grad U(q)``.
 
-    ``h`` is signed by the direction: the step with ``-h`` is ``Phi^{(-1)} =
-    flip . Phi^{(1)} . flip`` bit for bit, because negating an operand
+    ``h`` may carry the direction's sign: the step with ``-h`` is ``Phi^{(-1)}
+    = flip . Phi^{(1)} . flip`` bit for bit, because negating an operand
     negates every rounded result.  A step costs one gradient evaluation, so
     a T-step trajectory costs T + 1.  ``gradient`` and ``inv_mul`` act on a
-    vector, or on ``(C, d)`` rows with ``h`` a ``(C, 1)`` column.  The caller
-    holds ``np.errstate(over="ignore", invalid="ignore")``.
+    vector, or on ``(C, d)`` rows that all step with the one ``h``.  The
+    caller holds ``np.errstate(over="ignore", invalid="ignore")``.
     """
     p_half = p - kick
     q1 = q + h * inv_mul(p_half)
@@ -296,9 +298,7 @@ def trajectory_solve(
         with np.errstate(over="ignore", invalid="ignore"):
             for sol_iters in range(1, max_iter + 1):
                 ext = np.vstack([q0[None, :], interior, q_t[None, :]])
-                grads = np.apply_along_axis(target.gradient, 1, interior)
-                if not mass.is_identity:
-                    grads = np.apply_along_axis(mass.inv_mul, 1, grads)
+                grads = mass.inv_mul(gradient_rows(target, interior))
                 new_interior = 0.5 * (ext[:-2] + ext[2:]) + 0.5 * h * h * grads
                 diff = float(np.linalg.norm(new_interior - interior))
                 # ratios are only meaningful while the updates sit above the
@@ -319,7 +319,7 @@ def trajectory_solve(
 
     momenta = np.empty_like(positions)
     momenta[0] = p0
-    grads = np.apply_along_axis(target.gradient, 1, positions)
+    grads = gradient_rows(target, positions)
     for i in range(1, len(positions)):
         momenta[i] = momenta[i - 1] - 0.5 * h * (grads[i - 1] + grads[i])
 

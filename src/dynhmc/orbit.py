@@ -21,8 +21,10 @@ one walk over the tree of records.
 This module owns, for every sampler, how a state is weighed
 (:func:`_make_entry`) and what a U-turn is (:func:`is_uturn`); every
 sampler takes its steps through :func:`leapfrog.leapfrog_step_with_grad`,
-carrying the half-kick of the state it steps from.  The rows sampler weighs
-and checks ``(C, d)`` arrays of states with :func:`_weigh_rows` and
+carrying the half-kick of the state it steps from, with ``h`` signed by the
+direction except in the rows sampler, which holds its backward ends as
+``(q, -p)`` and steps with ``+h``.  The rows sampler weighs and checks
+``(C, d)`` arrays of states with :func:`_weigh_rows` and
 :func:`is_uturn_rows`, equal row by row.  A state is divergent, with weight
 zero, on non-finite states or energies, or a squared norm ``|q|^2 + |p|^2``
 that overflows.

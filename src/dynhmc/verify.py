@@ -91,8 +91,8 @@ class DriftEstimate:
     ci_high: float
 
 
-def _gauss_anchor(dim: int, mass: MassMatrix, rng: np.random.Generator, scale=1.5) -> PhasePoint:
-    q = scale * rng.standard_normal(dim)
+def _gauss_anchor(dim: int, mass: MassMatrix, rng: np.random.Generator) -> PhasePoint:
+    q = 1.5 * rng.standard_normal(dim)
     p = momentum_refresh(mass, rng)
     return PhasePoint(q, p)
 
@@ -246,13 +246,11 @@ def check_accessibility(
     )
 
 
-def random_weight_trees(
-    n: int, k_max: int, rng: np.random.Generator, scale: float = 2.0
-) -> list[WeightTree]:
+def random_weight_trees(n: int, k_max: int, rng: np.random.Generator) -> list[WeightTree]:
     trees = []
     for _ in range(n):
         k = int(rng.integers(1, k_max + 1))
-        trees.append(WeightTree(scale * rng.standard_normal(1 << k)))
+        trees.append(WeightTree(2.0 * rng.standard_normal(1 << k)))
     return trees
 
 
@@ -721,6 +719,7 @@ def tail_conditions(
 
 # --- step size conditions --------------------------------------------------------
 
+_S_CAP = 1e6  # the largest step bound tail_step_bound reports
 
 def growth_poly(s: float) -> float:
     """The growth polynomial ``1 + s/2 + s^2/4`` entering the step bounds."""
@@ -760,17 +759,17 @@ def trajectory_uniqueness_margin(l1: float, h: float, t: int) -> float:
     return 2.0 * (1.0 - math.cos(math.pi / t)) - l1 * h * h
 
 
-def tail_step_bound(l1: float, m1: float, a1: float, s_cap: float = 1e6) -> float:
+def tail_step_bound(l1: float, m1: float, a1: float) -> float:
     """Largest ``S`` with ``Theta(s) < A1`` on ``(0, S]``, by bisection.
 
     ``Theta`` is continuous, vanishes at 0 and is increasing, so the level
-    crossing is unique; if none occurs below ``s_cap`` the cap is returned.
+    crossing is unique; if none occurs below ``_S_CAP`` the cap is returned.
     """
-    if not (tail_contraction(s_cap, l1, m1) > a1):
-        return s_cap
-    lo, hi = 0.0, min(1.0, s_cap)
+    if not (tail_contraction(_S_CAP, l1, m1) > a1):
+        return _S_CAP
+    lo, hi = 0.0, 1.0
     while tail_contraction(hi, l1, m1) < a1:
-        lo, hi = hi, min(hi * 2.0, s_cap)
+        lo, hi = hi, min(hi * 2.0, _S_CAP)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if tail_contraction(mid, l1, m1) < a1:
@@ -811,7 +810,7 @@ def stepsize_conditions(
         report["trajectory_uniqueness"] = {"missing": "l1, h, t"}
     if l1 is not None and m1 is not None and a1 is not None:
         s_bar = tail_step_bound(l1, m1, a1)
-        report["tail_step_bound"] = {"s_bar": s_bar, "capped": s_bar >= 1e6}
+        report["tail_step_bound"] = {"s_bar": s_bar, "capped": s_bar >= _S_CAP}
     else:
         report["tail_step_bound"] = {"missing": "l1, m1, a1"}
     return report
@@ -832,9 +831,11 @@ def uturn_degeneracy_scan(
     For each sampled momentum and every index pair ``T1 != T2`` in the orbit
     range, evaluates the U-turn criterion's functional
     ``F = v_{T1} . (q_{T1} - q_{T2})`` with velocity ``v = M^{-1} p`` and
-    reports the fraction of exact zeros and near-zeros.  This is a density
-    heuristic for the non-degeneracy of the stopping geometry, not a proof;
-    zero momenta are reported separately and excluded from the statistic.
+    reports the fraction of exact zeros and of near-zeros, ``|F| <= 1e-12
+    |v_{T1}| |q_{T1} - q_{T2}|``, which no choice of units or origin moves.
+    This is a density heuristic for the non-degeneracy of the stopping
+    geometry, not a proof; zero momenta are reported separately and
+    excluded from the statistic.
     """
     rng = np.random.default_rng(seed)
     params = cfg.params
@@ -855,11 +856,11 @@ def uturn_degeneracy_scan(
         vs = cfg.mass.inv_mul(np.stack([cache.state(j).p for j in idx]))
         g = vs @ qs.T
         f = np.diag(g)[:, None] - g  # F[t1, t2] = v_{t1} . (q_{t1} - q_{t2})
-        scale = np.maximum(1.0, np.abs(np.diag(g))[:, None])
+        scale = np.linalg.norm(vs, axis=1)[:, None] * np.linalg.norm(qs[:, None] - qs, axis=2)
         mask = ~np.eye(len(idx), dtype=bool)
         total += int(mask.sum())
         zeros += int(np.sum((f == 0.0) & mask))
-        near += int(np.sum((np.abs(f) < 1e-12 * scale) & mask))
+        near += int(np.sum((np.abs(f) <= 1e-12 * scale) & mask))
     return CheckReport(
         check="uturn_degeneracy_scan",
         passed=zeros == 0,
@@ -881,9 +882,9 @@ def uturn_degeneracy_scan(
 # --- long-run ergodicity surrogate -----------------------------------------------
 
 
-def batch_means_se(values: np.ndarray, n_batches: int = 50) -> float:
+def batch_means_se(values: np.ndarray) -> float:
     """Standard error of the chain mean by the batch-means method."""
-    n = len(values)
+    n, n_batches = len(values), 50
     if n < 2 * n_batches:
         return math.inf
     size = n // n_batches

@@ -670,6 +670,34 @@ class TestIterativeRowsMatchScalar:
         assert q1.tobytes() == out[0].tobytes() and info == _info_row(rows, 0)
         assert scalar_rng.random() == rows_rng.random()
 
+    def test_n_grad_counts_the_gradients_evaluated(self):
+        # the custom target has no row forms: each row's gradient is one call
+        target, cfg, q, p = _rows_case("custom")
+        calls = [0]
+
+        def gradient(x):
+            calls[0] += 1
+            return target.gradient(x)
+
+        counted = dataclasses.replace(target, gradient=gradient)
+        _, rows = nuts_transition_iterative_rows(counted, cfg, PhasePoint(q, p),
+                                                 np.random.default_rng(7))
+        assert rows.n_grad.sum() == calls[0]
+        # some row stopped inside a stage, before the stage's last state
+        mid = (rows.n_grad - 1 != (1 << rows.k_f) - 1) & (rows.n_grad != 1 << rows.k_f + 1)
+        assert mid.any()
+
+    def test_one_row_that_stops_mid_stage_without_row_forms(self):
+        # a lone row that stops before its stage's last state leaves no row to
+        # step: the loop over the rows must not be called on an empty array
+        target, cfg, q, p = _rows_case("custom")
+        for r in range(len(q)):
+            one = PhasePoint(q[r:r + 1], p[r:r + 1])
+            q1, info = nuts_transition_iterative(target, cfg, PhasePoint(q[r], p[r]),
+                                                 np.random.default_rng(1))
+            out, rows = nuts_transition_iterative_rows(target, cfg, one, np.random.default_rng(1))
+            assert q1.tobytes() == out[0].tobytes() and info == _info_row(rows, 0)
+
     def test_unknown_mutation_raises(self):
         cfg = KernelConfig("nuts_iterative", h=0.5, mass=I2, k_m=3)
         with pytest.raises(ValueError, match="mutation"):

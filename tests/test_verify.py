@@ -266,6 +266,14 @@ class TestDegeneracyScan:
         assert rep.passed
         assert rep.details[0]["near_zero_fraction"] <= 1e-3
 
+    @pytest.mark.parametrize("m", [1.0, 1e8, 1e16, 1e-16])
+    def test_near_zero_reads_no_units(self, m):
+        # the velocities of M = m I have size m^(-1/2): at m = 1e16 every F is
+        # about 1e-16, yet no velocity is near orthogonal to its displacement
+        cfg = KernelConfig("nuts_iterative", h=0.7, mass=MassMatrix.diagonal(np.full(2, m)), k_m=2)
+        rep = uturn_degeneracy_scan(STD2, cfg, np.array([1.0, -0.5]), n=200, seed=0)
+        assert rep.details[0]["near_zero_fraction"] == 0.0
+
     def test_diagonal_mass_probes_the_criterion_velocity(self):
         # Under M = diag(4, 1/4), a constant gradient makes the first step's
         # displacement the anchor's velocity v = M^{-1} p turned by 90
