@@ -61,12 +61,6 @@ class IndexInterval:
             raise ValueError(f"{j} outside interval [{self.lo}, {self.hi}]")
         return j - self.lo
 
-    def iota_inv(self, leaf: int) -> int:
-        """Inverse of :meth:`iota`: leaf index back to the orbit index."""
-        if not 0 <= leaf < len(self):
-            raise ValueError(f"leaf {leaf} outside [0, {len(self) - 1}]")
-        return leaf + self.lo
-
 
 def low_trunc(a: BinWord, n: int) -> BinWord:
     """The ``n`` least-significant bits ``a_{n-1} ... a_0`` (first doublings)."""

@@ -48,6 +48,16 @@ SUITES = (
     "all",
 )
 
+# the keys each config section takes, by its path; any other key is a config
+# error, so a misspelt key cannot leave its default silently in force
+CONFIG_KEYS = {
+    (): ("target", "kernel", "chains", "iters", "seed", "out", "q0", "conditions"),
+    ("target",): ("kind", "dim", "sigma", "a5"),
+    ("kernel",): ("kind", "h", "k_m", "t", "mass", "weights"),
+    ("kernel", "mass"): ("kind", "diag", "matrix"),
+    ("conditions",): ("l1", "h", "k_m", "t", "m1", "a1", "require"),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -68,6 +78,15 @@ def _load_config(path: str | None) -> dict:
     for key in ("target", "kernel"):
         if not isinstance(config.get(key, {}), dict):
             raise ConfigError(f"{key} must be a JSON object")
+    for path, known in CONFIG_KEYS.items():
+        spec = config
+        for key in path:
+            spec = spec.get(key) if isinstance(spec, dict) else None
+        # a section that is no object is reported where it is read
+        for key in spec if isinstance(spec, dict) else ():
+            if key not in known:
+                raise ConfigError(f"unknown config key {'.'.join((*path, key))}; "
+                                  f"{'.'.join(path) or 'the top level'} takes {', '.join(known)}")
     return config
 
 

@@ -27,9 +27,6 @@ import math
 
 import numpy as np
 
-from .binwords import IndexInterval
-from .orbit import OrbitCache
-
 NEG_INF = -math.inf
 
 
@@ -101,11 +98,6 @@ class WeightTree:
             prev = levels[-1]
             levels.append(np.logaddexp(prev[..., 0::2], prev[..., 1::2]))
         self._levels = levels[::-1]  # _levels[n] has 2^n entries per tree
-
-    @classmethod
-    def from_orbit(cls, cache: OrbitCache, iv: IndexInterval) -> "WeightTree":
-        """Leaves are the orbit log-weights, leaf ``a`` = orbit index ``iv.lo + a``."""
-        return cls(cache.logw_range(iv.lo, iv.hi))
 
     def level(self, n: int) -> np.ndarray:
         return self._levels[n]

@@ -554,7 +554,8 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
     off = (1 << cfg.k_m) - 1  # index j at probs[j + off], j in [-off, off]
     probs = np.zeros(2 * off + 1)
     for iv, frac in orbit_select_pmf(cache, cfg.k_m):
-        row = WeightTree.from_orbit(cache, iv).qhat_row_log(-iv.lo)  # leaf -lo is index 0
+        # leaf -lo is index 0
+        row = WeightTree(cache.logw_range(iv.lo, iv.hi)).qhat_row_log(-iv.lo)
         probs[iv.lo + off:iv.hi + off + 1] += float(frac) * np.exp(row)
     entries = [(j - off, probs[j], cache.state(j - off).q) for j in np.flatnonzero(probs).tolist()]
     return ExactPMF(anchor=x0, entries=entries)
@@ -581,9 +582,8 @@ def hmc_step(
     x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t, grad0)
     e_t = _make_entry(target, cfg.mass, x_t)
     diverged = e_t.diverged
-    # index selection on the two-point orbit {0, T}: the swap coin's ratio
-    alpha = math.exp(accept_log_ratio(e_t.logw, e0.logw))
-    accepted = bool(rng.random() < alpha)
+    # index selection on the two-point orbit {0, T}: the NUTS swap coin
+    accepted = _swap(e_t.logw, e0.logw, rng.random(), None)
     if accepted:
         return e_t.q, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
     return x0.q, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)

@@ -11,12 +11,15 @@ A doubling record ``v`` of length K generates the interval
 size ``2^k`` with ``k in [1, K-1]``, the endpoints of every aligned block of
 that size; the stage-1 check set is empty (the first doubling is always
 accepted).  The stopping time ``S(v)`` is the first stage whose record lies in
-the corresponding U-turn set.
+the corresponding U-turn set.  As a recursion (Hoffman & Gelman 2014, Alg. 3):
+a block is clean if both halves are and its endpoint pair does not turn, a
+state if it did not diverge, so an extension passes iff the record's own pair
+holds and the new half is clean.
 
 The resulting orbit-selection law is purely combinatorial: conditionally on
 the U-turn geometry, each final interval receives a dyadic rational mass, so
 :func:`orbit_select_pmf` computes it exactly with ``Fraction`` arithmetic, in
-one walk over the tree of records.
+one walk over the tree of records, stepping the orbit as far as it reaches.
 
 This module owns, for every sampler, how a state is weighed
 (:func:`_make_entry`) and what a U-turn is (:func:`is_uturn`); every
@@ -197,9 +200,6 @@ class OrbitCache:
     def logw_range(self, lo: int, hi: int) -> np.ndarray:
         return np.array([self.logw(j) for j in range(lo, hi + 1)])
 
-    def any_diverged(self, lo: int, hi: int) -> bool:
-        return any(self._entry(j).diverged for j in range(lo, hi + 1))
-
     def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
         side = self._right if forward else self._left
         top = side[-1] if side else self._anchor
@@ -282,6 +282,16 @@ class OrbitCache:
         return res
 
 
+def _block_ok(cache: OrbitCache, lo: int, n: int) -> bool:
+    """Whether the ``n = 2^k`` states from ``lo`` are a clean block: none diverged,
+    and no aligned block inside, the whole one included, has endpoints that turn."""
+    if n == 1:
+        return not cache.diverged(lo)
+    half = n >> 1
+    return (_block_ok(cache, lo, half) and _block_ok(cache, lo + half, half)
+            and not cache.pair_uturn(lo, lo + n - 1))
+
+
 def no_uturns(v: BinWord, cache: OrbitCache) -> bool:
     """Whether the record ``v`` avoids every stage-K U-turn check.
 
@@ -290,21 +300,12 @@ def no_uturns(v: BinWord, cache: OrbitCache) -> bool:
     empty and the result is True.  Any divergence inside the interval counts
     as a U-turn (the sampler then stops and keeps the previous interval).
     """
-    k_len = v.k
-    if k_len < 1:
+    if v.k < 1:
         raise ValueError("no_uturns requires a nonempty record")
-    lo = -t_minus(v)
-    hi = v.value
+    lo, hi, n = -t_minus(v), v.value, 1 << (v.k - 1)
     if lo < cache.lo or hi > cache.hi:
         raise CacheCoverageError(f"cache [{cache.lo}, {cache.hi}] does not cover [{lo}, {hi}]")
-    if cache.any_diverged(lo, hi):
-        return False
-    for k in range(1, k_len):
-        size = 1 << k
-        for block in range(1 << (k_len - k)):
-            if cache.pair_uturn(lo + block * size, lo + (block + 1) * size - 1):
-                return False
-    return True
+    return _block_ok(cache, lo, n) and _block_ok(cache, lo + n, n)
 
 
 def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, Fraction]]:
@@ -313,24 +314,26 @@ def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, F
     A record offers half its mass to each of its two one-bit extensions (the
     next doubling's direction coin); an extension that passes
     :func:`no_uturns` takes it on, and the record keeps the halves of those
-    that fail.  A record of length ``k_m`` keeps all of its mass.  Returns
+    that fail.  A record that got here passed its own checks, so its extension
+    by a new half passes iff its endpoint pair holds and the new half is a
+    clean block.  A record of length ``k_m`` keeps all of its mass.  Returns
     ``(interval, probability)`` pairs with exact dyadic probabilities summing
-    to 1; sorted by interval.  Requires cache coverage of
-    ``[-2^K_m + 1, 2^K_m - 1]`` (extends on demand).
+    to 1; sorted by interval.  Extends the cache on demand, a new half at a time.
     """
-    cache.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
     masses: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
 
-    def walk(k: int, value: int, mass: Fraction) -> None:
-        if k < k_m:
+    def walk(lo: int, hi: int, mass: Fraction) -> None:
+        n = hi - lo + 1
+        # the root's pair is the anchor twice, which fails only if it diverged
+        if n < 1 << k_m and not cache.pair_uturn(lo, hi):
             half = mass / 2
-            for ext in (value, value | 1 << k):
-                if no_uturns(BinWord(k + 1, ext), cache):
-                    walk(k + 1, ext, half)
+            for a in (lo - n, hi + 1):
+                cache.extend_to(a, a + n - 1)
+                if _block_ok(cache, a, n):
+                    walk(min(lo, a), max(hi, a + n - 1), half)
                     mass -= half
         if mass:
-            # the record (k, value) generates {value - 2^k + 1, ..., value}
-            masses[value + 1 - (1 << k), value] += mass
+            masses[lo, hi] += mass
 
     walk(0, 0, Fraction(1))
     assert sum(masses.values()) == 1

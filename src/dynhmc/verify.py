@@ -177,7 +177,7 @@ def check_detailed_balance(
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
         for iv, _ in orbit_select_pmf(cache, cfg.k_m):
-            tree = WeightTree.from_orbit(cache, iv)
+            tree = WeightTree(cache.logw_range(iv.lo, iv.hi))
             # log flux[a, b] = log w(a) qhat(a, b), compared with flux[b, a] for a < b
             n = len(iv)
             flux = tree.leaves[:, None] + np.stack([tree.qhat_row_log(a) for a in range(n)])

@@ -68,7 +68,7 @@ class TestInterval:
         leaves = [iv.iota(j) for j in iv]
         assert leaves == list(range(len(iv)))  # order-preserving onto [0, 2^K-1]
         for j in iv:
-            assert iv.iota_inv(iv.iota(j)) == j
+            assert iv.lo + iv.iota(j) == j
 
     def test_invalid(self):
         with pytest.raises(ValueError):

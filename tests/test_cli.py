@@ -186,6 +186,35 @@ class TestSample:
         assert want.startswith("inf,-inf,nan,-0,0,4.9406564584124654e-324,")
 
 
+SAMPLE = ["sample", "--iters", "5", "--out", "s.csv"]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "argv,config,key",
+        [
+            (SAMPLE, {"kernel": {"kind": "nuts_iterative", "k_m": 3}, "iter": 5}, "iter"),
+            (SAMPLE, {"target": {"kind": "standard_gaussian", "dims": 2}}, "target.dims"),
+            (SAMPLE, {"kernel": {"kind": "nuts_iterative", "step": 0.1}}, "kernel.step"),
+            (["pmf", "--q", "1.0", "--p", "0.0"],
+             {"kernel": {"mass": {"kind": "diagonal", "diag": [2.0], "dig": [2.0]}}},
+             "kernel.mass.dig"),
+            (["conditions"], {"conditions": {"l1": 1.0, "h": 0.1, "km": 1}}, "conditions.km"),
+        ],
+        ids=["top_level", "target", "kernel", "kernel_mass", "conditions"],
+    )
+    def test_unknown_key_exits_2_naming_it(self, argv, config, key, tmp_path, monkeypatch,
+                                           capsys):
+        # a misspelt key would otherwise leave its default in force
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([argv[0], "--config", "cfg.json", *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown config key {key};" in captured.err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestImports:
     """``sample`` loads scipy only for a dense mass.  Each run is a fresh
     interpreter, because other tests load scipy into this one."""

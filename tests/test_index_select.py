@@ -191,7 +191,7 @@ class TestQhatRow:
 def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
     """Probability that progressive selection on ``iv`` lands on orbit index
     ``j``: the origin's row of the interval's weight tree, at ``j``."""
-    tree = WeightTree.from_orbit(cache, iv)
+    tree = WeightTree(cache.logw_range(iv.lo, iv.hi))
     return float(math.exp(tree.qhat_row_log(iv.iota(0))[iv.iota(j)]))
 
 
@@ -334,7 +334,7 @@ class TestProgressiveSample:
             iv = interval(BinWord(k, v))
             tree = WeightTree(np.array([log_w[j] for j in iv]))
             for leaf, pr in enumerate(qhat_row(tree, iv.iota(0))):
-                probs[((iv.lo, iv.hi), iv.iota_inv(leaf))] = pr / (1 << k)
+                probs[((iv.lo, iv.hi), iv.lo + leaf)] = pr / (1 << k)
         draws = _line_draws(log_w, k, 2500, rng)
         counts: dict[tuple, int] = {}
         for d in draws:

@@ -17,6 +17,7 @@ from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 
 STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)
+DW1 = builtin_target("double_well", 1)
 I1 = MassMatrix.identity(1)
 I2 = MassMatrix.identity(2)
 
@@ -156,16 +157,22 @@ class TestNoUturns:
             for v in range(2**k_len):
                 assert no_uturns(BinWord(k_len, v), cache) is True
 
-    @pytest.mark.parametrize("h,anchor", [(0.1, (1.0, 0.0)), (1.0, (2.0, 0.0)), (1.4, (0.5, 1.0))])
-    def test_matches_brute_force_enumeration(self, h, anchor):
+    @pytest.mark.parametrize(
+        "target,h,anchor",
+        [(STD1, 0.1, (1.0, 0.0)), (STD1, 1.0, (2.0, 0.0)), (STD1, 1.4, (0.5, 1.0)),
+         # diverges at |j| >= 10
+         (DW1, 0.25, (5.0, 0.0))],
+        ids=["0.1-anchor0", "1.0-anchor1", "1.4-anchor2", "double_well"],
+    )
+    def test_matches_brute_force_enumeration(self, target, h, anchor):
         params = LeapfrogParams(h, I1)
-        cache = OrbitCache(STD1, params, PhasePoint(np.array([anchor[0]]), np.array([anchor[1]])))
+        cache = OrbitCache(target, params, PhasePoint(np.array([anchor[0]]), np.array([anchor[1]])))
         cache.extend_to(-15, 15)
         for k_len in (1, 2, 3, 4):
             for v in range(2**k_len):
                 w = BinWord(k_len, v)
-                expected = True
-                for i_lo, i_hi in brute_force_pairs(k_len, t_minus(w)):
+                expected = not any(cache.diverged(j) for j in range(-t_minus(w), v + 1))
+                for i_lo, i_hi in brute_force_pairs(k_len, t_minus(w)) if expected else ():
                     if cache_uturn(cache, i_lo, i_hi):
                         expected = False
                 assert no_uturns(w, cache) is expected
@@ -289,7 +296,7 @@ class TestOrbitSelectPmf:
         for target, params, x0, k_m in self._cases():
             cache = OrbitCache(target, params, x0)
             cache.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
-            diverged = diverged or cache.any_diverged(cache.lo, cache.hi)
+            diverged = diverged or any(cache.diverged(j) for j in range(cache.lo, cache.hi + 1))
             masses = {}
             for b in range(2**k_m):
                 s = stopping_time(BinWord(k_m, b), cache)
@@ -303,6 +310,25 @@ class TestOrbitSelectPmf:
             got = {(iv.lo, iv.hi): fr for iv, fr in orbit_select_pmf(cache, k_m)}
             assert got == masses
         assert diverged
+
+    def test_law_does_not_depend_on_cache_coverage(self):
+        # the walk extends the cache a new half at a time, as far as it reaches
+        for target, params, x0, k_m in self._cases():
+            full = OrbitCache(target, params, x0)
+            full.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
+            fresh = OrbitCache(target, params, x0)
+            assert orbit_select_pmf(fresh, k_m) == orbit_select_pmf(full, k_m)
+            assert fresh.lo >= full.lo and fresh.hi <= full.hi
+
+    def test_walk_steps_fewer_states_than_the_full_orbit(self):
+        # the first exact-law anchor of perfbench/certify.py: every record
+        # stops by depth 5, so most of the 511 states of k_m = 8 are never
+        # reached
+        x0 = PhasePoint(np.array([1.0, -0.5]), np.array([0.3, 0.8]))
+        cache = OrbitCache(STD2, LeapfrogParams(0.15, I2), x0)
+        orbit_select_pmf(cache, 8)
+        assert cache.hi - cache.lo + 1 < 511
+        assert cache.n_grad == cache.hi - cache.lo + 1
 
 
 class TestSymmetryProperty:
