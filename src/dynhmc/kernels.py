@@ -55,13 +55,12 @@ from .index_select import (
 # this module as well as under orbit
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
-    leapfrog_forward,
+    _trajectory,
     leapfrog_step_with_grad,
 )
 from .orbit import (  # noqa: F401
     OrbitCache,
     _Entry,
-    _make_entry,
     _weigh,
     _weigh_rows,
     is_uturn,
@@ -98,8 +97,10 @@ class KernelConfig:
             raise ValueError(f"t = {self.t} must be >= 1")
         if self.kind == "rhmc":
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or w.size < 1 or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ValueError("rhmc weights must be nonnegative and sum to 1")
+            # a nan passes both comparisons below, so finiteness is checked first
+            if (w.ndim != 1 or w.size < 1 or not np.isfinite(w).all() or np.any(w < 0)
+                    or abs(w.sum() - 1.0) > 1e-12):
+                raise ValueError("rhmc weights must be finite, nonnegative and sum to 1")
             object.__setattr__(self, "weights", w)
 
     @cached_property
@@ -573,20 +574,23 @@ def hmc_step(
 ) -> tuple[np.ndarray, TransitionInfo]:
     """One HMC transition with ``T`` leapfrog steps (``T = 1`` is MALA)."""
     t = cfg.t if t is None else t
-    p = momentum_refresh(cfg.mass, rng)
-    x0 = PhasePoint(np.asarray(q, dtype=float), p)
-    # the gradient first, as in OrbitCache: a target may reuse its work in
-    # the potential, and the trajectory starts from this gradient
-    grad0 = target.gradient(x0.q)
-    e0 = _make_entry(target, cfg.mass, x0)
-    x_t, n_grad = leapfrog_forward(target, cfg.params, x0, t, grad0)
-    e_t = _make_entry(target, cfg.mass, x_t)
+    mass, h = cfg.mass, cfg.h
+    p = momentum_refresh(mass, rng)
+    q0 = np.asarray(q, dtype=float)
+    # one errstate for both ends and the trajectory between them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the gradient first, as in OrbitCache: a target may reuse its work in
+        # the potential, and the trajectory starts from this gradient
+        kick0 = (0.5 * h) * target.gradient(q0)
+        e0 = _weigh(target, mass, q0, p)
+        q_t, p_t, n_grad = _trajectory(target.gradient, mass.inv_mul, h, q0, p, kick0, t)
+        e_t = _weigh(target, mass, q_t, p_t)
     diverged = e_t.diverged
     # index selection on the two-point orbit {0, T}: the NUTS swap coin
     accepted = _swap(e_t.logw, e0.logw, rng.random(), None)
     if accepted:
-        return e_t.q, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
-    return x0.q, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)
+        return q_t, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
+    return q0, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)
 
 
 def rhmc_step(

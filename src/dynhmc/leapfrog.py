@@ -12,17 +12,22 @@ which reuses the forward code path and is exactly the identity used by the
 reversibility checks.
 
 Every sampler takes its steps through :func:`leapfrog_step_with_grad`, one
-call per orbit state: :func:`leapfrog_forward` (HMC, :func:`leapfrog_iter`
-and the trajectory solver), :class:`orbit.OrbitCache` (iterative NUTS and the
-exact law) and the recursive and rows NUTS samplers.  The step carries the
-half-kick ``(h/2) grad U(q)``: it finishes the step that reached ``q`` and
-starts the step that leaves it, so each gradient is scaled once, and the
-two half-kicks are not merged into one full kick, which would round
-differently.  Only :class:`orbit.OrbitCache` and the recursive sampler sign
-``h`` by the direction; the rows sampler steps its backward ends, held as
-``(q, -p)``, with ``+h``.  The step enters no ``np.errstate``: an
-overflowing step is the flagged-divergence path, and its caller silences it
-once for all the steps it takes.
+call per orbit state: the step loop of :func:`leapfrog_forward` (HMC,
+:func:`leapfrog_iter` and the trajectory solver), :class:`orbit.OrbitCache`
+(iterative NUTS and the exact law) and the recursive and rows NUTS samplers.
+The step carries the half-kick ``(h/2) grad U(q)``: it finishes the step
+that reached ``q`` and starts the step that leaves it, so each gradient is
+scaled once, and the two half-kicks are not merged into one full kick, which
+would round differently.  Only :class:`orbit.OrbitCache` and the recursive
+sampler sign ``h`` by the direction; the rows sampler steps its backward
+ends, held as ``(q, -p)``, with ``+h``.  The step enters no ``np.errstate``:
+an overflowing step is the flagged-divergence path, and its caller silences
+it once for all the steps it takes.  HMC runs the step loop of
+:func:`leapfrog_forward` inside its own ``np.errstate``, which also holds
+the weighing of both ends.  The loop stops at the first state with a
+non-finite entry, probed by the one dot product ``q . p``: a non-finite
+entry makes it inf or nan, and only when it is not finite are the entries
+tested one by one.
 
 For Gaussian targets ``U(q) = q^T Sigma q / 2`` the T-step map is linear and
 is computed here in closed form; for general targets the module also solves
@@ -102,28 +107,43 @@ def leapfrog_forward(
     params: LeapfrogParams,
     x: PhasePoint,
     t: int,
-    grad: np.ndarray | None = None,
 ) -> tuple[PhasePoint, int]:
     """The t-th forward iterate (``t >= 1``) and the gradients taken to reach it.
 
-    ``grad``, when given, is ``grad U(x.q)``, already computed by the caller.
     Stops at the first non-finite state and returns it, so that the caller
     flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations,
     the one at ``x`` included.
     """
-    gradient, inv_mul, h = target.gradient, params.mass.inv_mul, params.h
-    q, p = x
+    gradient, h = target.gradient, params.h
     with np.errstate(over="ignore", invalid="ignore"):
-        kick = (0.5 * h) * (gradient(q) if grad is None else grad)
-        for s in range(1, t + 1):
-            q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, q, p, kick)
-            # a finite sum of squares means every entry is finite; one that
-            # overflows on finite entries falls through to the exact check
-            if not math.isfinite(q.dot(q) + p.dot(p)) and not (
-                np.isfinite(q).all() and np.isfinite(p).all()
-            ):
-                break  # divergence flag propagates to the caller
-    return PhasePoint(q, p), s + 1
+        kick = (0.5 * h) * gradient(x.q)
+        q, p, n_grad = _trajectory(gradient, params.mass.inv_mul, h, x.q, x.p, kick, t)
+    return PhasePoint(q, p), n_grad
+
+
+def _trajectory(
+    gradient: Callable[[np.ndarray], np.ndarray],
+    inv_mul: Callable[[np.ndarray], np.ndarray],
+    h: float,
+    q: np.ndarray,
+    p: np.ndarray,
+    kick: np.ndarray,
+    t: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The step loop of :func:`leapfrog_forward`: ``(q_s, p_s, s + 1)`` at the
+    last step ``s <= t`` taken, with ``kick = (0.5 * h) * grad U(q)``.
+
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    for s in range(1, t + 1):
+        q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, q, p, kick)
+        # a non-finite entry makes its product with the other vector's entry
+        # inf or nan (inf * 0 is nan), which no sum makes finite again: a
+        # finite q . p means every entry is finite, and one that overflows on
+        # finite entries falls through to the exact check
+        if not math.isfinite(q.dot(p)) and not (np.isfinite(q).all() and np.isfinite(p).all()):
+            break  # divergence flag propagates to the caller
+    return q, p, s + 1
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ the U-turn geometry, each final interval receives a dyadic rational mass, so
 one walk over the tree of records, stepping the orbit as far as it reaches.
 
 This module owns, for every sampler, how a state is weighed
-(:func:`_make_entry`) and what a U-turn is (:func:`is_uturn`); every
+(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`); every
 sampler takes its steps through :func:`leapfrog.leapfrog_step_with_grad`,
 carrying the half-kick of the state it steps from, with ``h`` signed by the
 direction except in the rows sampler, which holds its backward ends as
@@ -37,8 +37,10 @@ not warned about.  The step and :func:`_weigh` enter no ``np.errstate``
 themselves: their caller holds ``np.errstate(over="ignore",
 invalid="ignore")`` around all the states it computes.
 :class:`OrbitCache` enters it once per extension call, so the iterative
-sampler pays for it once per doubling stage; the recursive sampler enters
-it once per transition, and :func:`_make_entry` to weigh a single state.
+sampler pays for it once per doubling stage; the recursive sampler, the
+rows sampler and HMC enter it once per transition.  :func:`_make_entry`
+enters it to weigh a single state, for the command line's check that a
+configured start is not divergent.
 """
 
 from __future__ import annotations

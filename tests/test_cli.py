@@ -153,6 +153,18 @@ class TestSample:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_rhmc_weight_exits_2(self, tmp_path, capsys):
+        # json.load reads NaN; a nan weight passes both the sign and the sum
+        # test, and T would be drawn as if it were the rest
+        path = tmp_path / "bad.json"
+        path.write_text('{"kernel": {"kind": "rhmc", "weights": [0.5, NaN]}}')
+        out = tmp_path / "s.csv"
+        rc = main(["sample", "--config", str(path), "--iters", "5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel: ") and "weights" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["--seed", "NUTS_SEED"])
     def test_negative_seed_exits_2_naming_source(self, source, gauss2_config, monkeypatch,
                                                  capsys):

@@ -67,6 +67,13 @@ class TestKernelConfig:
         assert cfg.params.h == 0.2 and cfg.params.mass is I1
         assert dataclasses.replace(cfg, h=0.3).params.h == 0.3
 
+    # a nan passes the sign and the sum test; only the finiteness test rejects it
+    @pytest.mark.parametrize("weights", [[0.5, math.nan], [math.nan, 0.5, 0.5], [math.nan],
+                                         [1.0, math.inf]])
+    def test_non_finite_rhmc_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights"):
+            KernelConfig("rhmc", h=0.1, mass=I1, weights=np.array(weights))
+
 
 class TestIterativeNuts:
     def test_flat_km1_jumps_one_step(self):
@@ -400,6 +407,37 @@ class TestHmcStreamPin:
             rhmc_step, name, kind="rhmc", weights=np.array([0.1, 0.2, 0.3, 0.4])
         )
         assert got == self.RHMC_PINS[name]
+
+
+class TestHmcDivergentStreamPin:
+    # Captured from hmc_step whose step loop probed q.q + p.p for finiteness.
+    # On this double well 264 of the 300 transitions diverge, the trajectories
+    # take 6 to 12 of the 12 steps, and 18 accept: the q . p probe must stop every
+    # trajectory at the same step, so the draws, the gradient counts and the
+    # stream stay as they were.
+    PIN = (
+        "903297c03dc185c8623f6e57f55f2fd4fa53954349d9ce47dd67d0fb3fa28956",
+        "f08be3fd6e288942fc905f13f7661a725314085470bfdb2f6884f51c00044bf2",
+        0.42248998017349115,
+    )
+
+    def test_draws_and_gradient_counts_pinned(self):
+        dw = builtin_target("double_well", 1)
+        cfg = KernelConfig("hmc", h=1.4, mass=I1, t=12)
+        rng = np.random.default_rng(2024)
+        q = np.array([1.0])
+        q_digest = hashlib.sha256()
+        n_grad = []
+        n_div = 0
+        for _ in range(300):
+            q, info = hmc_step(dw, cfg, q, rng)
+            q_digest.update(q.tobytes())
+            n_grad.append(info.n_grad)
+            n_div += info.diverged
+        assert n_div == 264 and set(n_grad) == set(range(7, 14))
+        got = (q_digest.hexdigest(), hashlib.sha256(repr(n_grad).encode()).hexdigest(),
+               rng.random())
+        assert got == self.PIN
 
 
 class TestIterativeGradientAccounting:

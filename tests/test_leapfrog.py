@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,65 @@ class TestLeapfrogStep:
         assert n_grad == s + 1
         if kind == "double_well" and t > 1:
             assert n_grad < t + 1  # the trajectory stopped early
+
+
+def _entrywise_forward(target, mass, h, q, p, t):
+    """``leapfrog_forward`` with its probe replaced by the entrywise test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kick = (0.5 * h) * target.gradient(q)
+        for s in range(1, t + 1):
+            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+            if not (np.isfinite(q).all() and np.isfinite(p).all()):
+                break
+    return q, p, s + 1
+
+
+# a target whose gradient is 0 up to q[0] = 1.5 and g past it, finite or not
+def _gradient_past(g):
+    g = np.array(g)
+    zero = np.zeros_like(g)
+    return Target(dim=g.size, potential=lambda q: 0.0,
+                  gradient=lambda q: g if q[0] > 1.5 else zero, name="ramp")
+
+
+class TestFiniteProbe:
+    """The step loop probes ``q . p``: every case stops where a loop that
+    tests each entry with ``np.isfinite`` stops, with the same bytes."""
+
+    @pytest.mark.parametrize(
+        "g,h,q0,p0,stop",
+        [
+            # an inf in q where p is 0: q . p is inf * 0, nan
+            ([0.0, 0.0], 0.5, [math.inf, 1.0], [0.0, 1.0], 1),
+            # the kick at q1 = (2, 0) puts a lone inf in p, q finite: q . p is -inf
+            ([math.inf, 0.0], 1.0, [1.0, 0.0], [1.0, 0.0], 1),
+            # ... and where q is 0: q . p is 2 + 0 * -inf, nan
+            ([0.0, math.inf], 1.0, [1.0, 0.0], [1.0, 0.0], 1),
+            # a nan in q
+            ([0.0, 0.0], 0.5, [math.nan, 1.0], [1.0, 1.0], 1),
+            # finite kicks of 1e308 whose sum overflows at the second step
+            ([1e308, 1e308], 2.0, [2.0, 0.0], [1e308, 1e308], 2),
+            # finite entries whose q . p overflows to inf, or to inf - inf = nan:
+            # the exact check finds them finite and the trajectory runs on
+            ([0.0, 0.0], 0.5, [1e200, 0.0], [1e200, 1.0], None),
+            ([0.0, 0.0], 0.5, [1e200, -1e200], [1e200, 1e200], None),
+        ],
+        ids=["inf_q_zero_p", "inf_p", "inf_p_zero_q", "nan_q", "kick_overflows",
+             "dot_overflows", "dot_overflows_to_nan"],
+    )
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_stops_where_entrywise_check_stops(self, g, h, q0, p0, stop, t):
+        target = _gradient_past(g)
+        mass = MassMatrix.identity(len(q0))
+        q, p = np.array(q0), np.array(p0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x_t, n_grad = leapfrog_forward(target, LeapfrogParams(h, mass), PhasePoint(q, p), t)
+        q_ref, p_ref, n_ref = _entrywise_forward(target, mass, h, q, p, t)
+        assert n_grad == n_ref == min(t, stop or t) + 1
+        assert x_t.q.tobytes() == q_ref.tobytes() and x_t.p.tobytes() == p_ref.tobytes()
+        if stop is not None and stop <= t:
+            assert not (np.isfinite(x_t.q).all() and np.isfinite(x_t.p).all())
 
 
 class TestLeapfrogIter:
