@@ -15,7 +15,9 @@ level is accepted and however many of its states are computed.  This makes
 every run reproducible from ``(seed, config)`` independent of internal
 control flow.  The multinomial uniform is drawn at every level even where
 it is not read: stage 0 adds a single state, which is its own pick, and a
-later stage picks from its new half only when the swap accepts.  The rows
+later stage's pick from its new half is kept only when its swap accepts and
+no later swap overwrites it, so the scalar sampler makes one multinomial
+pick per transition, at the last later stage whose swap took.  The rows
 sampler (:func:`nuts_step_iterative_rows`) moves C independent chains at
 once and draws the same uniforms in blocks: one ``(C, d)`` block of
 momentum normals, then per stage one ``(C_stage, 3)`` block with a row for
@@ -55,6 +57,7 @@ from .index_select import (
 # this module as well as under orbit
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
+    Step,
     _trajectory,
     leapfrog_step_with_grad,
 )
@@ -215,7 +218,9 @@ def nuts_transition_iterative(
     U-turn.  Each stage attempted draws three uniforms, however many states
     it computes.  Stage 0 adds one state, whose log-weight is the new half's
     log-sum and which is its own pick; a later stage computes its log-sum
-    always and its multinomial pick only when the swap accepts.
+    always.  A swap replaces the running pick, so only the last later stage
+    whose swap took makes its multinomial pick, once the loop ends.  One
+    ``np.errstate`` holds every stage's checked growth.
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -224,39 +229,47 @@ def nuts_transition_iterative(
         return x0.q, TransitionInfo(0, (0, 0), 0, cache.n_grad, True)
 
     j = 0
+    took = None  # the last later stage whose swap took: what its pick reads
     logw_tot = cache.logw(0)
     lo = hi = 0  # the accepted interval
     k_f = 0
     diverged = False
-    for k in range(cfg.k_m):
-        u_dir = rng.random()
-        u_mult = rng.random()
-        u_swap = rng.random()
-        if k and cache.pair_uturn(lo, hi):
-            break
-        n = 1 << k
-        right = u_dir < 0.5
-        if right:
-            seg_lo = hi + 1
-            seg_logw, diverged = cache.extend_right(n, check=True)
-        else:
-            seg_lo = lo - n
-            seg_logw, diverged = cache.extend_left(n, check=True)
-        if seg_logw is None:
-            break
-        if k:
-            seg_logw = np.array(seg_logw)
-            logw_new = logsumexp(seg_logw)
-        else:  # one state: its own log-sum and its own pick
-            logw_new = seg_logw[0]
-        if _swap(logw_new, logw_tot, u_swap, mutate):
-            j = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new) if k else seg_lo
-        if right:
-            hi += n
-        else:
-            lo = seg_lo
-        logw_tot = logaddexp(logw_tot, logw_new)
-        k_f = k + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.k_m):
+            u_dir = rng.random()
+            u_mult = rng.random()
+            u_swap = rng.random()
+            if k and cache.pair_uturn(lo, hi):
+                break
+            n = 1 << k
+            right = u_dir < 0.5
+            if right:
+                seg_lo = hi + 1
+                seg_logw, diverged = cache.extend_right(n, check=True)
+            else:
+                seg_lo = lo - n
+                seg_logw, diverged = cache.extend_left(n, check=True)
+            if seg_logw is None:
+                break
+            if k:
+                seg_logw = np.array(seg_logw)
+                logw_new = logsumexp(seg_logw)
+            else:  # one state: its own log-sum and its own pick
+                logw_new = seg_logw[0]
+            if _swap(logw_new, logw_tot, u_swap, mutate):
+                if k:
+                    took = seg_lo, seg_logw, u_mult, logw_new
+                else:
+                    j = seg_lo
+            if right:
+                hi += n
+            else:
+                lo = seg_lo
+            logw_tot = logaddexp(logw_tot, logw_new)
+            k_f = k + 1
+        if took is not None:
+            seg_lo, seg_logw, u_mult, logw_new = took
+            j = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new)
 
     return cache.state(j).q, TransitionInfo(
         j_f=j, i_f=(lo, hi), k_f=k_f, n_grad=cache.n_grad, diverged=diverged
@@ -320,7 +333,7 @@ def nuts_transition_iterative_rows(
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
-    mass, h = cfg.mass, cfg.h
+    mass, step = cfg.mass, cfg.params.steps[True]
     grad_rows = partial(gradient_rows, target)
     q0 = np.ascontiguousarray(x0.q, dtype=float)
     p0 = np.ascontiguousarray(x0.p, dtype=float)
@@ -332,10 +345,10 @@ def nuts_transition_iterative_rows(
     n_grad = np.ones(c, dtype=np.int64)
     # one errstate for every state stepped and weighed, as in OrbitCache
     with np.errstate(over="ignore", invalid="ignore"):
-        kick0 = (0.5 * h) * grad_rows(q0)
+        kick0 = step.half * grad_rows(q0)
         vel0, logw_tot, diverged = _weigh_rows(target, mass, q0, p0)
         # the state at each end of the accepted interval, index 0 lo and 1 hi,
-        # in its outward frame, with its half-kick for the step +h
+        # in its outward frame, with its half-kick for the forward step
         end_q, end_p = np.stack([q0, q0]), np.stack([-p0, p0])
         end_v, end_k = np.stack([-vel0, vel0]), np.stack([kick0, kick0])
         rows = np.flatnonzero(~diverged)
@@ -359,7 +372,7 @@ def nuts_transition_iterative_rows(
             starts: list = [None] * k  # level l: first state of the open block of size 2^(l+1)
             opens = k  # the first state opens every level
             for i in range(1, n + 1):
-                q, p, kick = leapfrog_step_with_grad(grad_rows, mass.inv_mul, h, q, p, kick)
+                q, p, kick = leapfrog_step_with_grad(grad_rows, mass.inv_mul, step, q, p, kick)
                 vel, logw, stop = _weigh_rows(target, mass, q, p)
                 new_q[i - 1, live] = q
                 new_w[live, i - 1] = logw
@@ -435,25 +448,26 @@ class _RecTree:
 def _build_tree(
     target: Target,
     mass: MassMatrix,
-    h: float,
+    steps: tuple[Step, Step],
+    forward: bool,
     frm: _RecState,
     depth: int,
     rng: np.random.Generator,
 ) -> _RecTree:
-    """The subtree of ``2^depth`` states past ``frm``; ``h`` is signed by the
-    direction of growth."""
+    """The subtree of ``2^depth`` states past ``frm``, grown ``forward`` or
+    backward with ``steps[forward]``."""
     if depth == 0:
         q, p, kick = leapfrog_step_with_grad(
-            target.gradient, mass.inv_mul, h, frm.entry.q, frm.entry.p, frm.kick
+            target.gradient, mass.inv_mul, steps[forward], frm.entry.q, frm.entry.p, frm.kick
         )
         entry = _weigh(target, mass, q, p)
-        st = _RecState(entry, kick, frm.idx + 1 if h > 0 else frm.idx - 1)
+        st = _RecState(entry, kick, frm.idx + 1 if forward else frm.idx - 1)
         return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged, 1)
-    t1 = _build_tree(target, mass, h, frm, depth - 1, rng)
+    t1 = _build_tree(target, mass, steps, forward, frm, depth - 1, rng)
     if t1.stop:
         return t1
-    t2 = _build_tree(target, mass, h, t1.end, depth - 1, rng)
-    if h > 0:
+    t2 = _build_tree(target, mass, steps, forward, t1.end, depth - 1, rng)
+    if forward:
         lo, hi = t1.lo, t2.hi
     else:
         lo, hi = t2.lo, t1.hi
@@ -499,11 +513,11 @@ def nuts_transition_recursive(
     """The tree recursion at a fixed phase point (momentum already drawn)."""
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
-    mass, h = cfg.mass, cfg.h
+    mass, steps = cfg.mass, cfg.params.steps
     # one errstate for every state the recursion steps and weighs
     with np.errstate(over="ignore", invalid="ignore"):
         # the gradient before the potential, as in OrbitCache
-        kick0 = (0.5 * h) * target.gradient(x0.q)
+        kick0 = steps[True].half * target.gradient(x0.q)
         entry0 = _weigh(target, mass, x0.q, x0.p)
         n_grad = 1  # the anchor's gradient
         if entry0.diverged:
@@ -515,8 +529,8 @@ def nuts_transition_recursive(
         k_f = 0
         diverged = False
         for k in range(cfg.k_m):
-            v_k = 1 if rng.random() < 0.5 else 0
-            node = _build_tree(target, mass, h if v_k else -h, hi if v_k else lo, k, rng)
+            v_k = rng.random() < 0.5
+            node = _build_tree(target, mass, steps, v_k, hi if v_k else lo, k, rng)
             n_grad += node.n
             if node.stop:
                 diverged = diverged or node.diverged
@@ -574,16 +588,16 @@ def hmc_step(
 ) -> tuple[np.ndarray, TransitionInfo]:
     """One HMC transition with ``T`` leapfrog steps (``T = 1`` is MALA)."""
     t = cfg.t if t is None else t
-    mass, h = cfg.mass, cfg.h
+    mass, step = cfg.mass, cfg.params.steps[True]
     p = momentum_refresh(mass, rng)
     q0 = np.asarray(q, dtype=float)
     # one errstate for both ends and the trajectory between them
     with np.errstate(over="ignore", invalid="ignore"):
         # the gradient first, as in OrbitCache: a target may reuse its work in
         # the potential, and the trajectory starts from this gradient
-        kick0 = (0.5 * h) * target.gradient(q0)
+        kick0 = step.half * target.gradient(q0)
         e0 = _weigh(target, mass, q0, p)
-        q_t, p_t, n_grad = _trajectory(target.gradient, mass.inv_mul, h, q0, p, kick0, t)
+        q_t, p_t, n_grad = _trajectory(target.gradient, mass.inv_mul, step, q0, p, kick0, t)
         e_t = _weigh(target, mass, q_t, p_t)
     diverged = e_t.diverged
     # index selection on the two-point orbit {0, T}: the NUTS swap coin

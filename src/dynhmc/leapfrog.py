@@ -18,16 +18,20 @@ call per orbit state: the step loop of :func:`leapfrog_forward` (HMC,
 The step carries the half-kick ``(h/2) grad U(q)``: it finishes the step
 that reached ``q`` and starts the step that leaves it, so each gradient is
 scaled once, and the two half-kicks are not merged into one full kick, which
-would round differently.  Only :class:`orbit.OrbitCache` and the recursive
-sampler sign ``h`` by the direction; the rows sampler steps its backward
-ends, held as ``(q, -p)``, with ``+h``.  The step enters no ``np.errstate``:
-an overflowing step is the flagged-divergence path, and its caller silences
-it once for all the steps it takes.  HMC runs the step loop of
-:func:`leapfrog_forward` inside its own ``np.errstate``, which also holds
-the weighing of both ends.  The loop stops at the first state with a
-non-finite entry, probed by the one dot product ``q . p``: a non-finite
-entry makes it inf or nan, and only when it is not finite are the entries
-tested one by one.
+would round differently.  The step constants live on :class:`LeapfrogParams`:
+``params.steps[forward]`` is ``(h, h/2)``, or ``(-h, -h/2)`` backward, built
+once as 0-d float64 arrays, and every caller passes one of them to the step
+and scales its first half-kick by its ``half``.  A 0-d array times a vector
+skips numpy's conversion of a Python float and rounds to the same product.
+Only :class:`orbit.OrbitCache` and the recursive sampler step backward; the
+rows sampler steps its backward ends, held as ``(q, -p)``, forward.  The
+step enters no ``np.errstate``: an overflowing step is the flagged-divergence
+path, and its caller silences it once for all the steps it takes.  HMC runs
+the step loop of :func:`leapfrog_forward` inside its own ``np.errstate``,
+which also holds the weighing of both ends.  The loop stops at the first
+state with a non-finite entry, probed by the one dot product ``q . p``: a
+non-finite entry makes it inf or nan, and only when it is not finite are the
+entries tested one by one.
 
 For Gaussian targets ``U(q) = q^T Sigma q / 2`` the T-step map is linear and
 is computed here in closed form; for general targets the module also solves
@@ -40,8 +44,8 @@ contracts at rate ``cos(pi/T) + L1 h^2 / 2`` whenever ``L1 h^2 <
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,36 +60,63 @@ class NoConvergence(RuntimeError):
     """Fixed-point iteration failed to reach tolerance within its budget."""
 
 
+class Step(NamedTuple):
+    """The signed step size and its half, ``(h, h/2)`` or ``(-h, -h/2)``."""
+
+    h: np.ndarray | float
+    half: np.ndarray | float
+
+
+def _constant(x: float) -> np.ndarray:
+    a = np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class LeapfrogParams:
+    """Step size and mass matrix, with the signed step constants built once.
+
+    ``steps[forward]`` is the :class:`Step` ``(h, h/2)`` for ``forward`` true
+    and ``(-h, -h/2)`` otherwise, each entry a read-only 0-d float64 array.
+    """
+
     h: float
     mass: MassMatrix
+    steps: tuple[Step, Step] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"step size must be positive and finite, got {self.h}")
+        h = float(self.h)
+        steps = (Step(_constant(-h), _constant(0.5 * -h)), Step(_constant(h), _constant(0.5 * h)))
+        object.__setattr__(self, "steps", steps)
 
 
 def leapfrog_step_with_grad(
     gradient: Callable[[np.ndarray], np.ndarray],
     inv_mul: Callable[[np.ndarray], np.ndarray],
-    h: float,
+    step: Step | tuple[float, float],
     q: np.ndarray,
     p: np.ndarray,
     kick: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One step ``(q, p, kick) -> (q1, p1, kick1)`` with ``kick = (0.5 * h) * grad U(q)``.
+    """One step ``(q, p, kick) -> (q1, p1, kick1)`` with ``kick = half * grad U(q)``.
 
-    ``h`` may carry the direction's sign: the step with ``-h`` is ``Phi^{(-1)}
-    = flip . Phi^{(1)} . flip`` bit for bit, because negating an operand
-    negates every rounded result.  A step costs one gradient evaluation, so
-    a T-step trajectory costs T + 1.  ``gradient`` and ``inv_mul`` act on a
-    vector, or on ``(C, d)`` rows that all step with the one ``h``.  The
-    caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+    ``step`` is ``(h, half)`` with ``half = 0.5 * h``: a :class:`Step` of
+    :attr:`LeapfrogParams.steps`, or the same two values as floats, which
+    give the same bits.  ``h`` may carry the direction's sign: the step with
+    ``-h`` is ``Phi^{(-1)} = flip . Phi^{(1)} . flip`` bit for bit, because
+    negating an operand negates every rounded result.  A step costs one
+    gradient evaluation, so a T-step trajectory costs T + 1.  ``gradient``
+    and ``inv_mul`` act on a vector, or on ``(C, d)`` rows that all step
+    with the one ``h``.  The caller holds ``np.errstate(over="ignore",
+    invalid="ignore")``.
     """
+    h, half = step
     p_half = p - kick
     q1 = q + h * inv_mul(p_half)
-    kick1 = (0.5 * h) * gradient(q1)
+    kick1 = half * gradient(q1)
     return q1, p_half - kick1, kick1
 
 
@@ -114,29 +145,29 @@ def leapfrog_forward(
     flags the divergence; ``s`` steps take ``s + 1`` gradient evaluations,
     the one at ``x`` included.
     """
-    gradient, h = target.gradient, params.h
+    gradient, step = target.gradient, params.steps[True]
     with np.errstate(over="ignore", invalid="ignore"):
-        kick = (0.5 * h) * gradient(x.q)
-        q, p, n_grad = _trajectory(gradient, params.mass.inv_mul, h, x.q, x.p, kick, t)
+        kick = step.half * gradient(x.q)
+        q, p, n_grad = _trajectory(gradient, params.mass.inv_mul, step, x.q, x.p, kick, t)
     return PhasePoint(q, p), n_grad
 
 
 def _trajectory(
     gradient: Callable[[np.ndarray], np.ndarray],
     inv_mul: Callable[[np.ndarray], np.ndarray],
-    h: float,
+    step: Step,
     q: np.ndarray,
     p: np.ndarray,
     kick: np.ndarray,
     t: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The step loop of :func:`leapfrog_forward`: ``(q_s, p_s, s + 1)`` at the
-    last step ``s <= t`` taken, with ``kick = (0.5 * h) * grad U(q)``.
+    last step ``s <= t`` taken, with ``kick = step.half * grad U(q)``.
 
     The caller holds ``np.errstate(over="ignore", invalid="ignore")``.
     """
     for s in range(1, t + 1):
-        q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, q, p, kick)
+        q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, q, p, kick)
         # a non-finite entry makes its product with the other vector's entry
         # inf or nan (inf * 0 is nan), which no sum makes finite again: a
         # finite q . p means every entry is finite, and one that overflows on

@@ -22,25 +22,26 @@ the U-turn geometry, each final interval receives a dyadic rational mass, so
 one walk over the tree of records, stepping the orbit as far as it reaches.
 
 This module owns, for every sampler, how a state is weighed
-(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`); every
-sampler takes its steps through :func:`leapfrog.leapfrog_step_with_grad`,
-carrying the half-kick of the state it steps from, with ``h`` signed by the
-direction except in the rows sampler, which holds its backward ends as
-``(q, -p)`` and steps with ``+h``.  The rows sampler weighs and checks
-``(C, d)`` arrays of states with :func:`_weigh_rows` and
-:func:`is_uturn_rows`, equal row by row.  A state is divergent, with weight
-zero, on non-finite states or energies, or a squared norm ``|q|^2 + |p|^2``
-that overflows.
+(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`); every sampler
+takes its steps through :func:`leapfrog.leapfrog_step_with_grad`, carrying
+the half-kick of the state it steps from, with the step constants of
+:attr:`leapfrog.LeapfrogParams.steps` signed by the direction except in the
+rows sampler, which holds its backward ends as ``(q, -p)`` and steps
+forward.  The rows sampler weighs and checks ``(C, d)`` arrays of states
+with :func:`_weigh_rows` and :func:`is_uturn_rows`, equal row by row.  A
+state is divergent, with weight zero, on non-finite states or energies, or a
+squared norm ``|q|^2 + |p|^2`` that overflows.
 
 Stepping and weighing overflow on a divergent state, and that is flagged,
 not warned about.  The step and :func:`_weigh` enter no ``np.errstate``
 themselves: their caller holds ``np.errstate(over="ignore",
-invalid="ignore")`` around all the states it computes.
-:class:`OrbitCache` enters it once per extension call, so the iterative
-sampler pays for it once per doubling stage; the recursive sampler, the
-rows sampler and HMC enter it once per transition.  :func:`_make_entry`
-enters it to weigh a single state, for the command line's check that a
-configured start is not divergent.
+invalid="ignore")`` around all the states it computes.  :class:`OrbitCache`
+enters it when it weighs its anchor and for each unchecked extension call.
+Its checked growth, the new half of a doubling stage, enters none: the
+iterative sampler holds one for its whole transition, as the recursive
+sampler, the rows sampler and HMC do.  :func:`_make_entry` enters it to
+weigh a single state, for the command line's check that a configured start
+is not divergent.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class OrbitCache:
         p0 = np.asarray(anchor.p, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             # the gradient first: a target may reuse its work in the potential
-            kick0 = (0.5 * params.h) * target.gradient(q0)
+            kick0 = params.steps[True].half * target.gradient(q0)
             self._anchor = _weigh(target, self.mass, q0, p0)
         self._right: list[_Entry] = []  # indices 1, 2, ...
         self._left: list[_Entry] = []  # indices -1, -2, ...
@@ -200,53 +201,60 @@ class OrbitCache:
         return self._entry(j).diverged
 
     def logw_range(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.logw(j) for j in range(lo, hi + 1)])
+        """The log-weights of the indices ``lo .. hi``, in index order."""
+        if lo < self.lo or hi > self.hi:
+            raise CacheCoverageError(f"[{lo}, {hi}] beyond cached range [{self.lo}, {self.hi}]")
+        # index j < 0 is _left[-j - 1] and j > 0 is _right[j - 1]
+        left = self._left[max(-hi, 1) - 1:max(-lo, 0)]
+        logw = [e.logw for e in reversed(left)]
+        if lo <= 0 <= hi:
+            logw.append(self._anchor.logw)
+        logw += [e.logw for e in self._right[max(lo, 1) - 1:max(hi, 0)]]
+        return np.array(logw)
 
     def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
+        if check:  # the caller holds the errstate
+            return self._grow(forward, n, True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._grow(forward, n, False)
+        return None
+
+    def _grow(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
         side = self._right if forward else self._left
         top = side[-1] if side else self._anchor
         target, mass, kick = self.target, self.mass, self._kick[forward]
         gradient, inv_mul = target.gradient, mass.inv_mul
-        h = self.params.h if forward else -self.params.h
+        step = self.params.steps[forward]
         n_grad = 0
         logw: list[float] = []  # the new states' log-weights, in the order computed
-        stopped = False
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, n + 1):
-                if not top.diverged:
-                    q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, h, top.q, top.p, kick)
-                    top = _weigh(target, mass, q, p)
-                    n_grad += 1
-                side.append(top)
-                if check:
-                    # an odd i completes no block of the new half
-                    if top.diverged or (not i & 1 and self._turned(side, i, forward)):
-                        stopped = True
-                        break
-                    logw.append(top.logw)
+        for i in range(1, n + 1):
+            if not top.diverged:
+                q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, top.q, top.p, kick)
+                top = _weigh(target, mass, q, p)
+                n_grad += 1
+            side.append(top)
+            if check:
+                # the aligned blocks of the new half that end here, of size
+                # 2, 4, ... dividing i
+                turned = top.diverged
+                size = 2
+                while not (turned or i % size):
+                    start = side[-size]
+                    lo, hi = (start, top) if forward else (top, start)
+                    turned = is_uturn(lo.q, lo.vel, hi.q, hi.vel)
+                    size <<= 1
+                if turned:
+                    break
+                logw.append(top.logw)
         self._kick[forward] = kick
         self.n_grad += n_grad
         if not check:
             return None
-        if stopped:
+        if len(logw) < n:  # stopped early
             return None, top.diverged
         if not forward:
             logw.reverse()
         return logw, False
-
-    @staticmethod
-    def _turned(side: list[_Entry], i: int, forward: bool) -> bool:
-        """Whether the ``i``-th new state completes an aligned block of the new
-        half (size 2, 4, ... dividing ``i``) whose endpoints turn."""
-        end = side[-1]
-        size = 2
-        while not i % size:
-            start = side[-size]
-            lo, hi = (start, end) if forward else (end, start)
-            if is_uturn(lo.q, lo.vel, hi.q, hi.vel):
-                return True
-            size <<= 1
-        return False
 
     def extend_right(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the right; see :meth:`extend_left`."""
@@ -254,7 +262,7 @@ class OrbitCache:
 
     def extend_left(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the left, stepping and weighing them in one
-        ``np.errstate``.
+        ``np.errstate`` unless ``check`` is set.
 
         With ``check`` the growth is the new half of a doubling stage, checked
         as it comes: the i-th new state ends it if it diverged, or if it
@@ -262,7 +270,9 @@ class OrbitCache:
         dividing i, so only at even i) whose endpoints turn.  Then returns
         ``(logw, diverged)``: a list of the new states' log-weights in index
         order, gathered as they are computed, or None if the growth ended
-        early, and whether it ended at a divergent state.
+        early, and whether it ended at a divergent state.  Checked growth
+        enters no ``np.errstate``: its caller holds
+        ``np.errstate(over="ignore", invalid="ignore")``.
         """
         return self._extend(False, n, check)
 

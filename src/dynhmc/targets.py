@@ -42,6 +42,7 @@ class MassMatrix:
     def __init__(self, kind: str, dim: int, diag=None, matrix=None):
         self.kind = kind
         self.dim = dim
+        self.is_identity = kind == "identity"
         self._diag = diag
         self._matrix = matrix
         if kind == "identity":
@@ -84,10 +85,6 @@ class MassMatrix:
     def dense(cls, matrix) -> "MassMatrix":
         matrix = np.asarray(matrix, dtype=float)
         return cls("dense", matrix.shape[0], matrix=matrix)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kind == "identity"
 
     def mul(self, v: np.ndarray) -> np.ndarray:
         """Forward action ``M v``."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import dynhmc.kernels
 from dynhmc.kernels import (
     KernelConfig,
     TransitionInfo,
@@ -502,6 +503,16 @@ class TestIterativeDivergenceSemantics:
         assert info.diverged
         assert (info.k_f, info.j_f, info.n_grad) == (0, 0, 2)
 
+    @pytest.mark.parametrize("uniforms, k_f", [([0.25] * 3, 0), ([0.75, 0.5, 0.5, 0.25, 0.5, 0.5], 1)])
+    def test_checked_growth_into_divergence_is_silent(self, uniforms, k_f):
+        # from state 9 the checked growth steps into the overflowing state,
+        # at stage 0 going right, or at stage 1 after a step left; no caller
+        # holds an np.errstate, so the transition must hold its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, info = nuts_transition_iterative(self.DW, self.CFG, self._anchor(9), _Script(uniforms))
+        assert info.diverged and info.k_f == k_f
+
 
 class _Script:
     """A generator stand-in that returns scripted uniforms in order."""
@@ -542,6 +553,34 @@ def _oracle_case(name):
     anchors = [PhasePoint(1.5 * g.standard_normal(d), mass.chol_mul(g.standard_normal(d)))
                for _ in range(6)]
     return target, mass, h, anchors
+
+
+class TestOnePickPerTransition:
+    """The iterative sampler makes one multinomial pick per transition, for
+    the last later stage whose swap took."""
+
+    @pytest.mark.parametrize("mutate", [None, "always-swap"])
+    def test_at_most_one_pick(self, monkeypatch, mutate):
+        calls = []
+        pick = dynhmc.kernels.multinomial_pick
+
+        def counted(*args):
+            calls.append(args)
+            return pick(*args)
+
+        monkeypatch.setattr(dynhmc.kernels, "multinomial_pick", counted)
+        cfg = KernelConfig("nuts_iterative", h=0.5, mass=I2, k_m=6)
+        rng = np.random.default_rng(4)
+        q, deep = np.array([3.0, -1.0]), 0
+        for _ in range(300):
+            del calls[:]
+            q, info = nuts_step_iterative(STD2, cfg, q, rng, mutate=mutate)
+            assert len(calls) <= 1
+            if mutate:  # every stage swaps: the last one past stage 0 picks
+                assert len(calls) == (info.k_f >= 2)
+                deep += info.k_f >= 3
+        if mutate:
+            assert deep  # transitions whose earlier picks were overwritten
 
 
 class TestCheckedGrowthMatchesOracle:

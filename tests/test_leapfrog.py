@@ -15,7 +15,7 @@ from dynhmc.leapfrog import (
     trajectory_solve,
     tridiag_a,
 )
-from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target, flip
+from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target, flip, gradient_rows
 
 
 def flat_target(dim):
@@ -65,10 +65,10 @@ class TestLeapfrogStep:
             x = PhasePoint(rng.standard_normal(3), rng.standard_normal(3))
             grad = target.gradient(x.q)
             q_b, p_b, kick_b = leapfrog_step_with_grad(
-                target.gradient, mass.inv_mul, -h, x.q, x.p, (0.5 * -h) * grad
+                target.gradient, mass.inv_mul, (-h, 0.5 * -h), x.q, x.p, (0.5 * -h) * grad
             )
             q_f, p_f, kick_f = leapfrog_step_with_grad(
-                target.gradient, mass.inv_mul, h, x.q, -x.p, (0.5 * h) * grad
+                target.gradient, mass.inv_mul, (h, 0.5 * h), x.q, -x.p, (0.5 * h) * grad
             )
             assert np.array_equal(q_b, q_f) and np.array_equal(p_b, -p_f)
             assert np.array_equal(kick_b, -kick_f)
@@ -81,7 +81,7 @@ class TestLeapfrogStep:
         q, p = rng.standard_normal(3), rng.standard_normal(3)
         kick = (0.5 * h) * target.gradient(q)
         for _ in range(10):
-            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, (h, 0.5 * h), q, p, kick)
             assert kick.tobytes() == ((0.5 * h) * target.gradient(q)).tobytes()
 
     @pytest.mark.parametrize("t", [1, 5, 16])
@@ -101,7 +101,7 @@ class TestLeapfrogStep:
             x_t, n_grad = leapfrog_forward(target, LeapfrogParams(h, mass), PhasePoint(q, p), t)
             kick = (0.5 * h) * target.gradient(q)
             for s in range(1, t + 1):
-                q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+                q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, (h, 0.5 * h), q, p, kick)
                 if not (np.isfinite(q).all() and np.isfinite(p).all()):
                     break
         assert x_t.q.tobytes() == q.tobytes() and x_t.p.tobytes() == p.tobytes()
@@ -115,7 +115,7 @@ def _entrywise_forward(target, mass, h, q, p, t):
     with np.errstate(over="ignore", invalid="ignore"):
         kick = (0.5 * h) * target.gradient(q)
         for s in range(1, t + 1):
-            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, h, q, p, kick)
+            q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, (h, 0.5 * h), q, p, kick)
             if not (np.isfinite(q).all() and np.isfinite(p).all()):
                 break
     return q, p, s + 1
@@ -167,6 +167,64 @@ class TestFiniteProbe:
         assert x_t.q.tobytes() == q_ref.tobytes() and x_t.p.tobytes() == p_ref.tobytes()
         if stop is not None and stop <= t:
             assert not (np.isfinite(x_t.q).all() and np.isfinite(x_t.p).all())
+
+
+class TestStepConstants:
+    """The step constants of :class:`LeapfrogParams` are 0-d arrays whose
+    products round as the Python floats ``h`` and ``0.5 * h`` do."""
+
+    def test_constants(self):
+        params = LeapfrogParams(0.37, I1)
+        for forward, h in ((True, 0.37), (False, -0.37)):
+            step = params.steps[forward]
+            for value, want in zip(step, (h, 0.5 * h)):
+                assert value.shape == () and value.dtype == np.float64
+                assert not value.flags.writeable and float(value) == want
+
+    @staticmethod
+    def _float_step(gradient, inv_mul, h, q, p, kick):
+        # the step written out with the Python float h
+        p_half = p - kick
+        q1 = q + h * inv_mul(p_half)
+        kick1 = (0.5 * h) * gradient(q1)
+        return q1, p_half - kick1, kick1
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("state", ["finite", "overflowing", "nan"])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("d", [1, 2, 100])
+    def test_step_equals_float_step(self, d, rows, state, forward):
+        rng = np.random.default_rng(d)
+        target = builtin_target("perturbed_gaussian", d, a5=0.4)
+        mass = MassMatrix.diagonal(rng.uniform(0.5, 2.0, d))
+        params = LeapfrogParams(0.37, mass)
+        h = 0.37 if forward else -0.37
+        shape = (d,) if rows is None else (rows, d)
+        if rows is None:
+            gradient = target.gradient
+        else:
+            def gradient(q):
+                return gradient_rows(target, q)
+        q, p = rng.standard_normal(shape), rng.standard_normal(shape)
+        if state == "overflowing":
+            q[..., 0], p[..., 0] = 1.7e308, math.copysign(1e308, h)  # the drift overflows
+        elif state == "nan":
+            q[..., -1] = math.nan
+        step = params.steps[forward]
+        with np.errstate(over="ignore", invalid="ignore"):
+            kick = step.half * gradient(q)
+            assert kick.tobytes() == ((0.5 * h) * gradient(q)).tobytes()
+            got_q, got_p, got_k = q, p, kick
+            ref_q, ref_p, ref_k = q, p, kick
+            for _ in range(3):
+                got_q, got_p, got_k = leapfrog_step_with_grad(
+                    gradient, mass.inv_mul, step, got_q, got_p, got_k)
+                ref_q, ref_p, ref_k = self._float_step(
+                    gradient, mass.inv_mul, h, ref_q, ref_p, ref_k)
+                assert got_q.tobytes() == ref_q.tobytes()
+                assert got_p.tobytes() == ref_p.tobytes()
+                assert got_k.tobytes() == ref_k.tobytes()
+        assert np.isfinite(got_q).all() == (state == "finite")
 
 
 class TestLeapfrogIter:

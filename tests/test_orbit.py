@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,38 @@ class TestOrbitCache:
         first = flags.index(True)
         assert all(flags[first:])  # once diverged, stays flagged
         assert all(cache.logw(j) == -math.inf for j in range(first, 31))
+
+    @staticmethod
+    def _double_well_cache():
+        # divergent at |j| >= 10 on both sides
+        return OrbitCache(builtin_target("double_well", 1), LeapfrogParams(0.25, I1),
+                          PhasePoint(np.array([5.0]), np.array([0.0])))
+
+    def test_logw_range_matches_per_index_gather(self):
+        cache = self._double_well_cache()
+        cache.extend_right(12)
+        cache.extend_left(7)
+        intervals = [(-7, 12), (-3, 4), (-1, 0), (0, 1),  # crossing 0
+                     (-7, -1), (-5, -2), (1, 12), (8, 11),  # one side only
+                     (-7, -7), (-1, -1), (0, 0), (1, 1), (12, 12)]  # a single index
+        for lo, hi in intervals:
+            want = np.array([cache.logw(j) for j in range(lo, hi + 1)])
+            got = cache.logw_range(lo, hi)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (lo, hi)
+        assert np.isneginf(cache.logw_range(9, 12)[1:]).all()  # the divergent tail
+        for lo, hi in ((-8, 0), (0, 13)):
+            with pytest.raises(CacheCoverageError):
+                cache.logw_range(lo, hi)
+
+    def test_unchecked_growth_is_silent(self):
+        # the growth steps into overflowing states without the caller
+        # holding an np.errstate: unchecked extensions enter their own
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = self._double_well_cache()
+            cache.extend_right(14)
+            cache.extend_to(-14, 16)
+        assert [cache.diverged(j) for j in range(-14, 17)] == [abs(j) >= 10 for j in range(-14, 17)]
 
 
 class TestNoUturns:
