@@ -126,7 +126,8 @@ def _check_finite_energy(target: Target, mass: MassMatrix, key: str, q: np.ndarr
                          p: np.ndarray | None = None) -> None:
     """A config error naming ``key`` if the phase point ``(q, p)``, ``p = 0``
     by default, is divergent by the samplers' own rule (``orbit._make_entry``)."""
-    if _make_entry(target, mass, PhasePoint(q, np.zeros_like(q) if p is None else p)).diverged:
+    p = np.zeros_like(q) if p is None else p
+    if _make_entry(target, mass, PhasePoint(q, p))[4]:  # the divergence flag
         raise ConfigError(f"{key}: the energy there is not finite, a divergent state")
 
 

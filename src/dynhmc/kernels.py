@@ -33,7 +33,12 @@ against which both samplers are tested.
 Every kernel steps through :func:`leapfrog.leapfrog_step_with_grad`, one call
 per state, and weighs states through :mod:`orbit`, so all share its
 divergence rule: non-finite states or energies, or a squared norm
-``|q|^2 + |p|^2`` that overflows.  A divergent state has weight zero.
+``|q|^2 + |p|^2`` that overflows.  A divergent state has weight zero.  A
+weighed state is :func:`orbit._weigh`'s plain tuple
+``(q, p, vel, logw, diverged)``.  The recursive sampler steps and weighs
+each state with :func:`orbit._advance` and holds its states and subtrees as
+plain tuples too (their layouts are in :func:`_build_tree`): it builds no
+object per state or per node.
 """
 
 from __future__ import annotations
@@ -52,9 +57,10 @@ from .index_select import (
     logsumexp,
     multinomial_pick,
 )
-# the samplers here call leapfrog_step_with_grad by this module's name, and
-# no_uturns stays importable from here: perfbench/tracing.py wraps both under
-# this module as well as under orbit
+# perfbench/tracing.py wraps leapfrog_step_with_grad under leapfrog, orbit and
+# this module, and no_uturns under orbit and this module.  The rows sampler
+# steps by this module's name, the recursive one through orbit._advance, so by
+# orbit's; no_uturns stays importable from here
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
     Step,
@@ -63,7 +69,7 @@ from .leapfrog import (  # noqa: F401
 )
 from .orbit import (  # noqa: F401
     OrbitCache,
-    _Entry,
+    _advance,
     _weigh,
     _weigh_rows,
     is_uturn,
@@ -424,64 +430,44 @@ def nuts_transition_iterative_rows(
 # --- recursive (depth-first) implementation ---------------------------------
 
 
-class _RecState:
-    """A single phase-space state held by the recursive builder, with its
-    half-kick signed for a step away from the anchor."""
-
-    __slots__ = ("entry", "kick", "idx")
-
-    def __init__(self, entry: _Entry, kick: np.ndarray, idx: int):
-        self.entry, self.kick, self.idx = entry, kick, idx
-
-
-class _RecTree:
-    """A subtree of the recursion: its boundary states, the state it ended
-    on, its candidate, its log-weight and ``n``, the gradients it took."""
-
-    __slots__ = ("lo", "hi", "end", "sel", "logw", "stop", "diverged", "n")
-
-    def __init__(self, lo, hi, end, sel, logw, stop, diverged, n):
-        self.lo, self.hi, self.end, self.sel = lo, hi, end, sel
-        self.logw, self.stop, self.diverged, self.n = logw, stop, diverged, n
-
-
 def _build_tree(
     target: Target,
     mass: MassMatrix,
     steps: tuple[Step, Step],
     forward: bool,
-    frm: _RecState,
+    frm: tuple,
     depth: int,
     rng: np.random.Generator,
-) -> _RecTree:
+) -> tuple:
     """The subtree of ``2^depth`` states past ``frm``, grown ``forward`` or
-    backward with ``steps[forward]``."""
+    backward with ``steps[forward]``.
+
+    A state is the plain tuple ``(q, p, vel, logw, diverged, kick, idx)``:
+    :func:`orbit._advance`'s weighed state and half-kick, the kick signed
+    for a step away from the anchor, and its orbit index.  A subtree is the
+    tuple ``(lo, hi, end, sel, logw, stop, diverged, n)``: its boundary
+    states, the state it ended on, its candidate, its log-weight, whether it
+    stopped (a divergence or a U-turn), whether it diverged, and ``n``, the
+    gradients it took.
+    """
     if depth == 0:
-        q, p, kick = leapfrog_step_with_grad(
-            target.gradient, mass.inv_mul, steps[forward], frm.entry.q, frm.entry.p, frm.kick
-        )
-        entry = _weigh(target, mass, q, p)
-        st = _RecState(entry, kick, frm.idx + 1 if forward else frm.idx - 1)
-        return _RecTree(st, st, st, st, entry.logw, entry.diverged, entry.diverged, 1)
+        st = _advance(target, mass, steps[forward], frm[0], frm[1], frm[5])
+        st += (frm[6] + 1 if forward else frm[6] - 1,)
+        return st, st, st, st, st[3], st[4], st[4], 1
     t1 = _build_tree(target, mass, steps, forward, frm, depth - 1, rng)
-    if t1.stop:
+    if t1[5]:
         return t1
-    t2 = _build_tree(target, mass, steps, forward, t1.end, depth - 1, rng)
-    if forward:
-        lo, hi = t1.lo, t2.hi
-    else:
-        lo, hi = t2.lo, t1.hi
-    logw = logaddexp(t1.logw, t2.logw)
+    lo1, hi1, end1, sel1, logw1, _, div1, n1 = t1
+    lo2, hi2, end2, sel2, logw2, stop2, div2, n2 = _build_tree(
+        target, mass, steps, forward, end1, depth - 1, rng
+    )
+    lo, hi = (lo1, hi2) if forward else (lo2, hi1)
+    logw = logaddexp(logw1, logw2)
     # progressive merge: take the new half's candidate with prob w2/(w1+w2)
     u = rng.random()
-    if logw > -math.inf and u < math.exp(t2.logw - logw):
-        sel = t2.sel
-    else:
-        sel = t1.sel
-    stop = t2.stop or is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel)
-    return _RecTree(
-        lo, hi, t2.end, sel, logw, stop, t1.diverged or t2.diverged, t1.n + t2.n
-    )
+    sel = sel2 if logw > -math.inf and u < math.exp(logw2 - logw) else sel1
+    stop = stop2 or is_uturn(lo[0], lo[2], hi[0], hi[2])
+    return lo, hi, end2, sel, logw, stop, div1 or div2, n1 + n2
 
 
 def nuts_step_recursive(
@@ -520,38 +506,39 @@ def nuts_transition_recursive(
         kick0 = steps[True].half * target.gradient(x0.q)
         entry0 = _weigh(target, mass, x0.q, x0.p)
         n_grad = 1  # the anchor's gradient
-        if entry0.diverged:
+        if entry0[4]:
             return x0.q, TransitionInfo(0, (0, 0), 0, n_grad, True)
 
-        lo, hi = _RecState(entry0, -kick0, 0), _RecState(entry0, kick0, 0)
+        # the states of _build_tree, each end's kick signed for a step outward
+        lo, hi = entry0 + (-kick0, 0), entry0 + (kick0, 0)
         sel = hi
-        logw_tot = entry0.logw
+        logw_tot = entry0[3]
         k_f = 0
         diverged = False
         for k in range(cfg.k_m):
             v_k = rng.random() < 0.5
-            node = _build_tree(target, mass, steps, v_k, hi if v_k else lo, k, rng)
-            n_grad += node.n
-            if node.stop:
-                diverged = diverged or node.diverged
+            t_lo, t_hi, _, t_sel, t_logw, t_stop, t_div, t_n = _build_tree(
+                target, mass, steps, v_k, hi if v_k else lo, k, rng
+            )
+            n_grad += t_n
+            if t_stop:
+                diverged = diverged or t_div
                 break
-            if _swap(node.logw, logw_tot, rng.random(), mutate):
-                sel = node.sel
+            if _swap(t_logw, logw_tot, rng.random(), mutate):
+                sel = t_sel
             if v_k:
-                hi = node.hi
+                hi = t_hi
             else:
-                lo = node.lo
-            logw_tot = logaddexp(logw_tot, node.logw)
+                lo = t_lo
+            logw_tot = logaddexp(logw_tot, t_logw)
             k_f = k + 1
-            if is_uturn(lo.entry.q, lo.entry.vel, hi.entry.q, hi.entry.vel):
+            if is_uturn(lo[0], lo[2], hi[0], hi[2]):
                 # the doubled interval as a whole has turned: the swap above
                 # stands, but no further doubling happens
                 break
 
-    info = TransitionInfo(
-        j_f=sel.idx, i_f=(lo.idx, hi.idx), k_f=k_f, n_grad=n_grad, diverged=diverged
-    )
-    return sel.entry.q, info
+    info = TransitionInfo(j_f=sel[6], i_f=(lo[6], hi[6]), k_f=k_f, n_grad=n_grad, diverged=diverged)
+    return sel[0], info
 
 
 def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPMF:
@@ -596,12 +583,11 @@ def hmc_step(
         # the gradient first, as in OrbitCache: a target may reuse its work in
         # the potential, and the trajectory starts from this gradient
         kick0 = step.half * target.gradient(q0)
-        e0 = _weigh(target, mass, q0, p)
+        logw0 = _weigh(target, mass, q0, p)[3]
         q_t, p_t, n_grad = _trajectory(target.gradient, mass.inv_mul, step, q0, p, kick0, t)
-        e_t = _weigh(target, mass, q_t, p_t)
-    diverged = e_t.diverged
+        _, _, _, logw_t, diverged = _weigh(target, mass, q_t, p_t)
     # index selection on the two-point orbit {0, T}: the NUTS swap coin
-    accepted = _swap(e_t.logw, e0.logw, rng.random(), None)
+    accepted = _swap(logw_t, logw0, rng.random(), None)
     if accepted:
         return q_t, TransitionInfo(t, (0, t), 0, n_grad, diverged, accepted=True, t=t)
     return q0, TransitionInfo(0, (0, t), 0, n_grad, diverged, accepted=False, t=t)

@@ -14,7 +14,8 @@ reversibility checks.
 Every sampler takes its steps through :func:`leapfrog_step_with_grad`, one
 call per orbit state: the step loop of :func:`leapfrog_forward` (HMC,
 :func:`leapfrog_iter` and the trajectory solver), :class:`orbit.OrbitCache`
-(iterative NUTS and the exact law) and the recursive and rows NUTS samplers.
+(iterative NUTS and the exact law), :func:`orbit._advance` (recursive NUTS)
+and the rows NUTS sampler.
 The step carries the half-kick ``(h/2) grad U(q)``: it finishes the step
 that reached ``q`` and starts the step that leaves it, so each gradient is
 scaled once, and the two half-kicks are not merged into one full kick, which

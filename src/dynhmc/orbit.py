@@ -2,9 +2,11 @@
 
 The orbit around an anchor ``(q0, p0)`` is the family of leapfrog iterates
 ``Phi^{(j)}(q0, p0)``.  :class:`OrbitCache` extends it lazily one step at a
-time from the current extremes and stores, per index, the state, its velocity
-``M^{-1} p`` (the quantity entering U-turn inner products under a non-identity
-mass matrix), and the log-weight ``-H``.
+time from the current extremes and stores, per index, the weighed state.  A
+weighed state is the plain tuple ``(q, p, vel, logw, diverged)`` that
+:func:`_weigh` returns: the state, its velocity ``M^{-1} p`` (the quantity
+entering U-turn inner products under a non-identity mass matrix), its
+log-weight ``-H``, ``-inf`` if it diverged, and that flag.
 
 A doubling record ``v`` of length K generates the interval
 ``{-T_minus(v), ..., v}``.  The U-turn set at stage K checks, for every block
@@ -22,9 +24,12 @@ the U-turn geometry, each final interval receives a dyadic rational mass, so
 one walk over the tree of records, stepping the orbit as far as it reaches.
 
 This module owns, for every sampler, how a state is weighed
-(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`); every sampler
-takes its steps through :func:`leapfrog.leapfrog_step_with_grad`, carrying
-the half-kick of the state it steps from, with the step constants of
+(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`).  :func:`_advance`
+takes one step and weighs its result, returning the weighed tuple with the
+new half-kick appended; the recursive sampler grows its trees with it.
+Every sampler takes its steps through
+:func:`leapfrog.leapfrog_step_with_grad`, carrying the half-kick of the
+state it steps from, with the step constants of
 :attr:`leapfrog.LeapfrogParams.steps` signed by the direction except in the
 rows sampler, which holds its backward ends as ``(q, -p)`` and steps
 forward.  The rows sampler weighs and checks ``(C, d)`` arrays of states
@@ -33,8 +38,8 @@ state is divergent, with weight zero, on non-finite states or energies, or a
 squared norm ``|q|^2 + |p|^2`` that overflows.
 
 Stepping and weighing overflow on a divergent state, and that is flagged,
-not warned about.  The step and :func:`_weigh` enter no ``np.errstate``
-themselves: their caller holds ``np.errstate(over="ignore",
+not warned about.  The step, :func:`_weigh` and :func:`_advance` enter no
+``np.errstate`` themselves: their caller holds ``np.errstate(over="ignore",
 invalid="ignore")`` around all the states it computes.  :class:`OrbitCache`
 enters it when it weighs its anchor and for each unchecked extension call.
 Its checked growth, the new half of a doubling stage, enters none: the
@@ -49,12 +54,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .binwords import BinWord, IndexInterval, t_minus
-from .leapfrog import LeapfrogParams, leapfrog_step_with_grad
+from .leapfrog import LeapfrogParams, Step, leapfrog_step_with_grad
 from .targets import MassMatrix, PhasePoint, Target, potential_rows
 
 
@@ -62,23 +66,16 @@ class CacheCoverageError(RuntimeError):
     """An operation needed orbit indices the cache has not computed."""
 
 
-class _Entry(NamedTuple):
-    q: np.ndarray
-    p: np.ndarray
-    vel: np.ndarray  # M^{-1} p
-    logw: float
-    diverged: bool
-
-
-def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> _Entry:
-    """Weigh one state: its velocity and ``-H``, or a divergent entry of weight zero.
+def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> tuple:
+    """Weigh one state: ``(q, p, vel, logw, diverged)``, with the velocity
+    ``M^{-1} p`` and ``logw = -H``, or ``-inf`` for a divergent state.
 
     Enters no ``np.errstate``; the caller holds it (see the module docstring).
     """
     pp = p.dot(p)
     # scalar finiteness probe: any nan/inf in (q, p) poisons the dot products
     if not math.isfinite(q.dot(q) + pp):
-        return _Entry(q, p, p, -math.inf, True)
+        return q, p, p, -math.inf, True
     if mass.is_identity:
         vel, kinetic = p, pp
     else:
@@ -86,8 +83,18 @@ def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> _E
         kinetic = p.dot(vel)
     logw = -float(target.potential(q)) - 0.5 * float(kinetic)
     if not math.isfinite(logw):
-        return _Entry(q, p, vel, -math.inf, True)
-    return _Entry(q, p, vel, logw, False)
+        return q, p, vel, -math.inf, True
+    return q, p, vel, logw, False
+
+
+def _advance(
+    target: Target, mass: MassMatrix, step: Step, q: np.ndarray, p: np.ndarray, kick: np.ndarray
+) -> tuple:
+    """One step from ``(q, p)`` with its half-kick, weighed:
+    ``(q1, p1, vel1, logw1, diverged1, kick1)``, :func:`_weigh`'s tuple with
+    the new half-kick appended.  Enters no ``np.errstate``."""
+    q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, step, q, p, kick)
+    return _weigh(target, mass, q, p) + (kick,)
 
 
 def _weigh_rows(
@@ -117,7 +124,7 @@ def _weigh_rows(
     return vel, logw, diverged
 
 
-def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> _Entry:
+def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> tuple:
     """:func:`_weigh` for a single state, in its own ``np.errstate``."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _weigh(target, mass, x.q, x.p)
@@ -165,8 +172,8 @@ class OrbitCache:
             # the gradient first: a target may reuse its work in the potential
             kick0 = params.steps[True].half * target.gradient(q0)
             self._anchor = _weigh(target, self.mass, q0, p0)
-        self._right: list[_Entry] = []  # indices 1, 2, ...
-        self._left: list[_Entry] = []  # indices -1, -2, ...
+        self._right: list[tuple] = []  # indices 1, 2, ...
+        self._left: list[tuple] = []  # indices -1, -2, ...
         self._kick = [-kick0, kick0]  # at the leftmost, the rightmost state
         self.n_grad = 1
         self._pair_memo: dict[tuple[int, int], bool] = {}
@@ -179,7 +186,7 @@ class OrbitCache:
     def hi(self) -> int:
         return len(self._right)
 
-    def _entry(self, j: int) -> _Entry:
+    def _entry(self, j: int) -> tuple:
         if j == 0:
             return self._anchor
         if j > 0:
@@ -192,13 +199,13 @@ class OrbitCache:
 
     def state(self, j: int) -> PhasePoint:
         e = self._entry(j)
-        return PhasePoint(e.q, e.p)
+        return PhasePoint(e[0], e[1])
 
     def logw(self, j: int) -> float:
-        return self._entry(j).logw
+        return self._entry(j)[3]
 
     def diverged(self, j: int) -> bool:
-        return self._entry(j).diverged
+        return self._entry(j)[4]
 
     def logw_range(self, lo: int, hi: int) -> np.ndarray:
         """The log-weights of the indices ``lo .. hi``, in index order."""
@@ -206,10 +213,10 @@ class OrbitCache:
             raise CacheCoverageError(f"[{lo}, {hi}] beyond cached range [{self.lo}, {self.hi}]")
         # index j < 0 is _left[-j - 1] and j > 0 is _right[j - 1]
         left = self._left[max(-hi, 1) - 1:max(-lo, 0)]
-        logw = [e.logw for e in reversed(left)]
+        logw = [e[3] for e in reversed(left)]
         if lo <= 0 <= hi:
-            logw.append(self._anchor.logw)
-        logw += [e.logw for e in self._right[max(lo, 1) - 1:max(hi, 0)]]
+            logw.append(self._anchor[3])
+        logw += [e[3] for e in self._right[max(lo, 1) - 1:max(hi, 0)]]
         return np.array(logw)
 
     def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
@@ -228,30 +235,30 @@ class OrbitCache:
         n_grad = 0
         logw: list[float] = []  # the new states' log-weights, in the order computed
         for i in range(1, n + 1):
-            if not top.diverged:
-                q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, top.q, top.p, kick)
+            if not top[4]:
+                q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, top[0], top[1], kick)
                 top = _weigh(target, mass, q, p)
                 n_grad += 1
             side.append(top)
             if check:
                 # the aligned blocks of the new half that end here, of size
                 # 2, 4, ... dividing i
-                turned = top.diverged
+                turned = top[4]
                 size = 2
                 while not (turned or i % size):
                     start = side[-size]
                     lo, hi = (start, top) if forward else (top, start)
-                    turned = is_uturn(lo.q, lo.vel, hi.q, hi.vel)
+                    turned = is_uturn(lo[0], lo[2], hi[0], hi[2])
                     size <<= 1
                 if turned:
                     break
-                logw.append(top.logw)
+                logw.append(top[3])
         self._kick[forward] = kick
         self.n_grad += n_grad
         if not check:
             return None
         if len(logw) < n:  # stopped early
-            return None, top.diverged
+            return None, top[4]
         if not forward:
             logw.reverse()
         return logw, False
@@ -289,7 +296,7 @@ class OrbitCache:
         if hit is not None:
             return hit
         left, right = self._entry(i_lo), self._entry(i_hi)
-        res = left.diverged or right.diverged or is_uturn(left.q, left.vel, right.q, right.vel)
+        res = left[4] or right[4] or is_uturn(left[0], left[2], right[0], right[2])
         self._pair_memo[key] = res
         return res
 

@@ -503,14 +503,22 @@ class TestIterativeDivergenceSemantics:
         assert info.diverged
         assert (info.k_f, info.j_f, info.n_grad) == (0, 0, 2)
 
-    @pytest.mark.parametrize("uniforms, k_f", [([0.25] * 3, 0), ([0.75, 0.5, 0.5, 0.25, 0.5, 0.5], 1)])
-    def test_checked_growth_into_divergence_is_silent(self, uniforms, k_f):
-        # from state 9 the checked growth steps into the overflowing state,
-        # at stage 0 going right, or at stage 1 after a step left; no caller
-        # holds an np.errstate, so the transition must hold its own
+    @pytest.mark.parametrize("transition, uniforms, k_f", [
+        # the iterative sampler draws three uniforms per stage it enters
+        (nuts_transition_iterative, [0.25] * 3, 0),
+        (nuts_transition_iterative, [0.75, 0.5, 0.5, 0.25, 0.5, 0.5], 1),
+        # the recursive one draws a direction, and a swap per accepted stage
+        (nuts_transition_recursive, [0.25], 0),
+        (nuts_transition_recursive, [0.75, 0.5, 0.25], 1),
+    ])
+    def test_checked_growth_into_divergence_is_silent(self, transition, uniforms, k_f):
+        # from state 9 the growth steps into the overflowing state, at stage
+        # 0 going right, or at stage 1 after a step left; no caller holds an
+        # np.errstate, so the transition must hold its own.  A sampler that
+        # draws past its script raises StopIteration
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, info = nuts_transition_iterative(self.DW, self.CFG, self._anchor(9), _Script(uniforms))
+            _, info = transition(self.DW, self.CFG, self._anchor(9), _Script(uniforms))
         assert info.diverged and info.k_f == k_f
 
 

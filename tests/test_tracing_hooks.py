@@ -1,9 +1,12 @@
 """The traced benchmark wraps dynhmc's functions by name from outside the
 package (``perfbench/tracing.py``).  A name it patches that the package no
-longer has, or a wrapped path that loses gradient calls, fails here rather
-than only in a traced benchmark run."""
+longer has, a wrapped path that loses gradient calls, or a step taken
+around the patched names fails here rather than only in a traced benchmark
+run."""
 
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,10 +28,12 @@ KINDS = (
     ("hmc", {"t": 5}),
     ("rhmc", {"weights": np.array([0.5, 0.5])}),
 )
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_KINDS = ("nuts_iterative", "nuts_recursive", "hmc")  # the kinds the benchmark reports
 
 
 def _load_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up there
@@ -55,9 +60,18 @@ def test_install_counts_every_gradient_and_restore_undoes_it():
                     q, info = kernel(q, rng)
                     tally.add(np.array([info.n_grad]), np.array([info.k_f]))
         spans = tracer.spans()
+        declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
         for kind, tally in tallies.items():
-            assert spans.count(spans.under(kind), "kernels.transition") >= 20
-            assert tracing.count_failures(spans, spans.under(kind), kind, tally) == []
+            mask = spans.under(kind)
+            assert spans.count(mask, "kernels.transition") >= 20
+            assert tracing.count_failures(spans, mask, kind, tally) == []
+            # one step per gradient past the anchor's; a step taken around
+            # the patched names is missing here
+            assert spans.count(mask, "leapfrog.step") == tally.computed_states > 0
+            if kind in BENCH_KINDS:
+                figures = tracing.kind_metrics(spans, mask, kind, tally)
+                assert set(figures) == {name for name in declared if name.startswith(kind + ".")}
+                assert all(math.isfinite(v) for v in figures.values())
     finally:
         tracer.restore()
     for owner, snapshot in zip(OWNERS, before):
