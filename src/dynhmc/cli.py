@@ -261,7 +261,7 @@ def cmd_sample(args) -> int:
         ["chain", "iter"] + [f"q{i + 1}" for i in range(d)] + ["jf", "kf", "ngrad", "diverged"]
     )
     rows = [",".join(header)]
-    q_format = _row_format(d)
+    row_format = "%d,%d," + _row_format(d) + ",%d,%d,%d,%d"
     depth_hist: dict[int, int] = {}
     n_div = 0
     n_grad = 0
@@ -283,13 +283,8 @@ def cmd_sample(args) -> int:
                 n_accept += int(info.accepted)
             moments += q
             moments2 += q * q
-            rows.append(
-                ",".join(
-                    [str(chain), str(it)]
-                    + [q_format % tuple(q.tolist())]
-                    + [str(info.j_f), str(info.k_f), str(info.n_grad), str(int(info.diverged))]
-                )
-            )
+            rows.append(row_format % (chain, it, *q.tolist(),
+                                      info.j_f, info.k_f, info.n_grad, info.diverged))
     wall = time.perf_counter() - t0
     csv_text = "\n".join(rows) + "\n"
 

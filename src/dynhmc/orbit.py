@@ -2,11 +2,12 @@
 
 The orbit around an anchor ``(q0, p0)`` is the family of leapfrog iterates
 ``Phi^{(j)}(q0, p0)``.  :class:`OrbitCache` extends it lazily one step at a
-time from the current extremes and stores, per index, the weighed state.  A
-weighed state is the plain tuple ``(q, p, vel, logw, diverged)`` that
-:func:`_weigh` returns: the state, its velocity ``M^{-1} p`` (the quantity
-entering U-turn inner products under a non-identity mass matrix), its
-log-weight ``-H``, ``-inf`` if it diverged, and that flag.
+time from the current extremes and keeps the weighed states in one table in
+index order.  A weighed state is the plain tuple
+``(q, p, vel, logw, diverged)`` that :func:`_weigh` returns: the state, its
+velocity ``M^{-1} p`` (the quantity entering U-turn inner products under a
+non-identity mass matrix), its log-weight ``-H``, ``-inf`` if it diverged,
+and that flag.
 
 A doubling record ``v`` of length K generates the interval
 ``{-T_minus(v), ..., v}``.  The U-turn set at stage K checks, for every block
@@ -52,8 +53,9 @@ is not divergent.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -154,12 +156,13 @@ def is_uturn_rows(
 class OrbitCache:
     """Lazily extended table ``j -> (Phi^{(j)}(anchor), -H)``.
 
-    Entries are appended one leapfrog step at a time from the current extremes
-    (never recomputed from index 0), with the half-kick ``(h/2) grad U(q)``
-    at each extreme cached, ``h`` signed by the side, so a fresh step costs
-    exactly one gradient evaluation.  Once a divergence
-    occurs on one side, all further entries on that side are flagged diverged
-    without stepping.  Mutable; confine to a single chain.
+    The weighed states of the indices ``lo .. hi`` sit in one deque in index
+    order, so index ``j`` is at ``j - lo``.  Entries are appended one leapfrog
+    step at a time at either end (never recomputed from index 0), with the
+    half-kick ``(h/2) grad U(q)`` at each end cached, ``h`` signed by the
+    side, so a fresh step costs exactly one gradient evaluation.  Once a
+    divergence occurs on one side, all further entries on that side are
+    flagged diverged without stepping.  Mutable; confine to a single chain.
     """
 
     def __init__(self, target: Target, params: LeapfrogParams, anchor: PhasePoint):
@@ -171,31 +174,16 @@ class OrbitCache:
         with np.errstate(over="ignore", invalid="ignore"):
             # the gradient first: a target may reuse its work in the potential
             kick0 = params.steps[True].half * target.gradient(q0)
-            self._anchor = _weigh(target, self.mass, q0, p0)
-        self._right: list[tuple] = []  # indices 1, 2, ...
-        self._left: list[tuple] = []  # indices -1, -2, ...
+            self._states = deque([_weigh(target, self.mass, q0, p0)])
+        self.lo = self.hi = 0
         self._kick = [-kick0, kick0]  # at the leftmost, the rightmost state
         self.n_grad = 1
         self._pair_memo: dict[tuple[int, int], bool] = {}
 
-    @property
-    def lo(self) -> int:
-        return -len(self._left)
-
-    @property
-    def hi(self) -> int:
-        return len(self._right)
-
     def _entry(self, j: int) -> tuple:
-        if j == 0:
-            return self._anchor
-        if j > 0:
-            if j > len(self._right):
-                raise CacheCoverageError(f"index {j} beyond cached range [{self.lo}, {self.hi}]")
-            return self._right[j - 1]
-        if -j > len(self._left):
+        if not self.lo <= j <= self.hi:
             raise CacheCoverageError(f"index {j} beyond cached range [{self.lo}, {self.hi}]")
-        return self._left[-j - 1]
+        return self._states[j - self.lo]
 
     def state(self, j: int) -> PhasePoint:
         e = self._entry(j)
@@ -211,24 +199,12 @@ class OrbitCache:
         """The log-weights of the indices ``lo .. hi``, in index order."""
         if lo < self.lo or hi > self.hi:
             raise CacheCoverageError(f"[{lo}, {hi}] beyond cached range [{self.lo}, {self.hi}]")
-        # index j < 0 is _left[-j - 1] and j > 0 is _right[j - 1]
-        left = self._left[max(-hi, 1) - 1:max(-lo, 0)]
-        logw = [e[3] for e in reversed(left)]
-        if lo <= 0 <= hi:
-            logw.append(self._anchor[3])
-        logw += [e[3] for e in self._right[max(lo, 1) - 1:max(hi, 0)]]
-        return np.array(logw)
-
-    def _extend(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
-        if check:  # the caller holds the errstate
-            return self._grow(forward, n, True)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._grow(forward, n, False)
-        return None
+        return np.array([e[3] for e in islice(self._states, lo - self.lo, hi - self.lo + 1)])
 
     def _grow(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
-        side = self._right if forward else self._left
-        top = side[-1] if side else self._anchor
+        states = self._states
+        top = states[-1] if forward else states[0]
+        push = states.append if forward else states.appendleft
         target, mass, kick = self.target, self.mass, self._kick[forward]
         gradient, inv_mul = target.gradient, mass.inv_mul
         step = self.params.steps[forward]
@@ -239,20 +215,24 @@ class OrbitCache:
                 q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, top[0], top[1], kick)
                 top = _weigh(target, mass, q, p)
                 n_grad += 1
-            side.append(top)
+            push(top)
             if check:
                 # the aligned blocks of the new half that end here, of size
-                # 2, 4, ... dividing i
+                # 2, 4, ... dividing i; each starts size - 1 states inward
                 turned = top[4]
                 size = 2
                 while not (turned or i % size):
-                    start = side[-size]
-                    lo, hi = (start, top) if forward else (top, start)
+                    lo, hi = (states[-size], top) if forward else (top, states[size - 1])
                     turned = is_uturn(lo[0], lo[2], hi[0], hi[2])
                     size <<= 1
                 if turned:
                     break
                 logw.append(top[3])
+        grown = len(states) - (self.hi - self.lo + 1)
+        if forward:
+            self.hi += grown
+        else:
+            self.lo -= grown
         self._kick[forward] = kick
         self.n_grad += n_grad
         if not check:
@@ -265,7 +245,10 @@ class OrbitCache:
 
     def extend_right(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the right; see :meth:`extend_left`."""
-        return self._extend(True, n, check)
+        if check:  # the caller holds the errstate
+            return self._grow(True, n, True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grow(True, n, False)
 
     def extend_left(self, n: int = 1, check: bool = False) -> tuple[list[float] | None, bool] | None:
         """Append ``n`` states on the left, stepping and weighing them in one
@@ -281,7 +264,10 @@ class OrbitCache:
         enters no ``np.errstate``: its caller holds
         ``np.errstate(over="ignore", invalid="ignore")``.
         """
-        return self._extend(False, n, check)
+        if check:  # the caller holds the errstate
+            return self._grow(False, n, True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grow(False, n, False)
 
     def extend_to(self, lo: int, hi: int) -> None:
         if hi > self.hi:

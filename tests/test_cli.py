@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,72 @@ class TestSample:
         want = ",".join(f"{v:.17g}" for v in values)
         assert _row_format(values.size) % tuple(values.tolist()) == want
         assert want.startswith("inf,-inf,nan,-0,0,4.9406564584124654e-324,")
+
+
+def _sample_digests(config: dict, tmp_path: Path) -> tuple[str, str, dict]:
+    """Run seeded ``sample`` on ``config`` with warnings as errors; return the
+    SHA-256 of its CSV, that of its summary without the timings, and the
+    summary itself."""
+    path, out = tmp_path / "cfg.json", str(tmp_path / "s.csv")
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sample", "--config", str(path), "--out", out]) == 0
+    csv = open(out, "rb").read()
+    summary = json.load(open(out + ".summary.json"))
+    for key in ("wall_time_s", "grad_evals_per_s"):
+        del summary[key]
+    text = json.dumps(summary, indent=2).encode()
+    return hashlib.sha256(csv).hexdigest(), hashlib.sha256(text).hexdigest(), summary
+
+
+GAUSS3_KERNELS = {
+    "nuts_iterative": {"kind": "nuts_iterative", "h": 0.5, "k_m": 4},
+    "nuts_recursive": {"kind": "nuts_recursive", "h": 0.5, "k_m": 4},
+    "hmc": {"kind": "hmc", "h": 0.3, "t": 5},
+    "rhmc": {"kind": "rhmc", "h": 0.3, "weights": [0.25, 0.25, 0.5]},
+}
+
+# a double well entered far out: every orbit's first state overflows
+DIVERGENT_CONFIG = {
+    "target": {"kind": "double_well", "dim": 1},
+    "kernel": {"kind": "nuts_iterative", "h": 0.25, "k_m": 6},
+    "q0": [1e30], "chains": 2, "iters": 30, "seed": 8,
+}
+
+
+class TestSampleBytes:
+    """Seeded ``sample`` output, pinned by digest: the CSV bytes, and the
+    summary bytes without its two timings."""
+
+    PINS = {
+        "nuts_iterative": ("1f3fdcddb58bd9a29d5774a1841acc32c98e057dd9defacfb339388c47bcd8d0",
+                          "ae1c6fed640a251e28715df5e7f5c3118ab64bdded2ce308e04486f22c5e46ec"),
+        "nuts_recursive": ("008ade45f33b251c29e06b4660cf4d209ccd090fb4ea8edbfe586d8cc61d7199",
+                          "b188a9053b63e8c7316611a8c545df5c1c80d79137d2174e8aa2abad24a16383"),
+        "hmc": ("8be6a17600a220c78fd44ede2a2ba2252731ee416b2e37cafe3fe0235918fb70",
+               "14667b2a7bc1e28f1a517ade57c6476b5f359e4f84249ce49b94df166a8b87a9"),
+        "rhmc": ("6c65f688475d21da3873f901a555a60c25387cb3ee0de61b20c524d97794a20e",
+                "1f8c27659dd92280521f820047c4a6598bf0a3a3e3de2d55ee5f40a22e23e462"),
+        "divergent": ("5cf2b92d523989c6711c0658c8f8925dd7a961fda6519df7636d1f5040ac61b7",
+                     "88e7871a9deea4743271c9d4a758273216cd77c18c57debea94b07eb75fd088c"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(GAUSS3_KERNELS))
+    def test_gaussian_d3(self, kind, tmp_path):
+        config = {"target": {"kind": "standard_gaussian", "dim": 3},
+                  "kernel": GAUSS3_KERNELS[kind], "chains": 2, "iters": 40, "seed": 5}
+        assert _sample_digests(config, tmp_path)[:2] == self.PINS[kind]
+
+    def test_iterative_divergence_path(self, tmp_path):
+        csv_sha, summary_sha, summary = _sample_digests(DIVERGENT_CONFIG, tmp_path)
+        assert summary["divergences"] == 60
+        assert summary["depth_histogram"] == {"0": 60}
+        rows = [line.split(",") for line in open(tmp_path / "s.csv").read().splitlines()[1:]]
+        assert len(rows) == 60
+        # every transition steps once from its anchor and stays put
+        assert all(r[2:] == ["1e+30", "0", "0", "2", "1"] for r in rows)
+        assert (csv_sha, summary_sha) == self.PINS["divergent"]
 
 
 SAMPLE = ["sample", "--iters", "5", "--out", "s.csv"]

@@ -172,6 +172,65 @@ class TestOrbitCache:
             cache.extend_to(-14, 16)
         assert [cache.diverged(j) for j in range(-14, 17)] == [abs(j) >= 10 for j in range(-14, 17)]
 
+    @staticmethod
+    def _checked_stop(fresh, start, forward, n):
+        """How many states checked growth of ``n`` from ``start`` appends: up
+        to the first that diverged or completes an aligned block of the new
+        half whose endpoints turn, read off the fully stepped ``fresh``."""
+        for i in range(1, n + 1):
+            j = start + i - 1 if forward else start - i + 1
+            if fresh.diverged(j):
+                return i, True
+            size = 2
+            while i % size == 0:
+                lo, hi = (j - size + 1, j) if forward else (j, j + size - 1)
+                if cache_uturn(fresh, lo, hi):
+                    return i, False
+                size <<= 1
+        return n, False
+
+    def _assert_checked_growth(self, make, left, right, forward, n, stops_by):
+        # ``left`` and ``right`` unchecked states, then checked growth
+        cache, fresh = make(), make()
+        cache.extend_to(-left, right)
+        start = right + 1 if forward else -left - 1
+        fresh.extend_to(start - n, start + n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logw, diverged = (cache.extend_right if forward else cache.extend_left)(n, check=True)
+        grown, want_diverged = self._checked_stop(fresh, start, forward, n)
+        assert (cache.lo, cache.hi) == ((-left, right + grown) if forward else (-left - grown, right))
+        assert cache.n_grad == cache.hi - cache.lo + 1
+        want = np.array([cache.logw(j) for j in range(cache.lo, cache.hi + 1)])
+        assert cache.logw_range(cache.lo, cache.hi).tobytes() == want.tobytes()
+        assert diverged is want_diverged
+        if stops_by is None:
+            assert grown == n and not diverged
+            lo, hi = (start, start + n - 1) if forward else (start - n + 1, start)
+            assert logw == cache.logw_range(lo, hi).tolist()
+        else:
+            assert logw is None and grown < n and diverged is (stops_by == "divergence")
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["right", "left"])
+    def test_checked_growth_stopped_by_a_turn(self, forward):
+        # the first turn ends a block of 8, so a block endpoint read one
+        # state off stops the growth elsewhere
+        x0 = PhasePoint(np.array([0.0]), np.array([1.0]))
+        self._assert_checked_growth(lambda: OrbitCache(STD1, LeapfrogParams(0.5, I1), x0),
+                                    3, 3, forward, 16, "turn")
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["right", "left"])
+    def test_checked_growth_stopped_by_a_divergence(self, forward):
+        # the double-well orbit overflows at |j| = 10: growth from |j| = 9 on
+        # passes state 9 and stops at 10 before checking the pair (9, 10)
+        left, right = (2, 8) if forward else (8, 2)
+        self._assert_checked_growth(self._double_well_cache, left, right, forward, 16, "divergence")
+
+    @pytest.mark.parametrize("forward", [True, False], ids=["right", "left"])
+    def test_checked_growth_that_does_not_stop(self, forward):
+        x0 = PhasePoint(np.array([0.0]), np.array([1.0]))
+        self._assert_checked_growth(lambda: OrbitCache(STD1, LeapfrogParams(0.1, I1), x0),
+                                    0, 0, forward, 8, None)
+
 
 class TestNoUturns:
     def test_k1_always_true(self):
