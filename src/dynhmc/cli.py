@@ -9,11 +9,18 @@ verification failure, 2 usage/config error, 3 I/O error.  ``trajectory``
 solves the two-point leapfrog boundary value problem and exits 0 ok, 1 when
 the fixed-point iteration does not converge, 2 when the step-size condition
 ``L1 h^2 < 2 (1 - cos(pi/T))`` is violated or the input is bad.
+
+``sample`` opens its CSV destination (``--out`` or stdout) once the config
+is validated and writes each row as soon as it is made, so its memory does
+not grow with chains x iters: an ``--out`` that cannot be opened exits 3
+before the first transition, a run stopped part-way leaves the rows written
+so far, and ``wall_time_s`` covers formatting and writing the rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -33,6 +40,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# bytes: rows are written inside sample's timed loop, one write call per
+# buffer filled, where the default buffer holds 8 KiB
+CSV_BUFFER = 1 << 20
 
 SUITES = (
     "symmetry",
@@ -238,84 +248,87 @@ def _row_format(d: int) -> str:
     return ",".join(["%.17g"] * d)
 
 
+def _run_length(config: dict, flag: int | None, key: str, default: int, least: int) -> int:
+    """The config's ``key``, or ``flag`` where it is given; the config's value
+    is checked even where the flag overrides it, each error naming its source."""
+    value = _convert(config.get(key, default), key, int)
+    for source, v in ((key, value), (f"--{key}", flag)):
+        if v is not None and v < least:
+            raise ConfigError(f"{source} must be >= {least}, got {v}")
+    return value if flag is None else flag
+
+
 def cmd_sample(args) -> int:
     config = _load_config(args.config)
     seed = _resolve_seed(args, config)
     echoes: dict[tuple[str, ...], dict] = {}
     target = _build_target(config, echoes)
     cfg = _build_kernel_config(config, target.dim, echoes)
-    # the config's values are checked even where a flag overrides them
-    chains = _convert(config.get("chains", 1), "chains", int)
-    iters = _convert(config.get("iters", 1000), "iters", int)
-    chains = chains if args.chains is None else args.chains
-    iters = iters if args.iters is None else args.iters
-    if chains < 1 or iters < 0:
-        raise ConfigError(f"chains/iters must be positive, got {chains}/{iters}")
+    chains = _run_length(config, args.chains, "chains", 1, 1)
+    iters = _run_length(config, args.iters, "iters", 1000, 0)
     out_path = args.out or config.get("out")
     d = target.dim
     q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
     _check_finite_energy(target, cfg.mass, "q0", q0)
+    # d x d matrices by shape and digest: in full, a 1000 x 1000 one is 30 MB;
+    # the parsed config is dropped so that its d^2 Python floats are not held
+    # for the run
+    config_echo = {**config, "chains": chains, "iters": iters}
+    for path, echo in echoes.items():
+        config_echo = _replaced(config_echo, path, echo)
+    del config
 
+    row_format = "%d,%d," + _row_format(d) + ",%d,%d,%d,%d\n"
     kernel = make_kernel(target, cfg)
-    header = (
-        ["chain", "iter"] + [f"q{i + 1}" for i in range(d)] + ["jf", "kf", "ngrad", "diverged"]
-    )
-    rows = [",".join(header)]
-    row_format = "%d,%d," + _row_format(d) + ",%d,%d,%d,%d"
     depth_hist: dict[int, int] = {}
     n_div = 0
     n_grad = 0
     n_accept = 0
     n_accept_total = 0
-    t0 = time.perf_counter()
     moments = np.zeros(d)
     moments2 = np.zeros(d)
-    for chain in range(chains):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, chain]))
-        q = q0
-        for it in range(iters):
-            q, info = kernel(q, rng)
-            depth_hist[info.k_f] = depth_hist.get(info.k_f, 0) + 1
-            n_div += int(info.diverged)
-            n_grad += info.n_grad
-            if info.accepted is not None:
-                n_accept_total += 1
-                n_accept += int(info.accepted)
-            moments += q
-            moments2 += q * q
-            rows.append(row_format % (chain, it, *q.tolist(),
-                                      info.j_f, info.k_f, info.n_grad, info.diverged))
-    wall = time.perf_counter() - t0
-    csv_text = "\n".join(rows) + "\n"
-
-    total = max(chains * iters, 1)
-    # d x d matrices by shape and digest: in full, a 1000 x 1000 one is 30 MB
-    config_echo = {**config, "chains": chains, "iters": iters}
-    for path, echo in echoes.items():
-        config_echo = _replaced(config_echo, path, echo)
-    summary = {
-        "version": __version__,
-        "seed": seed,
-        "config": config_echo,
-        "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
-        "divergences": n_div,
-        "acceptance_rate": (n_accept / n_accept_total) if n_accept_total else None,
-        "moment_estimates": {
-            "mean": (moments / total).tolist(),
-            "second": (moments2 / total).tolist(),
-        },
-        "wall_time_s": wall,
-        "grad_evals": n_grad,
-        "grad_evals_per_s": n_grad / wall if wall > 0 else None,
-    }
     try:
+        with (open(out_path, "w", buffering=CSV_BUFFER) if out_path
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(",".join(["chain", "iter", *(f"q{i + 1}" for i in range(d)),
+                               "jf", "kf", "ngrad", "diverged"]) + "\n")
+            t0 = time.perf_counter()
+            for chain in range(chains):
+                rng = np.random.default_rng(np.random.SeedSequence([seed, chain]))
+                q = q0
+                for it in range(iters):
+                    q, info = kernel(q, rng)
+                    depth_hist[info.k_f] = depth_hist.get(info.k_f, 0) + 1
+                    n_div += int(info.diverged)
+                    n_grad += info.n_grad
+                    if info.accepted is not None:
+                        n_accept_total += 1
+                        n_accept += int(info.accepted)
+                    moments += q
+                    moments2 += q * q
+                    fh.write(row_format % (chain, it, *q.tolist(),
+                                           info.j_f, info.k_f, info.n_grad, info.diverged))
+            wall = time.perf_counter() - t0
+        total = max(chains * iters, 1)
+        summary = {
+            "version": __version__,
+            "seed": seed,
+            "config": config_echo,
+            "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
+            "divergences": n_div,
+            "acceptance_rate": (n_accept / n_accept_total) if n_accept_total else None,
+            "moment_estimates": {
+                "mean": (moments / total).tolist(),
+                "second": (moments2 / total).tolist(),
+            },
+            "wall_time_s": wall,
+            "grad_evals": n_grad,
+            "grad_evals_per_s": n_grad / wall if wall > 0 else None,
+        }
         if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(csv_text)
             with open(out_path + ".summary.json", "w") as fh:
                 json.dump(summary, fh, indent=2)
         else:
-            sys.stdout.write(csv_text)
             json.dump(summary, sys.stderr, indent=2)
             sys.stderr.write("\n")
     except OSError as exc:

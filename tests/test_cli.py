@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import dynhmc
+from dynhmc import cli
 from dynhmc.cli import _row_format, main
 
 
@@ -135,6 +137,9 @@ class TestSample:
             ({"target": {"kind": "double_well"}, "q0": [1e80]}, "q0"),
             ({"target": {"dim": 2}, "q0": [1e200, 0.0]}, "q0"),
             ({"target": {"dim": 2}, "q0": [1e308, 1e308]}, "q0"),
+            ({"chains": 0}, "chains"),
+            # checked although --iters overrides it
+            ({"iters": -1}, "iters"),
         ],
         ids=["q0_wrong_length", "q0_non_finite", "sigma_wrong_size", "not_an_object",
              "mass_matrix_wrong_size", "mass_matrix_not_spd", "target_not_an_object",
@@ -143,7 +148,8 @@ class TestSample:
              "seed_not_a_number", "dim_fractional", "iters_fractional", "k_m_fractional",
              "seed_negative", "mass_diag_zero", "mass_diag_negative", "mass_diag_no_finite_inverse",
              "mass_not_an_object", "q0_double_well_energy_overflows",
-             "q0_gaussian_energy_overflows", "q0_gaussian_norm_overflows"],
+             "q0_gaussian_energy_overflows", "q0_gaussian_norm_overflows", "chains_zero",
+             "iters_negative"],
     )
     def test_bad_config_exits_2_naming_key(self, config, key, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -177,9 +183,78 @@ class TestSample:
         assert main(argv) == 2
         assert source in capsys.readouterr().err
 
-    def test_unwritable_out_exits_3(self, gauss2_config):
+    @pytest.mark.parametrize("flag,value", [("--iters", "-1"), ("--chains", "0")])
+    def test_bad_run_length_flag_exits_2_naming_it(self, flag, value, gauss2_config, tmp_path,
+                                                    capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--config", gauss2_config, flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def _counting_kernels(monkeypatch, fail_after: int | None = None) -> list[int]:
+        """Count the transitions ``sample`` runs; after ``fail_after`` of them,
+        the next one raises ``KeyboardInterrupt``."""
+        calls, make_kernel = [0], cli.make_kernel
+
+        def make(target, cfg):
+            kernel = make_kernel(target, cfg)
+
+            def counted(q, rng):
+                if calls[0] == fail_after:
+                    raise KeyboardInterrupt
+                calls[0] += 1
+                return kernel(q, rng)
+            return counted
+
+        monkeypatch.setattr(cli, "make_kernel", make)
+        return calls
+
+    def test_unwritable_out_exits_3(self, gauss2_config, monkeypatch):
+        calls = self._counting_kernels(monkeypatch)
         rc = main(["sample", "--config", gauss2_config, "--out", "/nonexistent/dir/x.csv"])
         assert rc == 3
+        # the destination is opened before the first transition
+        assert calls == [0]
+
+    def test_interrupted_run_leaves_rows_written(self, gauss2_config, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        self._counting_kernels(monkeypatch, fail_after=7)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sample", "--config", gauss2_config, "--out", str(out)])
+        lines = out.read_text().splitlines()
+        assert lines[0] == "chain,iter,q1,q2,jf,kf,ngrad,diverged"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", str(i)] for i in range(7)]
+
+    def test_stdout_and_file_bytes_agree(self, gauss2_config, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--config", gauss2_config, "--iters", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["sample", "--config", gauss2_config, "--iters", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        summary = json.loads(captured.err)
+        want = json.load(open(str(out) + ".summary.json"))
+        for key in ("wall_time_s", "grad_evals_per_s"):
+            del summary[key], want[key]
+        assert summary == want
+
+    def test_memory_does_not_grow_with_run_length(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"kind": "standard_gaussian", "dim": 50},
+                                    "kernel": {"kind": "hmc", "h": 0.2, "t": 2}}))
+        argv = ["sample", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        assert main([*argv, "--iters", "10"]) == 0  # imports and caches, untraced
+        peaks = []
+        for iters in (1000, 4000):
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--iters", str(iters)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # at 4000 iterations the CSV is about 4 MB
+        assert peaks[1] - peaks[0] < 1_000_000, peaks
 
     def test_17_digit_round_trip(self, gauss2_config, tmp_path):
         out = str(tmp_path / "s.csv")
