@@ -1,6 +1,5 @@
 """Dynamic HMC samplers (NUTS, HMC, MALA, rHMC) with verification tooling."""
 
-from .binwords import BinWord, IndexInterval, interval, low_trunc
 from .kernels import (
     ExactPMF,
     KernelConfig,

@@ -555,10 +555,10 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
         return ExactPMF(anchor=x0, entries=[(0, 1.0, x0.q)])
     off = (1 << cfg.k_m) - 1  # index j at probs[j + off], j in [-off, off]
     probs = np.zeros(2 * off + 1)
-    for iv, frac in orbit_select_pmf(cache, cfg.k_m):
+    for (lo, hi), frac in orbit_select_pmf(cache, cfg.k_m):
         # leaf -lo is index 0
-        row = WeightTree(cache.logw_range(iv.lo, iv.hi)).qhat_row_log(-iv.lo)
-        probs[iv.lo + off:iv.hi + off + 1] += float(frac) * np.exp(row)
+        row = WeightTree(cache.logw_range(lo, hi)).qhat_row_log(-lo)
+        probs[lo + off:hi + off + 1] += float(frac) * np.exp(row)
     entries = [(j - off, probs[j], cache.state(j - off).q) for j in np.flatnonzero(probs).tolist()]
     return ExactPMF(anchor=x0, entries=entries)
 

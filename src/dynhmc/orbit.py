@@ -9,8 +9,10 @@ velocity ``M^{-1} p`` (the quantity entering U-turn inner products under a
 non-identity mass matrix), its log-weight ``-H``, ``-inf`` if it diverged,
 and that flag.
 
-A doubling record ``v`` of length K generates the interval
-``{-T_minus(v), ..., v}``.  The U-turn set at stage K checks, for every block
+A doubling record of length K is an integer ``v`` in ``[0, 2^K)`` whose bit
+k is the direction of the k-th doubling (1 = right, 0 = left).  It generates
+the interval ``{v - 2^K + 1, ..., v}``, and its first k doublings are the
+record ``v & (2^k - 1)``.  The U-turn set at stage K checks, for every block
 size ``2^k`` with ``k in [1, K-1]``, the endpoints of every aligned block of
 that size; the stage-1 check set is empty (the first doubling is always
 accepted).  The stopping time ``S(v)`` is the first stage whose record lies in
@@ -59,7 +61,6 @@ from itertools import islice
 
 import numpy as np
 
-from .binwords import BinWord, IndexInterval, t_minus
 from .leapfrog import LeapfrogParams, Step, leapfrog_step_with_grad
 from .targets import MassMatrix, PhasePoint, Target, potential_rows
 
@@ -297,23 +298,25 @@ def _block_ok(cache: OrbitCache, lo: int, n: int) -> bool:
             and not cache.pair_uturn(lo, lo + n - 1))
 
 
-def no_uturns(v: BinWord, cache: OrbitCache) -> bool:
-    """Whether the record ``v`` avoids every stage-K U-turn check.
+def no_uturns(lo: int, hi: int, cache: OrbitCache) -> bool:
+    """Whether the doubled interval ``[lo, hi]`` avoids every U-turn check of its stage.
 
-    Checks the endpoint pair of every aligned block of size ``2^k`` inside the
-    generated interval, for ``k in [1, K-1]``; for K = 1 the check set is
-    empty and the result is True.  Any divergence inside the interval counts
-    as a U-turn (the sampler then stops and keeps the previous interval).
+    ``[lo, hi]`` is a K-bit record's interval: ``2^K`` indices, K >= 1, and
+    ``lo <= 0 <= hi``, else ``ValueError``.  Checks the endpoint pair of every
+    aligned block of size ``2^k`` inside it, for ``k in [1, K-1]`` (none for
+    K = 1).  Any divergence inside counts as a U-turn (the sampler then stops
+    and keeps the previous interval).
     """
-    if v.k < 1:
-        raise ValueError("no_uturns requires a nonempty record")
-    lo, hi, n = -t_minus(v), v.value, 1 << (v.k - 1)
+    n = hi - lo + 1
+    if not (lo <= 0 <= hi and n > 1 and n & (n - 1) == 0):
+        raise ValueError(f"[{lo}, {hi}] is not a doubled interval around 0")
     if lo < cache.lo or hi > cache.hi:
         raise CacheCoverageError(f"cache [{cache.lo}, {cache.hi}] does not cover [{lo}, {hi}]")
+    n >>= 1
     return _block_ok(cache, lo, n) and _block_ok(cache, lo + n, n)
 
 
-def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, Fraction]]:
+def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[tuple[int, int], Fraction]]:
     """Exact law of the final interval, by one depth-first walk over the records.
 
     A record offers half its mass to each of its two one-bit extensions (the
@@ -322,8 +325,8 @@ def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, F
     that fail.  A record that got here passed its own checks, so its extension
     by a new half passes iff its endpoint pair holds and the new half is a
     clean block.  A record of length ``k_m`` keeps all of its mass.  Returns
-    ``(interval, probability)`` pairs with exact dyadic probabilities summing
-    to 1; sorted by interval.  Extends the cache on demand, a new half at a time.
+    ``((lo, hi), probability)`` pairs with exact dyadic probabilities summing
+    to 1, sorted by interval.  Extends the cache on demand, a new half at a time.
     """
     masses: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
 
@@ -342,4 +345,4 @@ def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[IndexInterval, F
 
     walk(0, 0, Fraction(1))
     assert sum(masses.values()) == 1
-    return [(IndexInterval(lo, hi), mass) for (lo, hi), mass in sorted(masses.items())]
+    return sorted(masses.items())

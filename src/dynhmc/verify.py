@@ -122,18 +122,14 @@ def check_ph_symmetry(
     details = []
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
-        pmf0 = orbit_select_pmf(cache, cfg.k_m)
-        table = {(iv.lo, iv.hi): fr for iv, fr in pmf0}
-        for (lo, hi), fr in table.items():
+        for (lo, hi), fr in orbit_select_pmf(cache, cfg.k_m):
             for j in range(-hi, -lo + 1):
                 if j == 0:
                     continue
                 cases += 1
                 x_shift = leapfrog_iter(target, params, x0, -j)
                 cache_s = OrbitCache(target, params, x_shift)
-                pmf_s = orbit_select_pmf(cache_s, cfg.k_m)
-                table_s = {(ivs.lo, ivs.hi): frs for ivs, frs in pmf_s}
-                got = table_s.get((lo + j, hi + j), None)
+                got = dict(orbit_select_pmf(cache_s, cfg.k_m)).get((lo + j, hi + j))
                 if got != fr:
                     mismatches += 1
                     details.append(
@@ -176,10 +172,10 @@ def check_detailed_balance(
     checked = 0
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
-        for iv, _ in orbit_select_pmf(cache, cfg.k_m):
-            tree = WeightTree(cache.logw_range(iv.lo, iv.hi))
+        for (lo, hi), _ in orbit_select_pmf(cache, cfg.k_m):
+            tree = WeightTree(cache.logw_range(lo, hi))
             # log flux[a, b] = log w(a) qhat(a, b), compared with flux[b, a] for a < b
-            n = len(iv)
+            n = hi - lo + 1
             flux = tree.leaves[:, None] + np.stack([tree.qhat_row_log(a) for a in range(n)])
             pairs = np.triu_indices(n, 1)
             lhs, rhs = flux[pairs], flux.T[pairs]
@@ -436,12 +432,11 @@ def stationarity_polar_exact(
             n_angles += 1
             x0 = anchor(psi)
             cache = OrbitCache(target, params, x0)
-            for iv, frac in orbit_select_pmf(cache, cfg.k_m):
+            for (lo, hi), frac in orbit_select_pmf(cache, cfg.k_m):
                 node_w = w_ang * float(frac)
-                eta = np.array([-cache.logw(j) for j in iv])  # H at unit radius
-                qs_unit = np.array([float(cache.state(j).q[0]) for j in iv])
-                logw = -2.0 * np.outer(u_nodes, eta)
-                rows = np.exp(WeightTree(logw).qhat_row_log(iv.iota(0)))
+                qs_unit = np.array([float(cache.state(j).q[0]) for j in range(lo, hi + 1)])
+                logw = 2.0 * np.outer(u_nodes, cache.logw_range(lo, hi))  # -H at r = sqrt(2u)
+                rows = np.exp(WeightTree(logw).qhat_row_log(-lo))
                 qdest = r_nodes[:, None] * qs_unit[None, :]
                 for m in (1, 2, 4):
                     push[m] += node_w * float(
@@ -601,7 +596,9 @@ def drift_estimate(
     """Estimate the Lyapunov ratio ``E exp(a(|q'| - |q|))`` at ``|q| = radius``.
 
     The ``n`` transitions start from one ``q`` with fresh momenta, taken by
-    :func:`_transition_rows` as in :func:`statistical_invariance`.
+    :func:`_transition_rows` as in :func:`statistical_invariance`.  A ratio
+    sample past the float range makes ``ratio``, ``se`` and ``ci_high``
+    ``inf`` and ``ci_low`` ``-inf``.
     """
     if a < 0:
         raise ValueError("drift exponent must be nonnegative")
@@ -610,12 +607,18 @@ def drift_estimate(
     direction /= np.linalg.norm(direction)
     q = radius * direction
     after = _transition_rows(target, cfg, np.tile(q, (n, 1)), rng)
-    ratios = np.array([math.exp(a * (float(np.linalg.norm(q_new)) - radius)) for q_new in after])
-    mean = float(np.mean(ratios))
-    se = float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 else math.inf
+    try:
+        ratios = np.array([math.exp(a * (float(np.linalg.norm(q_new)) - radius)) for q_new in after])
+    except OverflowError:  # a sample past the float range
+        ratios = np.array([math.inf])
+    with np.errstate(over="ignore"):  # finite samples whose sum or squares overflow
+        mean = float(np.mean(ratios))
+        finite = mean < math.inf
+        se = float(np.std(ratios, ddof=1)) / math.sqrt(n) if n > 1 and finite else math.inf
     zq = 2.5758293035489004  # 99% two-sided normal quantile
+    ci_low = mean - zq * se if finite else -math.inf
     return DriftEstimate(
-        a=a, radius=radius, n=n, ratio=mean, se=se, ci_low=mean - zq * se, ci_high=mean + zq * se
+        a=a, radius=radius, n=n, ratio=mean, se=se, ci_low=ci_low, ci_high=mean + zq * se
     )
 
 
@@ -673,11 +676,12 @@ def tail_conditions(
             for j in range(-j_max, j_max + 1):
                 if j == 0:
                     continue
+                # a change that is not finite counts as +inf: max skips a nan
                 drop = float(np.linalg.norm(cache.state(j).q)) - rad
-                worst_drop = max(worst_drop, drop)
+                worst_drop = max(worst_drop, drop if math.isfinite(drop) else math.inf)
             for j in (-1, 1):
-                xj = cache.state(j)
-                worst_dh = max(worst_dh, hamiltonian(target, cfg.mass, xj) - h0)
+                dh = hamiltonian(target, cfg.mass, cache.state(j)) - h0
+                worst_dh = max(worst_dh, dh if math.isfinite(dh) else math.inf)
         return (worst_drop <= -1.0 and worst_dh <= 0.0), worst_drop, worst_dh
 
     ok, worst_drop, worst_dh = both_hold(radius, n)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynhmc.binwords import BinWord, IndexInterval, interval
 from dynhmc.index_select import WeightTree, accept_log_ratio, logaddexp
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
 from dynhmc.kernels import KernelConfig, nuts_transition_iterative, nuts_transition_recursive
 from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
 from dynhmc.verify import chi2_gof
+from doubling import record_interval
 
 log_weight_arrays = st.integers(min_value=1, max_value=6).flatmap(
     lambda k: st.lists(
@@ -188,11 +188,12 @@ class TestQhatRow:
         assert abs(row.sum() - 1.0) <= 1e-12
 
 
-def q_h(j: int, iv: IndexInterval, cache: OrbitCache) -> float:
-    """Probability that progressive selection on ``iv`` lands on orbit index
-    ``j``: the origin's row of the interval's weight tree, at ``j``."""
-    tree = WeightTree(cache.logw_range(iv.lo, iv.hi))
-    return float(math.exp(tree.qhat_row_log(iv.iota(0))[iv.iota(j)]))
+def q_h(j: int, lo: int, hi: int, cache: OrbitCache) -> float:
+    """Probability that progressive selection on ``[lo, hi]`` lands on orbit
+    index ``j``: the origin's row of the interval's weight tree, at ``j``
+    (leaf ``j - lo``)."""
+    tree = WeightTree(cache.logw_range(lo, hi))
+    return float(math.exp(tree.qhat_row_log(-lo)[j - lo]))
 
 
 class TestQh:
@@ -210,9 +211,8 @@ class TestQh:
         params = LeapfrogParams(0.5, MassMatrix.identity(1))
         cache = OrbitCache(flat, params, PhasePoint(np.zeros(1), np.ones(1)))
         cache.extend_to(0, 1)
-        iv = IndexInterval(0, 1)
-        assert q_h(1, iv, cache) == pytest.approx(1.0)
-        assert q_h(0, iv, cache) == pytest.approx(0.0)
+        assert q_h(1, 0, 1, cache) == pytest.approx(1.0)
+        assert q_h(0, 0, 1, cache) == pytest.approx(0.0)
 
     def test_metropolis_ratio_left_interval(self):
         from dynhmc.targets import Target
@@ -227,21 +227,14 @@ class TestQh:
         params = LeapfrogParams(1.0, MassMatrix.identity(1))
         cache = OrbitCache(t, params, PhasePoint(np.zeros(1), np.ones(1)))
         cache.extend_to(-1, 0)
-        iv = IndexInterval(-1, 0)
-        assert q_h(-1, iv, cache) == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert q_h(0, iv, cache) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+        assert q_h(-1, -1, 0, cache) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert q_h(0, -1, 0, cache) == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
 
     def test_probabilities_sum_to_one(self):
         cache = self._cache()
         for lo, hi in [(-1, 0), (-2, 1), (-4, 3), (0, 7)]:
-            iv = IndexInterval(lo, hi)
-            total = sum(q_h(j, iv, cache) for j in iv)
+            total = sum(q_h(j, lo, hi, cache) for j in range(lo, hi + 1))
             assert abs(total - 1.0) <= 1e-12
-
-    def test_outside_interval_rejected(self):
-        cache = self._cache()
-        with pytest.raises(ValueError):
-            q_h(5, IndexInterval(-1, 0), cache)
 
 
 def _bits(values) -> np.ndarray:
@@ -331,10 +324,10 @@ class TestProgressiveSample:
         # index from the qhat row of its interval's weight tree
         probs = {}
         for v in range(1 << k):
-            iv = interval(BinWord(k, v))
-            tree = WeightTree(np.array([log_w[j] for j in iv]))
-            for leaf, pr in enumerate(qhat_row(tree, iv.iota(0))):
-                probs[((iv.lo, iv.hi), iv.lo + leaf)] = pr / (1 << k)
+            lo, hi = record_interval(v, k)
+            tree = WeightTree(np.array([log_w[j] for j in range(lo, hi + 1)]))
+            for leaf, pr in enumerate(qhat_row(tree, -lo)):
+                probs[((lo, hi), lo + leaf)] = pr / (1 << k)
         draws = _line_draws(log_w, k, 2500, rng)
         counts: dict[tuple, int] = {}
         for d in draws:

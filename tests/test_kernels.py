@@ -26,7 +26,6 @@ from dynhmc.kernels import (
     nuts_transition_recursive,
     rhmc_step,
 )
-from dynhmc.binwords import BinWord, interval, low_trunc
 from dynhmc.leapfrog import LeapfrogParams, leapfrog_forward, leapfrog_iter
 from dynhmc.orbit import OrbitCache, orbit_select_pmf
 from dynhmc.targets import (
@@ -39,7 +38,7 @@ from dynhmc.targets import (
     momentum_refresh,
 )
 from dynhmc.verify import chi2_gof
-from test_orbit import stopping_time
+from doubling import record_interval, stopping_time
 
 STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)
@@ -603,11 +602,11 @@ class TestCheckedGrowthMatchesOracle:
     K_M = 5
 
     @staticmethod
-    def _first_failure(oracle, v, k_f):
+    def _first_failure(oracle, word, k_f):
         """(new states computed, whether the failing check is a divergence)
-        at stage ``k_f + 1`` of record ``v``, read off the oracle cache."""
-        lo, hi = (interval(low_trunc(v, k_f)).lo, interval(low_trunc(v, k_f)).hi) if k_f else (0, 0)
-        right = (v.value >> k_f) & 1
+        at stage ``k_f + 1`` of the record ``word``, read off the oracle cache."""
+        lo, hi = record_interval(word & ((1 << k_f) - 1), k_f)
+        right = (word >> k_f) & 1
         if k_f and oracle.pair_uturn(lo, hi):
             return 0, False
         for i in range(1, (1 << k_f) + 1):
@@ -619,7 +618,7 @@ class TestCheckedGrowthMatchesOracle:
                 if oracle.pair_uturn(*((j - size + 1, j) if right else (j, j + size - 1))):
                     return i, False
                 size <<= 1
-        raise AssertionError(f"stage {k_f + 1} of {v} passed every check")
+        raise AssertionError(f"stage {k_f + 1} of {word:#b} passed every check")
 
     @pytest.mark.parametrize("name", ["std_dense_mass", "perturbed_gaussian", "double_well"])
     def test_stops_iff_no_uturns_fails(self, name):
@@ -633,8 +632,7 @@ class TestCheckedGrowthMatchesOracle:
                 continue
             oracle.extend_to(-(1 << k_m) + 1, (1 << k_m) - 1)
             for word in range(1 << k_m):
-                v = BinWord(k_m, word)
-                s_f = stopping_time(v, oracle)
+                s_f = stopping_time(word, k_m, oracle)
                 # per stage: direction (right iff the bit is set), pick, swap
                 script = []
                 for k in range(k_m):
@@ -644,12 +642,10 @@ class TestCheckedGrowthMatchesOracle:
                     assert (info.k_f, info.n_grad, info.diverged) == (k_m, 1 << k_m, False)
                     continue
                 k_f = s_f - 1
-                computed, diverged = self._first_failure(oracle, v, k_f)
+                computed, diverged = self._first_failure(oracle, word, k_f)
                 assert (info.k_f, info.n_grad, info.diverged) == (
                     k_f, (1 << k_f) + computed, diverged)
-                if k_f:
-                    iv = interval(low_trunc(v, k_f))
-                    assert info.i_f == (iv.lo, iv.hi)
+                assert info.i_f == record_interval(word & ((1 << k_f) - 1), k_f)
                 stops[diverged] += 1
         assert stops[False] > 0
         if name == "double_well":
@@ -1021,7 +1017,7 @@ def _sample_rows_at(cfg, x0, seed, n, **kw):
 def _interval_pmf(cfg, x0):
     """The exact law of the selected interval, keyed like ``TransitionInfo.i_f``."""
     cache = OrbitCache(STD1, cfg.params, x0)
-    return {(iv.lo, iv.hi): float(fr) for iv, fr in orbit_select_pmf(cache, cfg.k_m)}
+    return {iv: float(fr) for iv, fr in orbit_select_pmf(cache, cfg.k_m)}
 
 
 class TestSamplersAgainstPmf:

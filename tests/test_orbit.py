@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dynhmc.binwords import BinWord, interval, low_trunc, t_minus
 from dynhmc.leapfrog import LeapfrogParams, leapfrog_iter
 from dynhmc.orbit import (
     CacheCoverageError,
@@ -15,6 +14,7 @@ from dynhmc.orbit import (
     orbit_select_pmf,
 )
 from dynhmc.targets import MassMatrix, PhasePoint, Target, builtin_target
+from doubling import brute_force_pairs, record_interval, stopping_time
 
 STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)
@@ -25,26 +25,6 @@ I2 = MassMatrix.identity(2)
 
 def flat_target(dim):
     return Target(dim=dim, potential=lambda q: 0.0, gradient=lambda q: np.zeros(dim), name="flat")
-
-
-def stopping_time(v: BinWord, cache: OrbitCache) -> float:
-    """The stopping time ``S(v)``: the first stage ``k`` whose prefix record
-    lies in the U-turn set, else inf."""
-    for k in range(1, v.k + 1):
-        if not no_uturns(low_trunc(v, k), cache):
-            return k
-    return math.inf
-
-
-def brute_force_pairs(k_len, t_min):
-    """Independent enumeration of the stage-K U-turn pair set."""
-    lo = -t_min
-    pairs = []
-    for k in range(1, k_len):
-        size = 2**k
-        for block in range(2 ** (k_len - k)):
-            pairs.append((lo + block * size, lo + (block + 1) * size - 1))
-    return pairs
 
 
 def cache_uturn(cache: OrbitCache, i_lo: int, i_hi: int) -> bool:
@@ -238,7 +218,7 @@ class TestNoUturns:
         for v in (0, 1):
             cache = OrbitCache(STD1, params, PhasePoint(np.array([2.0]), np.array([-3.0])))
             cache.extend_to(-1, 1)
-            assert no_uturns(BinWord(1, v), cache) is True
+            assert no_uturns(*record_interval(v, 1), cache) is True
 
     def test_flat_potential_never_turns(self):
         t = flat_target(2)
@@ -247,7 +227,7 @@ class TestNoUturns:
         cache.extend_to(-7, 7)
         for k_len in (1, 2, 3):
             for v in range(2**k_len):
-                assert no_uturns(BinWord(k_len, v), cache) is True
+                assert no_uturns(*record_interval(v, k_len), cache) is True
 
     @pytest.mark.parametrize(
         "target,h,anchor",
@@ -262,12 +242,12 @@ class TestNoUturns:
         cache.extend_to(-15, 15)
         for k_len in (1, 2, 3, 4):
             for v in range(2**k_len):
-                w = BinWord(k_len, v)
-                expected = not any(cache.diverged(j) for j in range(-t_minus(w), v + 1))
-                for i_lo, i_hi in brute_force_pairs(k_len, t_minus(w)) if expected else ():
+                lo, hi = record_interval(v, k_len)
+                expected = not any(cache.diverged(j) for j in range(lo, hi + 1))
+                for i_lo, i_hi in brute_force_pairs(k_len, lo) if expected else ():
                     if cache_uturn(cache, i_lo, i_hi):
                         expected = False
-                assert no_uturns(w, cache) is expected
+                assert no_uturns(lo, hi, cache) is expected
 
     def test_divergence_counts_as_uturn(self):
         # anchor is finite but the first step overflows: stage 1 must stop
@@ -277,7 +257,23 @@ class TestNoUturns:
         cache.extend_to(-1, 1)
         assert not cache.diverged(0)
         assert cache.diverged(1)
-        assert no_uturns(BinWord(1, 1), cache) is False
+        assert no_uturns(*record_interval(1, 1), cache) is False
+
+    def test_rejects_an_interval_that_is_not_doubled(self):
+        cache = OrbitCache(STD1, LeapfrogParams(0.5, I1), PhasePoint(np.ones(1), np.ones(1)))
+        cache.extend_to(-4, 4)
+        # one index; a length not a power of two; an interval missing 0
+        for lo, hi in ((0, 0), (-1, 1), (1, 2)):
+            with pytest.raises(ValueError):
+                no_uturns(lo, hi, cache)
+
+    def test_uncovered_interval_raises(self):
+        cache = OrbitCache(STD1, LeapfrogParams(0.5, I1), PhasePoint(np.ones(1), np.ones(1)))
+        cache.extend_to(-1, 2)
+        assert isinstance(no_uturns(-1, 2, cache), bool)  # covered: no error
+        for lo, hi in ((-3, 0), (-1, 6)):
+            with pytest.raises(CacheCoverageError):
+                no_uturns(lo, hi, cache)
 
 
 class TestStoppingTime:
@@ -286,31 +282,31 @@ class TestStoppingTime:
         cache = OrbitCache(t, LeapfrogParams(0.5, I1), PhasePoint(np.zeros(1), np.ones(1)))
         cache.extend_to(-15, 15)
         for v in range(16):
-            assert stopping_time(BinWord(4, v), cache) == math.inf
+            assert stopping_time(v, 4, cache) == math.inf
 
     def test_never_one(self):
         params = LeapfrogParams(2.0, I1)
         cache = OrbitCache(STD1, params, PhasePoint(np.array([2.0]), np.array([0.0])))
         cache.extend_to(-1, 1)
         for v in (0, 1):
-            assert stopping_time(BinWord(1, v), cache) > 1
+            assert stopping_time(v, 1, cache) > 1
 
     def test_exhaustive_prefix_oracle(self):
         params = LeapfrogParams(1.0, I1)
         cache = OrbitCache(STD1, params, PhasePoint(np.array([2.0]), np.array([0.0])))
         cache.extend_to(-3, 3)
-        v = BinWord(2, 0b11)
+        v = 0b11
         expected = math.inf
         for k in (1, 2):
-            w = low_trunc(v, k)
+            lo, _ = record_interval(v & ((1 << k) - 1), k)
             turned = any(
                 cache_uturn(cache, i_lo, i_hi)
-                for i_lo, i_hi in brute_force_pairs(k, t_minus(w))
+                for i_lo, i_hi in brute_force_pairs(k, lo)
             )
             if turned:
                 expected = k
                 break
-        assert stopping_time(v, cache) == expected
+        assert stopping_time(v, 2, cache) == expected
 
     def test_consistency_under_extension(self):
         # if S(v) = K then S depends only on the K-bit prefix
@@ -321,13 +317,13 @@ class TestStoppingTime:
             cache = OrbitCache(STD1, params, x0)
             cache.extend_to(-15, 15)
             for v in range(16):
-                s = stopping_time(BinWord(4, v), cache)
+                s = stopping_time(v, 4, cache)
                 if s <= 4 and not math.isinf(s):
                     k = int(s)
                     prefix = v & ((1 << k) - 1)
                     for w in range(16):
                         if w & ((1 << k) - 1) == prefix:
-                            assert stopping_time(BinWord(4, w), cache) == s
+                            assert stopping_time(w, 4, cache) == s
 
     def test_monotone_uturn_sets(self):
         # a prefix U-turn forces a U-turn for every extension
@@ -339,8 +335,8 @@ class TestStoppingTime:
             cache.extend_to(-15, 15)
             for v in range(16):
                 for k in range(1, 4):
-                    if not no_uturns(low_trunc(BinWord(4, v), k), cache):
-                        assert not no_uturns(BinWord(4, v), cache)
+                    if not no_uturns(*record_interval(v & ((1 << k) - 1), k), cache):
+                        assert not no_uturns(*record_interval(v, 4), cache)
                         break
 
 
@@ -349,7 +345,7 @@ class TestOrbitSelectPmf:
         params = LeapfrogParams(0.3, I1)
         cache = OrbitCache(STD1, params, PhasePoint(np.array([0.5]), np.array([0.2])))
         pmf = orbit_select_pmf(cache, 1)
-        assert {(iv.lo, iv.hi): fr for iv, fr in pmf} == {
+        assert dict(pmf) == {
             (-1, 0): Fraction(1, 2),
             (0, 1): Fraction(1, 2),
         }
@@ -361,7 +357,7 @@ class TestOrbitSelectPmf:
         pmf = orbit_select_pmf(cache, 3)
         assert len(pmf) == 8
         assert all(fr == Fraction(1, 8) for _, fr in pmf)
-        assert all(len(iv) == 8 for iv, _ in pmf)
+        assert all(hi - lo + 1 == 8 for (lo, hi), _ in pmf)
 
     def test_total_mass_exact(self):
         params = LeapfrogParams(1.2, I1)
@@ -391,17 +387,19 @@ class TestOrbitSelectPmf:
             diverged = diverged or any(cache.diverged(j) for j in range(cache.lo, cache.hi + 1))
             masses = {}
             for b in range(2**k_m):
-                s = stopping_time(BinWord(k_m, b), cache)
+                s = stopping_time(b, k_m, cache)
                 k_f = k_m if math.isinf(s) else int(s) - 1
-                if k_f == 0:
-                    key = (0, 0)
-                else:
-                    iv = interval(BinWord(k_f, b & ((1 << k_f) - 1)))
-                    key = (iv.lo, iv.hi)
+                key = record_interval(b & ((1 << k_f) - 1), k_f)
                 masses[key] = masses.get(key, Fraction(0)) + Fraction(1, 2**k_m)
-            got = {(iv.lo, iv.hi): fr for iv, fr in orbit_select_pmf(cache, k_m)}
+            got = dict(orbit_select_pmf(cache, k_m))
             assert got == masses
         assert diverged
+
+    def test_pairs_are_doubled_intervals_around_0(self):
+        for target, params, x0, k_m in self._cases():
+            for (lo, hi), _ in orbit_select_pmf(OrbitCache(target, params, x0), k_m):
+                n = hi - lo + 1
+                assert lo <= 0 <= hi and n & (n - 1) == 0, (lo, hi)
 
     def test_law_does_not_depend_on_cache_coverage(self):
         # the walk extends the cache a new half at a time, as far as it reaches
@@ -431,12 +429,10 @@ class TestSymmetryProperty:
         for _ in range(5):
             x0 = PhasePoint(rng.standard_normal(1) * 1.5, rng.standard_normal(1))
             cache = OrbitCache(STD1, params, x0)
-            pmf = {(iv.lo, iv.hi): fr for iv, fr in orbit_select_pmf(cache, k_m)}
+            pmf = dict(orbit_select_pmf(cache, k_m))
             for (lo, hi), fr in pmf.items():
                 for j in range(-hi, -lo + 1):
                     x_s = leapfrog_iter(STD1, params, x0, -j)
                     cache_s = OrbitCache(STD1, params, x_s)
-                    pmf_s = {
-                        (iv.lo, iv.hi): f for iv, f in orbit_select_pmf(cache_s, k_m)
-                    }
+                    pmf_s = dict(orbit_select_pmf(cache_s, k_m))
                     assert pmf_s.get((lo + j, hi + j)) == fr

@@ -200,6 +200,12 @@ class TestDrift:
         est = drift_estimate(STD2, cfg, a=1.0, radius=0.0, n=200, seed=0)
         assert est.ratio > 1.0  # inside the small set, growth is allowed
 
+    def test_ratio_past_the_float_range_is_inf(self):
+        # exp(400 (|q'| - 1)) overflows a float for |q'| - 1 > 1.78
+        cfg = KernelConfig("nuts_iterative", h=0.2, mass=I2, k_m=4)
+        est = drift_estimate(STD2, cfg, a=400.0, radius=1.0, n=200, seed=0)
+        assert (est.ratio, est.se, est.ci_low, est.ci_high) == (math.inf, math.inf, -math.inf, math.inf)
+
 
 class TestTailConditions:
     def test_gaussian_at_large_radius(self):
@@ -214,6 +220,15 @@ class TestTailConditions:
         cfg = KernelConfig("nuts_iterative", h=0.1, mass=I2, k_m=1)
         rep = tail_conditions(STD2, cfg, radius=2.0, gamma=2.0 / 3.0, n=10, seed=0)
         assert not rep.passed
+
+    def test_energy_change_that_is_not_finite_counts_as_inf(self):
+        # at |q| = 1e80 the double well's energies at j = 0 and j = +-1 are
+        # all inf, so every energy change is inf - inf = nan
+        dw = builtin_target("double_well", 1)
+        cfg = KernelConfig("nuts_iterative", h=0.1, mass=MassMatrix.identity(1), k_m=1)
+        rep = tail_conditions(dw, cfg, radius=1e80, gamma=2.0 / 3.0, n=10, seed=0)
+        assert rep.details[0]["worst_energy_change"] == math.inf
+        assert rep.violation == math.inf and not rep.passed
 
 
 class TestStepsizeConditions:
