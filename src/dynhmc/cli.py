@@ -11,10 +11,11 @@ the fixed-point iteration does not converge, 2 when the step-size condition
 ``L1 h^2 < 2 (1 - cos(pi/T))`` is violated or the input is bad.
 
 ``sample`` opens its CSV destination (``--out`` or stdout) once the config
-is validated and writes each row as soon as it is made, so its memory does
-not grow with chains x iters: an ``--out`` that cannot be opened exits 3
-before the first transition, a run stopped part-way leaves the rows written
-so far, and ``wall_time_s`` covers formatting and writing the rows.
+is validated and formats and writes its rows a block of about 2 500 values
+at a time, so its memory does not grow with chains x iters: an ``--out``
+that cannot be opened exits 3 before the first transition, a run stopped
+part-way still writes every row it made, and ``wall_time_s`` covers
+formatting and writing the rows.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ EXIT_IO = 3
 # bytes: rows are written inside sample's timed loop, one write call per
 # buffer filled, where the default buffer holds 8 KiB
 CSV_BUFFER = 1 << 20
+# values in a block of CSV rows, which sample formats and writes at once: the
+# formatter's temporaries, at most 40 bytes a value, then stay under glibc's
+# default 128 KiB mmap threshold, so the allocator reuses them
+BLOCK_VALUES = 2500
 
 SUITES = (
     "symmetry",
@@ -117,8 +122,10 @@ def _convert(value, key: str, convert=float):
     """``convert(value)``; a value it rejects is a config error naming ``key``.
 
     An integer key does not truncate: a number with a fractional part is
-    rejected.
+    rejected.  Nor is a JSON boolean a number.
     """
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
     if convert is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     try:
@@ -199,6 +206,10 @@ def _target_dim(config: dict) -> int:
     dim = _convert(config.get("target", {}).get("dim", 1), "target.dim", int)
     if dim < 1:
         raise ConfigError(f"target.dim must be >= 1, got {dim}")
+    try:
+        np.empty(dim)  # a d-vector, which every command allocates
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"target.dim {dim} is too large: {exc}") from exc
     return dim
 
 
@@ -217,6 +228,8 @@ def _build_target(config: dict, echoes: dict | None = None, mass: MassMatrix | N
     a5 = _convert(spec.get("a5", 0.5), "target.a5")
     try:
         return builtin_target(kind, dim=dim, sigma=sigma, a5=a5, mass=mass)
+    except MemoryError as exc:  # a d x d identity sigma
+        raise ConfigError(f"target.dim {dim} is too large for kind {kind}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
 
@@ -230,14 +243,11 @@ def _build_kernel_config(config: dict, dim: int, echoes: dict | None = None) -> 
     weights = spec.get("weights")
     if weights is not None:
         weights = _convert(weights, "kernel.weights", lambda w: np.asarray(w, dtype=float))
+    k_m = _convert(spec.get("k_m", 10), "kernel.k_m", int)
+    t = _convert(spec.get("t", 1), "kernel.t", int)
     try:
         return KernelConfig(
-            kind=spec.get("kind", "nuts_iterative"),
-            h=h,
-            mass=mass,
-            k_m=_convert(spec.get("k_m", 10), "kernel.k_m", int),
-            t=_convert(spec.get("t", 1), "kernel.t", int),
-            weights=weights,
+            kind=spec.get("kind", "nuts_iterative"), h=h, mass=mass, k_m=k_m, t=t, weights=weights
         )
     except ValueError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
@@ -246,6 +256,127 @@ def _build_kernel_config(config: dict, dim: int, echoes: dict | None = None) -> 
 def _row_format(d: int) -> str:
     """``%``-template of ``d`` comma-separated values, each as ``f"{v:.17g}"``."""
     return ",".join(["%.17g"] * d)
+
+
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+_POW10 = np.array([10.0**k for k in range(23)])  # exact: 5^22 < 2^53
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# each 4-digit chunk's ASCII digits, as the uint32 whose bytes they are
+_CHUNK = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
+                  axis=-1).view(np.uint32).ravel()
+# the zeros that end each chunk, 4 for 0000
+_CHUNK_ZEROS = np.zeros(10_000, np.int64)
+for _k in range(1, 5):
+    _CHUNK_ZEROS[::10**_k] += 1
+# one value's 40 bytes: separator, sign, "0." of a value below 1, then the 20
+# digits of T = N * 10^r as five 4-digit words, with a point after each of the
+# first four; _KEEP picks the bytes that print
+_FIELD = np.frombuffer(b",-0.0000.   0000.   0000.   0000.   0000", np.uint32)
+_ROW_START = np.frombuffer(b"\n-0.", np.uint32)[0]
+
+
+def _keep_table() -> np.ndarray:
+    """The bytes of a field that print, by ``(x < 0, E + 4, fraction digits)``."""
+    neg, e4, frac, col = np.ogrid[:2, :20, :21, :40]
+    q, r = e4 // 4, e4 % 4
+    digit = (col - 4) // 8 * 4 + (col - 4) % 8  # of T, where (col - 4) % 8 < 4
+    # T's 17 + r digits start at its digit 3 - r; below 1, all 20 are fraction
+    shown = ((col >= 4) & ((col - 4) % 8 < 4) & (digit >= np.where(q, 3 - r, 0))
+             & (digit < 4 * q + frac))
+    point = (frac > 0) & (col == np.where(q, 8 * q, 3))
+    keep = shown | point | (q == 0) & (col == 2) | (neg == 1) & (col == 1) | (col == 0)
+    return keep.reshape(-1, 40)
+
+
+_KEEP = _keep_table()
+
+
+def _times_pow10(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's two-product of ``a`` and ``10^k``: ``hi + lo`` is ``a * 10^k`` exactly."""
+    c = _SPLIT * a
+    ah = c - (c - a)
+    al = a - ah
+    sh, sl = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    return hi, ((ah * sh - hi) + ah * sl + al * sh) + al * sl
+
+
+def _format_rows(values: np.ndarray) -> list[str | None]:
+    """Each row of ``values`` as ``_row_format`` prints it, or None for a row
+    holding a value outside 1e-4 <= |x| < 1e16, where ``%.17g`` may print an
+    exponent.
+
+    Exactness: with E = floor(log10 |x|) in [-4, 15], 10^(16 - E) is a
+    double (16 - E <= 20 <= 22), so Dekker's two-product gives the exact
+    pair hi + lo = |x| 10^(16 - E).  log10 may miss E by one near a power of
+    ten; testing the pair, not hi alone, against 1e16 and 1e17 finds that
+    exactly.  With the pair in [1e16, 1e17), hi >= 2^53 is an even integer
+    and |lo| <= ulp(hi) / 2, so N = hi + rint(lo), summed in int64, is the
+    pair rounded to an integer with ties to even: the 17 significant digits
+    that Python's correctly rounded dtoa prints.  N = 10^17 carries into
+    E + 1.  The digits come from a table of 4-digit chunks, set in fixed
+    fields whose leading zeros, trailing fraction zeros and bare point are
+    dropped as the block is compacted to bytes in one pass.
+    """
+    rows, d = values.shape
+    x = values.ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _times_pow10(a, 16 - e)
+    for _ in range(3):  # log10 misses E by at most one: one pass settles it
+        low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+        high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+        moved = np.flatnonzero(low | high)
+        if moved.size == 0:
+            break
+        e[moved] += np.where(high[moved], 1, -1)
+        hi[moved], lo[moved] = _times_pow10(a[moved], 16 - e[moved])
+    sig = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = sig == 10**17
+    sig[carry] = 10**16
+    e += carry + 4
+    # 10^20 |x| = T * 10^(4q), T = N * 10^r, E + 4 = 4q + r; T as its five
+    # 4-digit chunks, the lowest first
+    t = np.empty((5, x.size), np.int64)
+    shift = np.array([1, 10, 100, 1000])[e & 3]
+    upper, lower = np.divmod(sig, 10**8)
+    c, t[0] = np.divmod(lower * shift, 10**4)
+    c, t[1] = np.divmod(c, 10**4)
+    c, t[2] = np.divmod(upper * shift + c, 10**4)
+    t[4], t[3] = np.divmod(c, 10**4)
+    zeros = _CHUNK_ZEROS[t[0]]
+    for j in range(1, 5):  # T's trailing zeros, which run on past a 0000 chunk
+        z = np.flatnonzero(zeros == 4 * j)
+        if z.size == 0:
+            break
+        zeros[z] += _CHUNK_ZEROS[t[j, z]]
+    field = np.empty((x.size, 10), np.uint32)
+    field[:] = _FIELD
+    field[::d, 0] = _ROW_START
+    for j in range(5):
+        field[:, 9 - 2 * j] = _CHUNK[t[j]]
+    frac = np.maximum(20 - zeros - 4 * (e >> 2), 0)
+    text = field.view(np.uint8)[_KEEP[((x < 0) * 20 + e) * 21 + frac]].tobytes().decode()
+    return [row if ok else None
+            for row, ok in zip(text.split("\n")[1:], fast.reshape(rows, d).all(axis=1))]
+
+
+def _write_rows(fh, values: np.ndarray, tails: list[tuple]) -> None:
+    """Write a CSV row for each ``(chain, iter, jf, kf, ngrad, diverged)`` of
+    ``tails``, its ``q`` the matching row of ``values``, and empty ``tails``."""
+    if not tails:
+        return
+    d = values.shape[1]
+    lines = []
+    for q, text, (chain, it, *info) in zip(values, _format_rows(values), tails):
+        if text is None:
+            text = _row_format(d) % tuple(q.tolist())
+        lines.append("%d,%d,%s,%d,%d,%d,%d\n" % (chain, it, text, *info))
+    tails.clear()
+    fh.write("".join(lines))
 
 
 def _run_length(config: dict, flag: int | None, key: str, default: int, least: int) -> int:
@@ -266,7 +397,10 @@ def cmd_sample(args) -> int:
     cfg = _build_kernel_config(config, target.dim, echoes)
     chains = _run_length(config, args.chains, "chains", 1, 1)
     iters = _run_length(config, args.iters, "iters", 1000, 0)
-    out_path = args.out or config.get("out")
+    out_path = config.get("out")
+    if not isinstance(out_path, (str, type(None))):
+        raise ConfigError(f"out must be a path string, got {json.dumps(out_path)}")
+    out_path = args.out or out_path
     d = target.dim
     q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
     _check_finite_energy(target, cfg.mass, "q0", q0)
@@ -278,7 +412,6 @@ def cmd_sample(args) -> int:
         config_echo = _replaced(config_echo, path, echo)
     del config
 
-    row_format = "%d,%d," + _row_format(d) + ",%d,%d,%d,%d\n"
     kernel = make_kernel(target, cfg)
     depth_hist: dict[int, int] = {}
     n_div = 0
@@ -287,27 +420,36 @@ def cmd_sample(args) -> int:
     n_accept_total = 0
     moments = np.zeros(d)
     moments2 = np.zeros(d)
+    # the q of the rows not yet written, and the rest of each row
+    block = np.empty((max(1, BLOCK_VALUES // d), d))
+    tails: list[tuple] = []
     try:
         with (open(out_path, "w", buffering=CSV_BUFFER) if out_path
               else contextlib.nullcontext(sys.stdout)) as fh:
             fh.write(",".join(["chain", "iter", *(f"q{i + 1}" for i in range(d)),
                                "jf", "kf", "ngrad", "diverged"]) + "\n")
             t0 = time.perf_counter()
-            for chain in range(chains):
-                rng = np.random.default_rng(np.random.SeedSequence([seed, chain]))
-                q = q0
-                for it in range(iters):
-                    q, info = kernel(q, rng)
-                    depth_hist[info.k_f] = depth_hist.get(info.k_f, 0) + 1
-                    n_div += int(info.diverged)
-                    n_grad += info.n_grad
-                    if info.accepted is not None:
-                        n_accept_total += 1
-                        n_accept += int(info.accepted)
-                    moments += q
-                    moments2 += q * q
-                    fh.write(row_format % (chain, it, *q.tolist(),
-                                           info.j_f, info.k_f, info.n_grad, info.diverged))
+            try:
+                for chain in range(chains):
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, chain]))
+                    q = q0
+                    for it in range(iters):
+                        q, info = kernel(q, rng)
+                        depth_hist[info.k_f] = depth_hist.get(info.k_f, 0) + 1
+                        n_div += int(info.diverged)
+                        n_grad += info.n_grad
+                        if info.accepted is not None:
+                            n_accept_total += 1
+                            n_accept += int(info.accepted)
+                        moments += q
+                        moments2 += q * q
+                        block[len(tails)] = q
+                        tails.append((chain, it, info.j_f, info.k_f, info.n_grad,
+                                      info.diverged))
+                        if len(tails) == len(block):
+                            _write_rows(fh, block, tails)
+            finally:
+                _write_rows(fh, block[:len(tails)], tails)
             wall = time.perf_counter() - t0
         total = max(chains * iters, 1)
         summary = {

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynhmc
 from dynhmc import cli
-from dynhmc.cli import _row_format, main
+from dynhmc.cli import _format_rows, _row_format, main
 
 
 @pytest.fixture
@@ -172,6 +173,52 @@ class TestSample:
         assert err.startswith("config error: kernel: ") and "weights" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"iters": True}, "iters"),
+            ({"chains": True}, "chains"),
+            ({"seed": False}, "seed"),
+            ({"target": {"dim": True}}, "target.dim"),
+            ({"target": {"kind": "perturbed_gaussian", "a5": True}}, "target.a5"),
+            ({"kernel": {"h": True}}, "kernel.h"),
+            ({"kernel": {"k_m": True}}, "kernel.k_m"),
+            ({"kernel": {"kind": "hmc", "t": True}}, "kernel.t"),
+        ],
+        ids=["iters", "chains", "seed", "dim", "a5", "h", "k_m", "t"],
+    )
+    def test_boolean_exits_2_naming_key(self, config, key, tmp_path, capsys):
+        # JSON true is no number, though Python's bool converts to 1
+        path, out = tmp_path / "bad.json", tmp_path / "s.csv"
+        path.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(path), "--iters", "5", "--out", str(out)]) == 2
+        assert f"config error: {key} must be a number, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", [5, 0, True, False, 2.5, ["s.csv"], {"path": "s.csv"}],
+                             ids=["int", "zero", "true", "false", "float", "list", "object"])
+    def test_non_string_out_exits_2_naming_it(self, out, tmp_path, monkeypatch, capsys):
+        # an integer out would be taken for a file descriptor, true for fd 1
+        calls = self._counting_kernels(monkeypatch)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"out": out, "iters": 5}))
+        assert main(["sample", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: out must be a path string")
+        assert captured.out == ""
+        assert calls == [0]
+
+    @pytest.mark.parametrize("kind", ["standard_gaussian", "gaussian"])
+    def test_dim_too_large_to_allocate_exits_2_naming_it(self, kind, tmp_path, monkeypatch,
+                                                         capsys):
+        # 8 * 10^15 bytes: no 64-bit address space holds one d-vector
+        calls = self._counting_kernels(monkeypatch)
+        path, out = tmp_path / "big.json", tmp_path / "s.csv"
+        path.write_text(json.dumps({"target": {"kind": kind, "dim": 10**15}}))
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: target.dim 1000000000000000 ")
+        assert calls == [0] and not out.exists()
+
     @pytest.mark.parametrize("source", ["--seed", "NUTS_SEED"])
     def test_negative_seed_exits_2_naming_source(self, source, gauss2_config, monkeypatch,
                                                  capsys):
@@ -274,6 +321,66 @@ class TestSample:
         assert want.startswith("inf,-inf,nan,-0,0,4.9406564584124654e-324,")
 
 
+def _fixed_notation(values: np.ndarray) -> np.ndarray:
+    """Where ``_format_rows`` formats a value itself: 1e-4 <= |x| < 1e16."""
+    return (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
+
+
+def _assert_rows_match_17g(values: np.ndarray) -> None:
+    """``_format_rows`` gives each row as the ``%.17g`` template does, or
+    None exactly where the row holds a value outside its range."""
+    template = _row_format(values.shape[1])
+    texts = _format_rows(values)
+    assert len(texts) == len(values)
+    for row, text, fast in zip(values, texts, _fixed_notation(values).all(axis=1)):
+        assert text == (template % tuple(row.tolist()) if fast else None), row
+
+
+class TestFormatRows:
+    """The block formatter of ``sample``'s rows against ``%.17g``."""
+
+    @staticmethod
+    def _values(rng) -> np.ndarray:
+        n = 30_000
+        magnitudes = 10.0 ** rng.uniform(-4, 16, n) * rng.choice([-1.0, 1.0], n)
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64)
+        # random significands at every binary exponent the range spans
+        binary = np.ldexp(rng.uniform(1, 2, n), rng.integers(-14, 54, n))
+        powers = 10.0 ** np.arange(-4, 16)
+        powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+        # exact ties at the 17th digit: x = m 2^(E-17), m odd, is one where
+        # 10^E <= x < 10^(E+1), since x 10^(16-E) = m 5^(16-E) / 2
+        ties = []
+        for e in range(-4, 16):
+            low = math.ceil(10.0**e * 2.0 ** (17 - e))
+            high = min(math.floor(10.0 ** (e + 1) * 2.0 ** (17 - e)), 2**53)
+            if low < high:
+                m = rng.integers(low // 2, (high - 1) // 2, 500) * 2 + 1
+                ties.append(np.ldexp(m.astype(float), e - 17))
+        return np.concatenate([magnitudes, bits, binary, powers, *ties])
+
+    def test_matches_17g_on_seeded_values(self):
+        values = self._values(np.random.default_rng(2024))
+        assert values.size >= 100_000
+        assert _fixed_notation(values).mean() > 0.5
+        _assert_rows_match_17g(values[:, None])
+        # the same values as rows of 100, and of 7 in an order with their signs flipped
+        _assert_rows_match_17g(values[: values.size // 100 * 100].reshape(-1, 100))
+        flipped = -values[::-1]
+        _assert_rows_match_17g(flipped[: flipped.size // 7 * 7].reshape(-1, 7))
+
+    def test_ties_round_to_even(self):
+        # 1 + 2^-17 = 1.00000762939453125 exactly: its 17th digit, 2, is kept
+        values = np.array([[1 + 2.0**-17, 1 + 3 * 2.0**-17, -(1 + 2.0**-17)]])
+        assert _format_rows(values) == ["1.0000076293945312,1.0000228881835938,"
+                                        "-1.0000076293945312"]
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=6))
+    def test_matches_17g_on_any_doubles(self, row):
+        _assert_rows_match_17g(np.array([row], dtype=float))
+
+
 def _sample_digests(config: dict, tmp_path: Path) -> tuple[str, str, dict]:
     """Run seeded ``sample`` on ``config`` with warnings as errors; return the
     SHA-256 of its CSV, that of its summary without the timings, and the
@@ -321,6 +428,10 @@ class TestSampleBytes:
                 "1f8c27659dd92280521f820047c4a6598bf0a3a3e3de2d55ee5f40a22e23e462"),
         "divergent": ("5cf2b92d523989c6711c0658c8f8925dd7a961fda6519df7636d1f5040ac61b7",
                      "88e7871a9deea4743271c9d4a758273216cd77c18c57debea94b07eb75fd088c"),
+        "hmc_d100": ("30961e3c22778e9fd62cb1533fa135ad7a6f0c86b615e8f804aaccfd8cfa1d08",
+                     "0ce6d76397a7a20ab3c53adc806d72ae288685ff529e5ea9942286a66c7d2ad7"),
+        "mixed": ("8aaae8516e3bdea2fefb80f8273c300291ffc0b7663d487132da9b4239ce0c6e",
+                  "24e5a84c052c56fc83d5e775f6bced0d3c57d38ade5e39e0b86bb084a6997898"),
     }
 
     @pytest.mark.parametrize("kind", sorted(GAUSS3_KERNELS))
@@ -328,6 +439,35 @@ class TestSampleBytes:
         config = {"target": {"kind": "standard_gaussian", "dim": 3},
                   "kernel": GAUSS3_KERNELS[kind], "chains": 2, "iters": 40, "seed": 5}
         assert _sample_digests(config, tmp_path)[:2] == self.PINS[kind]
+
+    def test_hmc_d100_over_many_blocks(self, tmp_path):
+        # 600 rows of 100 values: 24 blocks, in 9 of which rows the
+        # formatter leaves to the template (a value below 1e-4) sit among
+        # rows it formats
+        config = {"target": {"kind": "standard_gaussian", "dim": 100},
+                  "kernel": {"kind": "hmc", "h": 0.25, "t": 16},
+                  "chains": 2, "iters": 300, "seed": 3}
+        assert _sample_digests(config, tmp_path)[:2] == self.PINS["hmc_d100"]
+        assert self._mixed_blocks(tmp_path / "s.csv") == 9
+
+    def test_template_and_formatter_rows_share_blocks(self, tmp_path):
+        # q1 has standard deviation 1e-4: most rows hold a value printed
+        # with an exponent, the rest are formatted a block at a time
+        config = {"target": {"kind": "gaussian", "dim": 3,
+                             "sigma": [[1e8, 0, 0], [0, 1, 0], [0, 0, 1]]},
+                  "kernel": {"kind": "hmc", "h": 1e-4, "t": 10}, "q0": [0.0, 1.0, -2.0],
+                  "chains": 2, "iters": 600, "seed": 4}
+        assert _sample_digests(config, tmp_path)[:2] == self.PINS["mixed"]
+        assert self._mixed_blocks(tmp_path / "s.csv") == 2
+
+    @staticmethod
+    def _mixed_blocks(csv: Path) -> int:
+        """The blocks of ``sample``'s CSV holding rows of both kinds."""
+        q = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)[:, 2:-4]
+        fast = _fixed_notation(q).all(axis=1)
+        size = max(1, cli.BLOCK_VALUES // q.shape[1])
+        return sum(0 < fast[i:i + size].sum() < len(fast[i:i + size])
+                   for i in range(0, len(fast), size))
 
     def test_iterative_divergence_path(self, tmp_path):
         csv_sha, summary_sha, summary = _sample_digests(DIVERGENT_CONFIG, tmp_path)
@@ -624,9 +764,11 @@ class TestConditions:
              "conditions.require"),
             ({"l1": 1.0, "h": 0.1, "k_m": 1, "require": "doubling_stability"},
              "conditions.require"),
+            ({"l1": True, "h": 0.1, "k_m": 1}, "conditions.l1"),
+            ({"l1": 1.0, "h": 0.1, "k_m": True}, "conditions.k_m"),
         ],
         ids=["l1_not_a_number", "l1_negative", "t_zero", "k_m_fractional", "not_an_object",
-             "require_misspelt", "require_not_a_list"],
+             "require_misspelt", "require_not_a_list", "l1_true", "k_m_true"],
     )
     def test_bad_conditions_exit_2_naming_key(self, conditions, key, tmp_path, capsys):
         path = tmp_path / "cfg.json"
