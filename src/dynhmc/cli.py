@@ -10,6 +10,12 @@ solves the two-point leapfrog boundary value problem and exits 0 ok, 1 when
 the fixed-point iteration does not converge, 2 when the step-size condition
 ``L1 h^2 < 2 (1 - cos(pi/T))`` is violated or the input is bad.
 
+The config rules live in one table, ``SCHEMA``: each key's type, range and
+default.  ``_load_config`` checks a whole config against it before a command
+runs, each error naming the dotted key; the library constructors keep their
+own checks, and ``_built`` maps their ``ValueError`` to the key.  A flag or
+variable standing in for a key is checked against the key's entry.
+
 ``sample`` opens its CSV destination (``--out`` or stdout) once the config
 is validated and formats and writes its rows a block of about 2 500 values
 at a time, so its memory does not grow with chains x iters: an ``--out``
@@ -21,8 +27,10 @@ formatting and writing the rows.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -32,9 +40,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .kernels import KernelConfig, make_kernel, nuts_exact_pmf
+from .kernels import K_M_MAX, KERNEL_KINDS, T_MAX, KernelConfig, make_kernel, nuts_exact_pmf
 from .orbit import _make_entry
-from .targets import MassMatrix, PhasePoint, Target, builtin_target, momentum_refresh
+from .targets import (MASS_KINDS, TARGET_KINDS, MassMatrix, PhasePoint, Target, builtin_target,
+                      momentum_refresh)
 
 DEFAULT_SEED = 20230710
 EXIT_OK = 0
@@ -63,14 +72,49 @@ SUITES = (
     "all",
 )
 
-# the keys each config section takes, by its path; any other key is a config
-# error, so a misspelt key cannot leave its default silently in force
-CONFIG_KEYS = {
-    (): ("target", "kernel", "chains", "iters", "seed", "out", "q0", "conditions"),
-    ("target",): ("kind", "dim", "sigma", "a5"),
-    ("kernel",): ("kind", "h", "k_m", "t", "mass", "weights"),
-    ("kernel", "mass"): ("kind", "diag", "matrix"),
-    ("conditions",): ("l1", "h", "k_m", "t", "m1", "a1", "require"),
+
+# a config key's type, range and default; see SCHEMA
+Key = collections.namedtuple("Key", "type range default", defaults=((), None))
+INF = math.inf
+# the validators of ``dynhmc conditions``, as ``verify.stepsize_conditions``
+# reports them
+CONDITIONS = ("doubling_stability", "trajectory_uniqueness", "tail_step_bound")
+# Every config key by its dotted path, sections before their keys and
+# target.dim before the arrays sized by it.  An "int" lies in [lo, hi], a
+# "float" in the open (lo, hi); a "choice" is one of its names, "names" lists
+# some.  An "array" holds as many finite JSON numbers as its shape, "d" being
+# target.dim, nested or flat in row-major order; shape None takes any length
+# and leaves the entries to KernelConfig.  null is the default of an
+# "object", "array" or "path" key.  An object takes only the keys under it.
+SCHEMA = {
+    "target": Key("object", (), {}),
+    "target.kind": Key("choice", TARGET_KINDS, "standard_gaussian"),
+    "target.dim": Key("int", (1, INF), 1),
+    "target.sigma": Key("array", ("d", "d")),
+    "target.a5": Key("float", (-INF, INF), 0.5),
+    "kernel": Key("object", (), {}),
+    "kernel.kind": Key("choice", KERNEL_KINDS, "nuts_iterative"),
+    "kernel.h": Key("float", (0, INF), 0.5),
+    "kernel.k_m": Key("int", (1, K_M_MAX), 10),
+    "kernel.t": Key("int", (1, T_MAX), 1),
+    "kernel.mass": Key("object", (), {}),
+    "kernel.mass.kind": Key("choice", MASS_KINDS, "identity"),
+    "kernel.mass.diag": Key("array", ("d",)),
+    "kernel.mass.matrix": Key("array", ("d", "d")),
+    "kernel.weights": Key("array", None),
+    "chains": Key("int", (1, INF), 1),
+    "iters": Key("int", (0, INF), 1000),
+    "seed": Key("int", (0, INF), DEFAULT_SEED),
+    "out": Key("path"),
+    "q0": Key("array", ("d",)),
+    "conditions": Key("object", (), {}),
+    "conditions.l1": Key("float", (0, INF)),
+    "conditions.h": Key("float", (0, INF)),
+    "conditions.k_m": Key("int", (1, K_M_MAX)),
+    "conditions.t": Key("int", (1, T_MAX)),
+    "conditions.m1": Key("float", (0, INF)),
+    "conditions.a1": Key("float", (0, INF)),
+    "conditions.require": Key("names", CONDITIONS, CONDITIONS),
 }
 
 
@@ -79,64 +123,129 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+    """Every ``SCHEMA`` key of the config file at ``path`` by its dotted path:
+    the file's value checked against the table, or the key's default where
+    the file omits it; the parsed file itself under "".  A key that the
+    table does not list is an error: misspelt, it would leave its default
+    silently in force."""
+    config = {}
     try:
-        with open(path) as fh:
-            config = json.load(fh)
+        if path is not None:
+            with open(path) as fh:
+                config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must hold a JSON object, got {type(config).__name__}")
-    for key in ("target", "kernel"):
-        if not isinstance(config.get(key, {}), dict):
-            raise ConfigError(f"{key} must be a JSON object")
-    for path, known in CONFIG_KEYS.items():
-        spec = config
-        for key in path:
-            spec = spec.get(key) if isinstance(spec, dict) else None
-        # a section that is no object is reported where it is read
-        for key in spec if isinstance(spec, dict) else ():
-            if key not in known:
-                raise ConfigError(f"unknown config key {'.'.join((*path, key))}; "
-                                  f"{'.'.join(path) or 'the top level'} takes {', '.join(known)}")
-    return config
+    values = {"": config}
+    for key in ("", *SCHEMA):
+        section, _, name = key.rpartition(".")
+        if key:
+            given = values[section]
+            values[key] = (_read(key, given[name], values.get("target.dim")) if name in given
+                           else SCHEMA[key].default)
+        if not key or SCHEMA[key].type == "object":
+            known = [k.rpartition(".")[2] for k in SCHEMA if k.rpartition(".")[0] == key]
+            for name in values[key]:
+                if name not in known:
+                    raise ConfigError(f"unknown config key {key + '.' if key else ''}{name}; "
+                                      f"{key or 'the top level'} takes {', '.join(known)}")
+        if key == "target.dim":
+            try:
+                np.empty(values[key])  # a d-vector, which every command allocates
+            except (MemoryError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"target.dim {values[key]} is too large: {exc}") from exc
+    return values
 
 
-def _float_array(value, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``value`` as a finite float array of ``shape``; the error names ``key``."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must hold numbers: {exc}") from exc
-    if arr.size != math.prod(shape):
-        raise ConfigError(f"{key} has {arr.size} entries, expected {math.prod(shape)}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key} must be finite")
-    return arr.reshape(shape)
+def _read(key: str, value, dim: int | None = None, name: str | None = None):
+    """``value`` for config key ``key``, checked against its ``SCHEMA`` entry,
+    an array sized by ``dim``; errors call it ``name``, by default ``key``."""
+    (kind, bounds, default), name = SCHEMA[key], name or key
+    if value is None and kind in ("object", "array", "path"):
+        return default
+    if kind == "array":
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a JSON array, got {json.dumps(value)}")
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{name} must hold numbers: {exc}") from exc
+        _numbers(name, value, arr.ndim)
+        if bounds is None:
+            return arr
+        shape = tuple(dim if n == "d" else n for n in bounds)
+        if arr.size != math.prod(shape):
+            raise ConfigError(f"{name} has {arr.size} entries, expected {math.prod(shape)}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name} must be finite")
+        return arr.reshape(shape)
+    if kind in ("int", "float"):
+        _numbers(name, value, 0)
+        lo, hi = bounds
+        if kind == "int":
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            value = int(value)
+            if not lo <= value <= hi:
+                raise ConfigError(f"{name} must be an integer in [{lo}, {hi}"
+                                  f"{')' if hi == INF else ']'}, got {value}")
+            return value
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"{name} is beyond the float range: {exc}") from exc
+        if not lo < value < hi:
+            raise ConfigError(f"{name} must be a number in ({lo:g}, {hi:g}), got {value}")
+        return value
+    names = value if kind == "names" else [value]
+    if kind == "object":
+        valid, want = isinstance(value, dict), "a JSON object"
+    elif kind == "path":
+        valid, want = isinstance(value, str), "a path string"
+    else:
+        valid = isinstance(names, list) and all(isinstance(v, str) and v in bounds for v in names)
+        want = ("one of " if kind == "choice" else "a list of names among ") + ", ".join(bounds)
+    if not valid:
+        raise ConfigError(f"{name} must be {want}, got {json.dumps(value)}")
+    return value
 
 
-def _convert(value, key: str, convert=float):
-    """``convert(value)``; a value it rejects is a config error naming ``key``.
+def _numbers(name: str, value, depth: int) -> None:
+    """A config error naming ``name`` unless ``value``, a number at ``depth``
+    0 or lists nested ``depth`` deep, holds only JSON numbers: no JSON true
+    or false, though Python's bool is an int, and no string that ``float``
+    would read.  One pass over the entries in C, making no object per entry."""
+    def entries():
+        items = value if depth else (value,)
+        for _ in range(depth - 1):
+            items = itertools.chain.from_iterable(items)
+        return items
 
-    An integer key does not truncate: a number with a fractional part is
-    rejected.  Nor is a JSON boolean a number.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
-    if convert is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} has an invalid value {value!r}: {exc}") from exc
+    if not set(map(type, entries())) <= {int, float}:
+        bad = next(x for x in entries() if type(x) not in (int, float))
+        raise ConfigError(f"{name} must {'hold only numbers' if depth else 'be a number'}, "
+                          f"got {json.dumps(bad)}")
 
 
 def _flag_array(text: str, flag: str, dim: int) -> np.ndarray:
-    """A comma-separated flag value as a finite float vector of length ``dim``."""
-    return _float_array(text.split(","), flag, (dim,))
+    """A comma-separated flag value, a point in d dimensions checked as ``q0`` is."""
+    try:
+        value = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must hold numbers: {exc}") from exc
+    return _read("q0", value, dim, name=flag)
+
+
+def _built(key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a library constructor whose ``ValueError``
+    becomes a config error naming ``key``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _check_finite_energy(target: Target, mass: MassMatrix, key: str, q: np.ndarray,
@@ -148,19 +257,19 @@ def _check_finite_energy(target: Target, mass: MassMatrix, key: str, q: np.ndarr
         raise ConfigError(f"{key}: the energy there is not finite, a divergent state")
 
 
-def _resolve_seed(args, config: dict) -> int:
+def _resolve_seed(args, config_seed: int) -> int:
+    """``--seed``, else ``NUTS_SEED``, else the config's seed, each checked
+    against the seed's ``SCHEMA`` entry."""
     if getattr(args, "seed", None) is not None:
-        key, seed = "--seed", args.seed
-    elif os.environ.get("NUTS_SEED") is not None:
-        key = "NUTS_SEED"
-        seed = _convert(os.environ["NUTS_SEED"], key, int)
-    elif "seed" in config:
-        key, seed = "seed", _convert(config["seed"], "seed", int)
-    else:
-        return DEFAULT_SEED
-    if seed < 0:
-        raise ConfigError(f"{key} must be a nonnegative integer, got {seed}")
-    return seed
+        return _read("seed", args.seed, name="--seed")
+    text = os.environ.get("NUTS_SEED")
+    if text is None:
+        return config_seed
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise ConfigError(f"NUTS_SEED must be an integer, got {text!r}") from exc
+    return _read("seed", seed, name="NUTS_SEED")
 
 
 def _matrix_echo(arr: np.ndarray) -> dict:
@@ -170,87 +279,40 @@ def _matrix_echo(arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "sha256": digest}
 
 
-def _replaced(config: dict, path: tuple[str, ...], value) -> dict:
+def _replaced(config: dict, path: list[str], value) -> dict:
     """``config`` with the entry at ``path`` replaced; nothing else is copied."""
     head, *rest = path
     return {**config, head: _replaced(config[head], rest, value) if rest else value}
 
 
-def _build_mass(spec: dict | None, dim: int, echoes: dict | None = None) -> MassMatrix:
-    if spec is not None and not isinstance(spec, dict):
-        raise ConfigError("kernel.mass must be a JSON object")
-    if not spec or spec.get("kind", "identity") == "identity":
-        return MassMatrix.identity(dim)
-    kind = spec["kind"]
-    if kind == "diagonal":
-        if "diag" not in spec:
-            raise ConfigError("mass.kind=diagonal requires key mass.diag")
-        try:
-            return MassMatrix.diagonal(_float_array(spec["diag"], "kernel.mass.diag", (dim,)))
-        except ValueError as exc:
-            raise ConfigError(f"kernel.mass.diag: {exc}") from exc
-    if kind == "dense":
-        if "matrix" not in spec:
-            raise ConfigError("mass.kind=dense requires key mass.matrix")
-        mat = _float_array(spec["matrix"], "kernel.mass.matrix", (dim, dim))
-        if echoes is not None:
-            echoes["kernel", "mass", "matrix"] = _matrix_echo(mat)
-        try:
-            return MassMatrix.dense(mat)
-        except ValueError as exc:
-            raise ConfigError(f"kernel.mass.matrix: {exc}") from exc
-    raise ConfigError(f"unknown mass.kind {kind!r}")
+def _build_mass(values: dict) -> MassMatrix:
+    kind = values["kernel.mass.kind"]
+    if kind == "identity":
+        return MassMatrix.identity(values["target.dim"])
+    key = "kernel.mass.diag" if kind == "diagonal" else "kernel.mass.matrix"
+    if values[key] is None:
+        raise ConfigError(f"kernel.mass.kind {kind} requires key {key}")
+    return _built(key, MassMatrix.diagonal if kind == "diagonal" else MassMatrix.dense,
+                  values[key])
 
 
-def _target_dim(config: dict) -> int:
-    dim = _convert(config.get("target", {}).get("dim", 1), "target.dim", int)
-    if dim < 1:
-        raise ConfigError(f"target.dim must be >= 1, got {dim}")
+def _build_target(values: dict, mass: MassMatrix | None = None) -> Target:
+    """The configured target, its ``lipschitz_l1`` taken under ``mass``."""
+    kind, dim, sigma = values["target.kind"], values["target.dim"], values["target.sigma"]
     try:
-        np.empty(dim)  # a d-vector, which every command allocates
-    except (MemoryError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"target.dim {dim} is too large: {exc}") from exc
-    return dim
-
-
-def _build_target(config: dict, echoes: dict | None = None, mass: MassMatrix | None = None) -> Target:
-    """The configured target, its ``lipschitz_l1`` taken under ``mass``.
-    ``echoes``, if given, receives the summary echo of ``target.sigma`` under
-    its config path, as ``_build_mass`` does for a dense mass matrix."""
-    spec = config.get("target", {})
-    kind = spec.get("kind", "standard_gaussian")
-    dim = _target_dim(config)
-    sigma = spec.get("sigma")
-    if sigma is not None:
-        sigma = _float_array(sigma, "target.sigma", (dim, dim))
-        if echoes is not None:
-            echoes["target", "sigma"] = _matrix_echo(sigma)
-    a5 = _convert(spec.get("a5", 0.5), "target.a5")
-    try:
-        return builtin_target(kind, dim=dim, sigma=sigma, a5=a5, mass=mass)
+        # a double well can fail only on its dimension, the Gaussians on sigma
+        return _built("target.dim" if kind == "double_well" else "target.sigma", builtin_target,
+                      kind, dim=dim, sigma=sigma, a5=values["target.a5"], mass=mass)
     except MemoryError as exc:  # a d x d identity sigma
         raise ConfigError(f"target.dim {dim} is too large for kind {kind}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"target: {exc}") from exc
 
 
-def _build_kernel_config(config: dict, dim: int, echoes: dict | None = None) -> KernelConfig:
-    spec = config.get("kernel", {})
-    h = _convert(spec.get("h", 0.5), "kernel.h")
-    if not (h > 0 and math.isfinite(h)):
-        raise ConfigError(f"kernel.h must be positive and finite, got {h}")
-    mass = _build_mass(spec.get("mass"), dim, echoes)
-    weights = spec.get("weights")
-    if weights is not None:
-        weights = _convert(weights, "kernel.weights", lambda w: np.asarray(w, dtype=float))
-    k_m = _convert(spec.get("k_m", 10), "kernel.k_m", int)
-    t = _convert(spec.get("t", 1), "kernel.t", int)
-    try:
-        return KernelConfig(
-            kind=spec.get("kind", "nuts_iterative"), h=h, mass=mass, k_m=k_m, t=t, weights=weights
-        )
-    except ValueError as exc:
-        raise ConfigError(f"kernel: {exc}") from exc
+def _build_kernel_config(values: dict) -> KernelConfig:
+    # the table has checked every other field, so KernelConfig's own checks
+    # can fail only on the rhmc weights
+    return _built("kernel: kernel.weights", KernelConfig, values["kernel.kind"],
+                  h=values["kernel.h"], mass=_build_mass(values), k_m=values["kernel.k_m"],
+                  t=values["kernel.t"], weights=values["kernel.weights"])
 
 
 def _row_format(d: int) -> str:
@@ -379,38 +441,27 @@ def _write_rows(fh, values: np.ndarray, tails: list[tuple]) -> None:
     fh.write("".join(lines))
 
 
-def _run_length(config: dict, flag: int | None, key: str, default: int, least: int) -> int:
-    """The config's ``key``, or ``flag`` where it is given; the config's value
-    is checked even where the flag overrides it, each error naming its source."""
-    value = _convert(config.get(key, default), key, int)
-    for source, v in ((key, value), (f"--{key}", flag)):
-        if v is not None and v < least:
-            raise ConfigError(f"{source} must be >= {least}, got {v}")
-    return value if flag is None else flag
-
-
 def cmd_sample(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    echoes: dict[tuple[str, ...], dict] = {}
-    target = _build_target(config, echoes)
-    cfg = _build_kernel_config(config, target.dim, echoes)
-    chains = _run_length(config, args.chains, "chains", 1, 1)
-    iters = _run_length(config, args.iters, "iters", 1000, 0)
-    out_path = config.get("out")
-    if not isinstance(out_path, (str, type(None))):
-        raise ConfigError(f"out must be a path string, got {json.dumps(out_path)}")
-    out_path = args.out or out_path
+    values = _load_config(args.config)
+    config = values[""]
+    seed = _resolve_seed(args, values["seed"])
+    target = _build_target(values)
+    cfg = _build_kernel_config(values)
+    # a flag overrides the config's value, which is checked all the same
+    chains, iters = (values[key] if flag is None else _read(key, flag, name=f"--{key}")
+                     for key, flag in (("chains", args.chains), ("iters", args.iters)))
+    out_path = args.out or values["out"]
     d = target.dim
-    q0 = np.zeros(d) if config.get("q0") is None else _float_array(config["q0"], "q0", (d,))
+    q0 = np.zeros(d) if values["q0"] is None else values["q0"]
     _check_finite_energy(target, cfg.mass, "q0", q0)
     # d x d matrices by shape and digest: in full, a 1000 x 1000 one is 30 MB;
     # the parsed config is dropped so that its d^2 Python floats are not held
     # for the run
     config_echo = {**config, "chains": chains, "iters": iters}
-    for path, echo in echoes.items():
-        config_echo = _replaced(config_echo, path, echo)
-    del config
+    for key in ("target.sigma", "kernel.mass.matrix"):
+        if values[key] is not None:
+            config_echo = _replaced(config_echo, key.split("."), _matrix_echo(values[key]))
+    del config, values
 
     kernel = make_kernel(target, cfg)
     depth_hist: dict[int, int] = {}
@@ -484,83 +535,66 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
     from . import verify as verify_mod
     from .verify import stepsize_conditions
 
+    def gauss(dim: int, h: float, k_m: int) -> tuple[Target, KernelConfig]:
+        """Every suite's target, the standard Gaussian, with iterative NUTS
+        at ``(h, k_m)`` under the identity mass."""
+        mass = MassMatrix.identity(dim)
+        return builtin_target("standard_gaussian", dim), KernelConfig("nuts_iterative", h, mass, k_m)
+
     rng = np.random.default_rng(seed)
     reports = []
     if name == "symmetry":
         for dim in (1, 2):
-            target = builtin_target("standard_gaussian", dim)
-            mass = MassMatrix.identity(dim)
-            cfg = KernelConfig("nuts_iterative", h=1.0, mass=mass, k_m=3)
-            anchors = [verify_mod._gauss_anchor(dim, mass, rng) for _ in range(10)]
+            target, cfg = gauss(dim, 1.0, 3)
+            anchors = [verify_mod._gauss_anchor(dim, cfg.mass, rng) for _ in range(10)]
             reports.append(verify_mod.check_ph_symmetry(target, cfg, anchors, seed=seed))
     elif name == "balance":
-        target = builtin_target("standard_gaussian", 2)
-        mass = MassMatrix.identity(2)
-        cfg = KernelConfig("nuts_iterative", h=0.5, mass=mass, k_m=5)
-        anchors = [verify_mod._gauss_anchor(2, mass, rng) for _ in range(50)]
+        target, cfg = gauss(2, 0.5, 5)
+        anchors = [verify_mod._gauss_anchor(2, cfg.mass, rng) for _ in range(50)]
         reports.append(verify_mod.check_detailed_balance(target, cfg, anchors, seed=seed))
     elif name == "accessibility":
         trees = verify_mod.random_weight_trees(100, 5, rng)
         reports.append(verify_mod.check_accessibility(trees, seed=seed))
     elif name == "invariance":
-        target = builtin_target("standard_gaussian", 1)
-        cfg = KernelConfig("nuts_iterative", h=0.5, mass=MassMatrix.identity(1), k_m=3)
+        target, cfg = gauss(1, 0.5, 3)
         reports.append(verify_mod.stationarity_polar_exact(target, cfg, seed=seed))
         # step size chosen large enough that the always-swap mutation is
         # statistically visible at this sample size (negative-control power)
-        target5 = builtin_target("standard_gaussian", 5)
-        cfg5 = KernelConfig("nuts_iterative", h=1.0, mass=MassMatrix.identity(5), k_m=4)
+        target5, cfg5 = gauss(5, 1.0, 4)
         reports.append(
             verify_mod.statistical_invariance(target5, cfg5, n=20_000, seed=seed, mutate=mutate)
         )
     elif name == "equivalence":
-        target = builtin_target("standard_gaussian", 2)
-        mass = MassMatrix.identity(2)
         worst_p = 1.0
         n = 20_000
         k_ms, anchors = (1, 2, 3), 6
         # Bonferroni over the chi-square tests, as in the invariance check
         alpha, tests = 1e-3, len(k_ms) * anchors
         for k_m in k_ms:
-            cfg = KernelConfig("nuts_iterative", h=0.8, mass=mass, k_m=k_m)
+            target, cfg = gauss(2, 0.8, k_m)
             for _ in range(anchors):
-                x0 = verify_mod._gauss_anchor(2, mass, rng)
+                x0 = verify_mod._gauss_anchor(2, cfg.mass, rng)
                 pmf = nuts_exact_pmf(target, cfg, x0)
                 # the negative control samples the same rows sampler, its swap coin broken
                 counts = verify_mod.index_counts(target, cfg, x0, n, rng, mutate=mutate)
                 worst_p = min(worst_p, verify_mod.chi2_gof(counts, pmf.probs_dict(), n))
         # reported as -log10 of the p-value and of its level, so that, as in
         # every other check, it passes when violation <= tolerance
-        reports.append(
-            verify_mod.CheckReport(
-                check="exact_law",
-                passed=worst_p >= alpha / tests,
-                tolerance=-math.log10(alpha / tests),
-                violation=-math.log10(worst_p) if worst_p > 0 else math.inf,
-                seed=seed,
-                config={"draws": n, "alpha": alpha, "tests": tests, "mutate": mutate},
-                details=[{"min_chi2_pvalue": worst_p}],
-            )
-        )
+        reports.append(verify_mod.CheckReport(
+            check="exact_law", passed=worst_p >= alpha / tests,
+            tolerance=-math.log10(alpha / tests),
+            violation=-math.log10(worst_p) if worst_p > 0 else math.inf, seed=seed,
+            config={"draws": n, "alpha": alpha, "tests": tests, "mutate": mutate},
+            details=[{"min_chi2_pvalue": worst_p}]))
     elif name == "drift":
-        target = builtin_target("standard_gaussian", 2)
-        cfg = KernelConfig("nuts_iterative", h=0.2, mass=MassMatrix.identity(2), k_m=4)
+        target, cfg = gauss(2, 0.2, 4)
         est = verify_mod.drift_estimate(target, cfg, a=1.0, radius=20.0, n=2000, seed=seed)
-        reports.append(
-            verify_mod.CheckReport(
-                check="drift",
-                passed=est.ci_high < 1.0,
-                tolerance=1.0,
-                violation=est.ci_high,
-                seed=seed,
-                config={"a": est.a, "radius": est.radius, "n": est.n},
-                details=[{"ratio": est.ratio, "ci": [est.ci_low, est.ci_high]}],
-            )
-        )
+        reports.append(verify_mod.CheckReport(
+            check="drift", passed=est.ci_high < 1.0, tolerance=1.0, violation=est.ci_high,
+            seed=seed, config={"a": est.a, "radius": est.radius, "n": est.n},
+            details=[{"ratio": est.ratio, "ci": [est.ci_low, est.ci_high]}]))
     elif name == "tails":
-        target = builtin_target("standard_gaussian", 2)
-        s_bar = verify_mod.tail_step_bound(1.0, 1.0, 1.0)
-        cfg = KernelConfig("nuts_iterative", h=s_bar, mass=MassMatrix.identity(2), k_m=1)
+        target, cfg = gauss(2, verify_mod.tail_step_bound(1.0, 1.0, 1.0), 1)
         reports.append(
             verify_mod.tail_conditions(target, cfg, radius=1e3, gamma=2.0 / 3.0, n=50, seed=seed)
         )
@@ -572,44 +606,26 @@ def _run_suite(name: str, seed: int, mutate: str | None) -> list[verify_mod.Chec
             ("trajectory_uniqueness", stepsize_conditions(l1=1.0, h=1.5, t=2)["trajectory_uniqueness"]["pass"], False),
         ]
         ok = all(got == want for _, got, want in worked)
-        reports.append(
-            verify_mod.CheckReport(
-                check="stepsize_conditions",
-                passed=ok,
-                tolerance=0.0,
-                violation=0.0 if ok else 1.0,
-                seed=seed,
-                details=[{"case": c, "got": g, "want": w} for c, g, w in worked],
-            )
-        )
+        reports.append(verify_mod.CheckReport(
+            check="stepsize_conditions", passed=ok, tolerance=0.0, violation=0.0 if ok else 1.0,
+            seed=seed, details=[{"case": c, "got": g, "want": w} for c, g, w in worked]))
     elif name == "degeneracy":
-        target = builtin_target("standard_gaussian", 2)
-        cfg = KernelConfig("nuts_iterative", h=0.7, mass=MassMatrix.identity(2), k_m=2)
+        target, cfg = gauss(2, 0.7, 2)
         reports.append(
             verify_mod.uturn_degeneracy_scan(target, cfg, np.array([1.0, -0.5]), n=500, seed=seed)
         )
     elif name == "ergodicity":
-        target = builtin_target("standard_gaussian", 2)
-        cfg = KernelConfig("nuts_iterative", h=0.5, mass=MassMatrix.identity(2), k_m=6)
-        reports.append(
-            verify_mod.ergodicity_run(
-                target,
-                cfg,
-                iters=20_000,
-                seed=seed,
-                q0=np.array([50.0, 0.0]),
-                ref_mean=np.zeros(2),
-                ref_second=np.ones(2),
-            )
-        )
+        target, cfg = gauss(2, 0.5, 6)
+        reports.append(verify_mod.ergodicity_run(target, cfg, iters=20_000, seed=seed,
+                                                 q0=np.array([50.0, 0.0]), ref_mean=np.zeros(2),
+                                                 ref_second=np.ones(2)))
     else:
         raise ConfigError(f"unknown suite {name!r}")
     return reports
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
+    seed = _resolve_seed(args, _load_config(args.config)["seed"])
     suite = args.suite or "all"
     if suite not in SUITES:
         print(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}", file=sys.stderr)
@@ -642,12 +658,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pmf(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    target = _build_target(config)
-    cfg = _build_kernel_config(config, target.dim)
+    values = _load_config(args.config)
+    seed = _resolve_seed(args, values["seed"])
+    target = _build_target(values)
+    cfg = _build_kernel_config(values)
     if cfg.k_m > 8:
-        print(f"k_m = {cfg.k_m} exceeds the exact-enumeration budget (8)", file=sys.stderr)
+        print(f"kernel.k_m = {cfg.k_m} exceeds the exact-enumeration budget (8)",
+              file=sys.stderr)
         return EXIT_CONFIG
     q = _flag_array(args.q, "--q", target.dim)
     _check_finite_energy(target, cfg.mass, "--q", q)
@@ -678,34 +695,13 @@ def cmd_pmf(args) -> int:
 def cmd_conditions(args) -> int:
     from .verify import stepsize_conditions
 
-    config = _load_config(args.config)
-    spec = config.get("conditions", {})
-    if not isinstance(spec, dict):
-        raise ConfigError("conditions must be a JSON object")
-
-    def get(key, convert=float):
-        if key not in spec:
-            return None
-        value = _convert(spec[key], f"conditions.{key}", convert)
-        # compared as a float, so an integer beyond the float range is rejected
-        if not 0 < _convert(value, f"conditions.{key}") < math.inf:
-            raise ConfigError(f"conditions.{key} must be positive and finite, got {value}")
-        return value
-
-    report = stepsize_conditions(
-        l1=get("l1"), h=get("h"), k_m=get("k_m", int), t=get("t", int), m1=get("m1"), a1=get("a1")
-    )
-    requested = spec.get("require", list(report))
-    if not isinstance(requested, list) or not all(
-        isinstance(k, str) and k in report for k in requested
-    ):
-        raise ConfigError(
-            f"conditions.require must list names among {', '.join(report)}, got {requested!r}"
-        )
-    missing = [k for k in requested if "missing" in report[k]]
+    values = _load_config(args.config)
+    report = stepsize_conditions(**{key: values[f"conditions.{key}"]
+                                    for key in ("l1", "h", "k_m", "t", "m1", "a1")})
+    missing = [k for k in values["conditions.require"] if "missing" in report[k]]
     print(json.dumps(report, indent=2))
     if missing:
-        print(f"missing constants for: {', '.join(missing)}", file=sys.stderr)
+        print(f"conditions: missing constants for: {', '.join(missing)}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 
@@ -713,39 +709,26 @@ def cmd_conditions(args) -> int:
 def cmd_trajectory(args) -> int:
     from .leapfrog import ContractionViolated, NoConvergence, trajectory_solve
 
-    config = _load_config(args.config)
-    cfg = _build_kernel_config(config, _target_dim(config))
+    values = _load_config(args.config)
+    cfg = _build_kernel_config(values)
     # the contraction condition needs L1 under the configured mass
-    target = _build_target(config, mass=cfg.mass)
+    target = _build_target(values, mass=cfg.mass)
     q0 = _flag_array(args.q0, "--q0", target.dim)
     q_t = _flag_array(args.qT, "--qT", target.dim)
     _check_finite_energy(target, cfg.mass, "--q0", q0)
     _check_finite_energy(target, cfg.mass, "--qT", q_t)
-    if args.steps < 1:
-        print(f"--steps must be >= 1, got {args.steps}", file=sys.stderr)
-        return EXIT_CONFIG
+    steps = _read("kernel.t", args.steps, name="--steps")  # T, as an hmc run takes it
     try:
-        sol = trajectory_solve(target, cfg.params, q0, q_t, args.steps)
+        sol = trajectory_solve(target, cfg.params, q0, q_t, steps)
     except ContractionViolated as exc:
         print(f"step-size condition violated: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoConvergence as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    print(
-        json.dumps(
-            {
-                "p0": sol.p0.tolist(),
-                "positions": sol.positions.tolist(),
-                "momenta": sol.momenta.tolist(),
-                "iterations": sol.iterations,
-                "residual": sol.residual,
-                "contraction_observed": sol.contraction_observed,
-                "roundtrip_error": sol.roundtrip_error,
-            },
-            indent=2,
-        )
-    )
+    fields = ("p0", "positions", "momenta", "iterations", "residual", "contraction_observed",
+              "roundtrip_error")
+    print(json.dumps({k: getattr(sol, k) for k in fields}, indent=2, default=np.ndarray.tolist))
     return EXIT_OK
 
 
@@ -754,7 +737,7 @@ def cmd_bench(args) -> int:
     steps = args.steps
     if dim < 1 or steps < 1:
         raise ConfigError(f"--dim and --steps must be >= 1, got {dim} and {steps}")
-    seed = _resolve_seed(args, {})
+    seed = _resolve_seed(args, SCHEMA["seed"].default)
     target = builtin_target("standard_gaussian", dim)
     mass = MassMatrix.identity(dim)
     lines = [f"benchmark: standard Gaussian d={dim}, {steps} transitions per kernel"]

@@ -80,6 +80,10 @@ from .orbit import (  # noqa: F401
 from .targets import MassMatrix, PhasePoint, Target, gradient_rows, momentum_refresh
 
 KERNEL_KINDS = ("nuts_iterative", "nuts_recursive", "hmc", "rhmc")
+# the largest doubling depth, and the largest fixed step count: the 2^20
+# states that depth allows
+K_M_MAX = 20
+T_MAX = 2**K_M_MAX
 
 # verification hook: "always-swap" skips the progressive swap coin, a
 # deliberately broken kernel used as a negative control by the checks
@@ -100,15 +104,17 @@ class KernelConfig:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError(f"step size must be positive and finite, got {self.h}")
-        if not 1 <= self.k_m <= 20:
-            raise ValueError(f"k_m = {self.k_m} outside [1, 20]")
-        if self.t < 1:
-            raise ValueError(f"t = {self.t} must be >= 1")
+        if not 1 <= self.k_m <= K_M_MAX:
+            raise ValueError(f"k_m = {self.k_m} outside [1, {K_M_MAX}]")
+        if not 1 <= self.t <= T_MAX:
+            raise ValueError(f"t = {self.t} outside [1, {T_MAX}]")
         if self.kind == "rhmc":
             w = np.asarray(self.weights, dtype=float)
+            with np.errstate(over="ignore"):  # finite weights may sum to inf
+                total = w.sum()
             # a nan passes both comparisons below, so finiteness is checked first
             if (w.ndim != 1 or w.size < 1 or not np.isfinite(w).all() or np.any(w < 0)
-                    or abs(w.sum() - 1.0) > 1e-12):
+                    or abs(total - 1.0) > 1e-12):
                 raise ValueError("rhmc weights must be finite, nonnegative and sum to 1")
             object.__setattr__(self, "weights", w)
 

@@ -29,6 +29,9 @@ def flip(x: PhasePoint) -> PhasePoint:
     return PhasePoint(x.q, -x.p)
 
 
+MASS_KINDS = ("identity", "diagonal", "dense")
+
+
 class MassMatrix:
     """Symmetric positive definite mass matrix with cached factorizations.
 
@@ -101,8 +104,11 @@ class MassMatrix:
         if self.kind == "diagonal":
             return self._inv * v
         if v.ndim == 2:  # one solve with the rows as right-hand sides
-            return np.ascontiguousarray(self._cho_solve(self._cho_factor, v.T).T)
-        return self._cho_solve(self._cho_factor, v)
+            return np.ascontiguousarray(
+                self._cho_solve(self._cho_factor, v.T, check_finite=False).T)
+        # unchecked: a non-finite momentum has a non-finite energy, as under
+        # the other kinds, not a ValueError
+        return self._cho_solve(self._cho_factor, v, check_finite=False)
 
     def chol_mul(self, z: np.ndarray) -> np.ndarray:
         """Multiplication by the lower Cholesky factor, ``L z``."""
@@ -230,6 +236,9 @@ def _shared_sigma_product(sigma):
         return 0.5 * float(q @ (sigma @ q))
 
     return sigma_q, half_quad
+
+
+TARGET_KINDS = ("standard_gaussian", "gaussian", "perturbed_gaussian", "double_well")
 
 
 def builtin_target(
@@ -363,21 +372,23 @@ def builtin_target(
     def gradient_p_rows(q, _a=a5):
         return sigma_rows(q) + _a * np.tanh(q)
 
-    # |grad U~| = a5 |tanh| <= a5 sqrt(d): bounded perturbation gradient (rho = 1)
+    # |grad U~| = |a5| |tanh| <= |a5| sqrt(d): bounded perturbation gradient
+    # (rho = 1); the constants hold for a perturbation of either sign
+    a5_abs = abs(a5)
     return Target(
         dim=dim,
         potential=potential_p,
         gradient=gradient_p,
         name="perturbed_gaussian",
-        # M^{-1} a5 tanh(q) is Lipschitz with constant a5 lambda_max(M^{-1})
-        lipschitz_l1=lam_max_m + a5 * lam_max_minv,
+        # M^{-1} a5 tanh(q) is Lipschitz with constant |a5| lambda_max(M^{-1})
+        lipschitz_l1=lam_max_m + a5_abs * lam_max_minv,
         growth_class="h8",
         constants={
             "m": 2.0,
-            "M1": lam_max + a5,
+            "M1": lam_max + a5_abs,
             "A1": lam_min,
-            "A2": a5 * math.sqrt(dim),
-            "A5": a5,
+            "A2": a5_abs * math.sqrt(dim),
+            "A5": a5_abs,
             "rho": 1.0,
         },
         potential_rows=potential_p_rows,

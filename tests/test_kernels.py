@@ -74,6 +74,21 @@ class TestKernelConfig:
         with pytest.raises(ValueError, match="weights"):
             KernelConfig("rhmc", h=0.1, mass=I1, weights=np.array(weights))
 
+    def test_overflowing_rhmc_weights_rejected_without_warning(self):
+        # each weight is finite, their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="weights"):
+                KernelConfig("rhmc", h=0.1, mass=I1, weights=[1e308, 1e308])
+
+    def test_t_bounded_by_the_states_k_m_allows(self):
+        # 2^20 states, as many as k_m = 20 gives; beyond it an hmc run is
+        # unbounded in time (t = 1e308 once read as an integer never ended)
+        assert KernelConfig("hmc", h=0.1, mass=I1, t=2**20).t == 2**20
+        for t in (0, 2**20 + 1, int(1e308)):
+            with pytest.raises(ValueError, match=r"outside \[1, 1048576\]"):
+                KernelConfig("hmc", h=0.1, mass=I1, t=t)
+
 
 class TestIterativeNuts:
     def test_flat_km1_jumps_one_step(self):

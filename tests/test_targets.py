@@ -72,6 +72,36 @@ def test_lipschitz_constant_statistical():
                 assert lhs <= target.lipschitz_l1 * np.linalg.norm(q1 - q2) * (1 + 1e-12)
 
 
+SIGMA3 = np.array([[2.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.6]])
+MASSES3 = {"identity": MassMatrix.identity(3), "diagonal": MassMatrix.diagonal([0.3, 1.0, 4.0]),
+           "dense": MassMatrix.dense([[1.5, -0.3, 0.1], [-0.3, 0.4, 0.0], [0.1, 0.0, 0.8]])}
+
+
+@pytest.mark.parametrize("a5", [-1.5, -0.5, 0.5])
+@pytest.mark.parametrize("mass_kind", sorted(MASSES3))
+@pytest.mark.parametrize("kind", ["standard_gaussian", "gaussian", "perturbed_gaussian"])
+def test_stated_lipschitz_constant_holds(kind, mass_kind, a5):
+    # L1 bounds |M^{-1} (grad U(x) - grad U(y))| / |x - y| in the norm
+    # |v|_M = sqrt(v' M v), where M^{-1} Sigma is self-adjoint, so that its
+    # norm is its largest eigenvalue; the perturbation's curvature is
+    # a5 sech^2 in [-|a5|, |a5|] whatever the sign of a5.  The pairs lie far
+    # out, where the Hessian is Sigma, and about the origin, where it is
+    # Sigma + a5 I
+    mass = MASSES3[mass_kind]
+    target = builtin_target(kind, 3, sigma=None if kind == "standard_gaussian" else SIGMA3,
+                            a5=a5, mass=mass)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-6.0, 6.0, (2000, 3)) * rng.choice([1e-3, 1.0], (2000, 1))
+    y = x + rng.standard_normal((2000, 3)) * rng.choice([1e-4, 0.1, 1.0, 5.0], (2000, 1))
+
+    def m_norm(v):
+        return math.sqrt(v @ mass.mul(v))
+
+    ratios = [m_norm(mass.inv_mul(target.gradient(a) - target.gradient(b))) / m_norm(a - b)
+              for a, b in zip(x, y)]
+    assert 0 < max(ratios) <= target.lipschitz_l1 * (1 + 1e-9)
+
+
 class TestBuiltinConstants:
     def test_standard_gaussian(self):
         t = builtin_target("standard_gaussian", 2)
@@ -214,6 +244,19 @@ class TestHamiltonian:
         mass = MassMatrix.identity(1)
         h = hamiltonian(t, mass, PhasePoint(np.array([1e200]), np.zeros(1)))
         assert h == math.inf
+
+    @pytest.mark.parametrize("mass", [MassMatrix.identity(2), MassMatrix.diagonal([0.5, 2.0]),
+                                      MassMatrix.dense([[2.0, 0.4], [0.4, 1.0]])],
+                             ids=["identity", "diagonal", "dense"])
+    def test_non_finite_momentum_has_non_finite_energy(self, mass):
+        # the dense solve once checked its input and raised ValueError
+        t = builtin_target("standard_gaussian", 2)
+        for p in (np.array([math.inf, 1.0]), np.array([1.0, -math.inf]),
+                  np.array([math.nan, 0.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not math.isfinite(mass.kinetic(p))
+                assert hamiltonian(t, mass, PhasePoint(np.zeros(2), p)) == math.inf
 
     def test_kinetic_overflow_flagged_without_warning(self):
         t = builtin_target("double_well", 1)
