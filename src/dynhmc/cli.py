@@ -298,13 +298,11 @@ def _build_mass(values: dict) -> MassMatrix:
 
 def _build_target(values: dict, mass: MassMatrix | None = None) -> Target:
     """The configured target, its ``lipschitz_l1`` taken under ``mass``."""
-    kind, dim, sigma = values["target.kind"], values["target.dim"], values["target.sigma"]
-    try:
-        # a double well can fail only on its dimension, the Gaussians on sigma
-        return _built("target.dim" if kind == "double_well" else "target.sigma", builtin_target,
-                      kind, dim=dim, sigma=sigma, a5=values["target.a5"], mass=mass)
-    except MemoryError as exc:  # a d x d identity sigma
-        raise ConfigError(f"target.dim {dim} is too large for kind {kind}: {exc}") from exc
+    kind = values["target.kind"]
+    # a double well can fail only on its dimension, the Gaussians on sigma
+    return _built("target.dim" if kind == "double_well" else "target.sigma", builtin_target,
+                  kind, dim=values["target.dim"], sigma=values["target.sigma"],
+                  a5=values["target.a5"], mass=mass)
 
 
 def _build_kernel_config(values: dict) -> KernelConfig:

@@ -304,7 +304,10 @@ def trajectory_solve(
     interpolant, where ``A`` is the tridiagonal averaging matrix.  ``l1``
     defaults to ``target.lipschitz_l1``; when known, the sharp condition
     ``L1 h^2 < 2 (1 - cos(pi/T))`` is enforced up front (otherwise the caller
-    asserts contraction).  Momenta are reconstructed from the position
+    asserts contraction).  ``target.lipschitz_l1`` bounds ``M^{-1} grad U``
+    in the norm ``|v|_M = sqrt(v' M v)``, not in the Euclidean norm the
+    iteration's residual is measured in, so under a diagonal or dense mass
+    the condition does not by itself prove that the iteration contracts.  Momenta are reconstructed from the position
     differences and the trajectory is re-integrated forward as an
     independent round-trip check.
     """

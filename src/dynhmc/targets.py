@@ -10,6 +10,7 @@ weight, never as a crash.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -137,15 +138,25 @@ class MassMatrix:
         return f"MassMatrix(kind={self.kind!r}, dim={self.dim})"
 
 
+def _no_regularity() -> tuple[float | None, dict]:
+    return None, {}
+
+
 @dataclass(frozen=True)
 class Target:
     """Potential/gradient pair with optional regularity metadata.
 
     ``lipschitz_l1`` is the Lipschitz constant of ``q -> M^{-1} grad U(q)``
     when known, for the mass ``M`` given to :func:`builtin_target` (identity
-    if none); ``growth_class`` tags the tail-growth family the target belongs
-    to, with the associated constants stored in ``constants`` (keys among
-    ``m``, ``M1``, ``A1`` ... ``A5``, ``rho``, ``R_U``).
+    if none), in the norm ``|v|_M = sqrt(v' M v)``, where ``M^{-1} Sigma`` is
+    self-adjoint; in the Euclidean norm it is no bound under a diagonal or
+    dense mass.  ``growth_class`` tags the tail-growth family the target
+    belongs to, with the associated constants stored in ``constants`` (keys
+    among ``m``, ``M1``, ``A1`` ... ``A5``, ``rho``, ``R_U``).  Both are read
+    from ``regularity()``, which returns ``(lipschitz_l1, constants)``: the
+    built-in targets compute it on the first read and keep it, so a target
+    whose constants need a spectrum costs none until they are read, and
+    ``dataclasses.replace`` carries it over uncalled.
 
     ``potential_rows`` and ``gradient_rows``, when given, evaluate a
     ``(C, d)`` array of positions at once, each row equal bit for bit to the
@@ -157,11 +168,19 @@ class Target:
     potential: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     name: str = "custom"
-    lipschitz_l1: float | None = None
     growth_class: str = "general"
-    constants: dict = field(default_factory=dict)
     potential_rows: Callable[[np.ndarray], np.ndarray] | None = None
     gradient_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    regularity: Callable[[], tuple[float | None, dict]] = field(
+        default=_no_regularity, repr=False, compare=False)
+
+    @property
+    def lipschitz_l1(self) -> float | None:
+        return self.regularity()[0]
+
+    @property
+    def constants(self) -> dict:
+        return self.regularity()[1]
 
 
 def potential_rows(target: Target, q: np.ndarray) -> np.ndarray:
@@ -209,21 +228,48 @@ def _logcosh(x: np.ndarray) -> np.ndarray:
     return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def _shared_sigma_product(sigma):
+def _symmetric_product(sigma: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``q -> Sigma q`` by BLAS ``dsymv``, which reads one triangle of ``Sigma``.
+
+    ``sigma`` is C-ordered and symmetric; its transpose is the same matrix in
+    Fortran order, which f2py passes without a copy.  The row forms call it
+    once per row, so every row of a ``(C, d)`` array gets the bits of the
+    single vector (the batched ``dsymm`` rounds differently from d = 20 up).
+    No warning is raised on overflow: the non-finite product is the caller's
+    flagged-divergence path.
+    """
+    # scipy is loaded here, where a target with a precision matrix needs it
+    from scipy.linalg.blas import dsymv
+
+    sigma_f = sigma.T
+    shape = sigma.shape[:1]
+
+    def product(q):
+        # dsymv would read the first d entries of a longer vector
+        if np.shape(q) != shape:
+            raise ValueError(f"position has shape {np.shape(q)}, expected {shape}")
+        return dsymv(1.0, sigma_f, q)
+
+    return product
+
+
+def _shared_sigma_product(product):
     """``q -> Sigma q`` and ``q -> q^T Sigma q / 2`` sharing one product per point.
 
-    The first function keeps a copy of its argument with the quadratic form
-    computed from the same product; the second returns that form when its
-    argument equals the copy (by contents, so in-place mutation of ``q`` or
-    of the returned vector cannot make it stale) and evaluates the formula
-    otherwise.  A leapfrog step's gradient followed by the new state's
-    potential thus costs one matrix-vector product, with unchanged values.
+    ``product`` computes ``Sigma q``.  The first function keeps a copy of its
+    argument with the quadratic form computed from the same product; the
+    second returns that form when its argument equals the copy (by contents,
+    so in-place mutation of ``q`` or of the returned vector cannot make it
+    stale) and evaluates the formula through ``product`` otherwise, so a
+    point's potential has one value whether or not its gradient came first.
+    A leapfrog step's gradient followed by the new state's potential thus
+    costs one matrix-vector product.
     """
     kept = (None, 0.0)
 
     def sigma_q(q):
         nonlocal kept
-        sq = sigma @ q
+        sq = product(q)
         # overflow is the caller's flagged-divergence path, as in the gradient
         with np.errstate(over="ignore", invalid="ignore"):
             kept = (np.array(q), 0.5 * float(q @ sq))
@@ -233,9 +279,24 @@ def _shared_sigma_product(sigma):
         kept_q, quad = kept
         if kept_q is not None and np.array_equal(kept_q, q):
             return quad
-        return 0.5 * float(q @ (sigma @ q))
+        return 0.5 * float(q @ product(q))
 
     return sigma_q, half_quad
+
+
+def _spectrum(sigma: np.ndarray | None, mass: MassMatrix | None):
+    """``(lambda_max(Sigma), lambda_min(Sigma), lambda_max(M^{-1} Sigma),
+    lambda_max(M^{-1}))``, with ``sigma`` None for the identity."""
+    lam_max = lam_min = 1.0
+    if sigma is not None:
+        eigs = np.linalg.eigvalsh(sigma)
+        lam_max, lam_min = float(eigs[-1]), float(eigs[0])
+    if mass is None or mass.is_identity:
+        return lam_max, lam_min, lam_max, 1.0
+    minv = mass.inv_matrix()
+    # eigenvalues of M^{-1} Sigma = those of the SPD pencil
+    lam_max_m = float(np.max(np.abs(np.linalg.eigvals(minv if sigma is None else minv @ sigma))))
+    return lam_max, lam_min, lam_max_m, float(np.linalg.eigvalsh(minv)[-1])
 
 
 TARGET_KINDS = ("standard_gaussian", "gaussian", "perturbed_gaussian", "double_well")
@@ -261,37 +322,7 @@ def builtin_target(
     (``tanh``), so the perturbed family has quadratic-plus-linear growth with
     ``rho = 1``.
     """
-    if kind == "standard_gaussian":
-        # Sigma = I: the constants are known, so no d x d matrix is formed
-        lam_max_m = 1.0
-        if mass is not None and not mass.is_identity:
-            # eigenvalues of M^{-1} Sigma = those of M^{-1}
-            lam_max_m = float(np.max(np.abs(np.linalg.eigvals(mass.inv_matrix()))))
-
-        def potential(q):
-            return 0.5 * float(q.dot(q))
-
-        def gradient(q):
-            return q
-
-        return Target(
-            dim=dim,
-            potential=potential,
-            gradient=gradient,
-            name="standard_gaussian",
-            lipschitz_l1=lam_max_m,
-            growth_class="h6",
-            constants={"m": 2.0, "M1": 1.0, "A1": 1.0, "A2": 0.0},
-            potential_rows=lambda q: 0.5 * np.vecdot(q, q),
-            gradient_rows=gradient,
-        )
-    elif kind in ("gaussian", "perturbed_gaussian"):
-        if sigma is None:
-            sigma = np.eye(dim)
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.shape != (dim, dim):
-            raise ValueError(f"sigma has shape {sigma.shape}, expected ({dim}, {dim})")
-    elif kind == "double_well":
+    if kind == "double_well":
         if dim != 1:
             raise ValueError("double_well target is 1-D only")
 
@@ -308,57 +339,62 @@ def builtin_target(
         # no potential_rows: the array power Q[:, 0]**4 differs from the
         # scalar's q[0]**4 in the last bit on some inputs, so the rows loop
         # over the scalar formula
-        return Target(
-            dim=1,
-            potential=potential_dw,
-            gradient=gradient_dw,
-            name="double_well",
-            lipschitz_l1=None,
-            growth_class="general",
-            gradient_rows=gradient_dw,
-        )
-    else:
+        return Target(dim=1, potential=potential_dw, gradient=gradient_dw, name="double_well",
+                      gradient_rows=gradient_dw)
+    if kind not in TARGET_KINDS:
         raise ValueError(f"unknown builtin target kind {kind!r}")
 
-    try:
-        np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("sigma must be symmetric positive definite") from exc
-    if not np.allclose(sigma, sigma.T):
-        raise ValueError("sigma must be symmetric positive definite")
+    if kind == "standard_gaussian" or sigma is None:
+        # Sigma = I: its product is q itself and its eigenvalues are 1, so no
+        # d x d matrix is formed
+        sigma = None
 
-    eigs = np.linalg.eigvalsh(sigma)
-    lam_max, lam_min = float(eigs[-1]), float(eigs[0])
-    if mass is not None and not mass.is_identity:
-        minv = mass.inv_matrix()
-        # eigenvalues of M^{-1} Sigma = those of the SPD pencil
-        lam_max_m = float(np.max(np.abs(np.linalg.eigvals(minv @ sigma))))
-        lam_max_minv = float(np.linalg.eigvalsh(minv)[-1])
+        def sigma_q(q):
+            return q
+
+        def half_quad(q):
+            return 0.5 * float(q.dot(q))
+
+        sigma_rows = sigma_q
+
+        def half_quad_rows(q):
+            return 0.5 * np.vecdot(q, q)
     else:
-        lam_max_m = lam_max
-        lam_max_minv = 1.0
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != (dim, dim):
+            raise ValueError(f"sigma has shape {sigma.shape}, expected ({dim}, {dim})")
+        try:
+            np.linalg.cholesky(sigma)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("sigma must be symmetric positive definite") from exc
+        if not np.array_equal(sigma, sigma.T):
+            if not np.allclose(sigma, sigma.T):
+                raise ValueError("sigma must be symmetric positive definite")
+            # U = q' Sigma q / 2 sees only the symmetric part, and so must its
+            # gradient; an exactly symmetric sigma keeps its bits
+            sigma = 0.5 * (sigma + sigma.T)
+        sigma = np.ascontiguousarray(sigma)
+        product = _symmetric_product(sigma)
+        sigma_q, half_quad = _shared_sigma_product(product)
 
-    def sigma_rows(q):
-        return np.matmul(sigma, q[:, :, None])[:, :, 0]
+        def sigma_rows(q):
+            out = np.empty(q.shape)
+            for r, x in enumerate(q):
+                out[r] = product(x)
+            return out
 
-    def half_quad_rows(q):
-        return 0.5 * np.vecdot(q, sigma_rows(q))
+        def half_quad_rows(q):
+            return 0.5 * np.vecdot(q, sigma_rows(q))
 
-    if kind == "gaussian":
-        gradient, potential = _shared_sigma_product(sigma)
-        return Target(
-            dim=dim,
-            potential=potential,
-            gradient=gradient,
-            name="gaussian",
-            lipschitz_l1=lam_max_m,
-            growth_class="h6",
-            constants={"m": 2.0, "M1": lam_max, "A1": lam_min, "A2": 0.0},
-            potential_rows=half_quad_rows,
-            gradient_rows=sigma_rows,
-        )
+    if kind != "perturbed_gaussian":
+        @functools.cache
+        def regularity():
+            lam_max, lam_min, lam_max_m, _ = _spectrum(sigma, mass)
+            return lam_max_m, {"m": 2.0, "M1": lam_max, "A1": lam_min, "A2": 0.0}
 
-    sigma_q, half_quad = _shared_sigma_product(sigma)
+        return Target(dim=dim, potential=half_quad, gradient=sigma_q, name=kind,
+                      growth_class="h6", potential_rows=half_quad_rows,
+                      gradient_rows=sigma_rows, regularity=regularity)
 
     def potential_p(q, _a=a5):
         return half_quad(q) + _a * float(np.sum(_logcosh(q)))
@@ -375,22 +411,21 @@ def builtin_target(
     # |grad U~| = |a5| |tanh| <= |a5| sqrt(d): bounded perturbation gradient
     # (rho = 1); the constants hold for a perturbation of either sign
     a5_abs = abs(a5)
-    return Target(
-        dim=dim,
-        potential=potential_p,
-        gradient=gradient_p,
-        name="perturbed_gaussian",
+
+    @functools.cache
+    def regularity_p():
+        lam_max, lam_min, lam_max_m, lam_max_minv = _spectrum(sigma, mass)
         # M^{-1} a5 tanh(q) is Lipschitz with constant |a5| lambda_max(M^{-1})
-        lipschitz_l1=lam_max_m + a5_abs * lam_max_minv,
-        growth_class="h8",
-        constants={
+        return lam_max_m + a5_abs * lam_max_minv, {
             "m": 2.0,
             "M1": lam_max + a5_abs,
             "A1": lam_min,
             "A2": a5_abs * math.sqrt(dim),
             "A5": a5_abs,
             "rho": 1.0,
-        },
-        potential_rows=potential_p_rows,
-        gradient_rows=gradient_p_rows,
-    )
+        }
+
+    return Target(dim=dim, potential=potential_p, gradient=gradient_p,
+                  name="perturbed_gaussian", growth_class="h8",
+                  potential_rows=potential_p_rows, gradient_rows=gradient_p_rows,
+                  regularity=regularity_p)

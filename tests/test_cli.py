@@ -35,6 +35,23 @@ def gauss2_config(tmp_path):
 
 
 class TestSample:
+    @pytest.mark.parametrize("kind", ["gaussian", "perturbed_gaussian"])
+    def test_dense_sigma_computes_no_spectrum(self, kind, tmp_path, monkeypatch):
+        # sample reads no constant of its target, so it takes no eigenvalues
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("a spectrum was computed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+        monkeypatch.setattr(np.linalg, "eigvals", no_spectrum)
+        path, out = tmp_path / "cfg.json", tmp_path / "s.csv"
+        sigma = [[2.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 0.6]]
+        mass = {"kind": "dense", "matrix": [[1.5, -0.3, 0.1], [-0.3, 0.4, 0.0], [0.1, 0.0, 0.8]]}
+        path.write_text(json.dumps({"target": {"kind": kind, "dim": 3, "sigma": sigma},
+                                    "kernel": {"kind": "nuts_iterative", "h": 0.3, "mass": mass},
+                                    "chains": 2, "iters": 20}))
+        assert main(["sample", "--config", str(path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 20
+
     def test_row_accounting_and_header(self, gauss2_config, tmp_path, capsys):
         out = str(tmp_path / "samples.csv")
         rc = main(["sample", "--config", gauss2_config, "--out", out])
@@ -521,10 +538,9 @@ class TestImports:
         "sys.exit(rc)\n"
     )
 
-    def _sample(self, tmp_path, kernel: dict) -> str:
+    def _sample(self, tmp_path, kernel: dict, kind: str = "standard_gaussian") -> str:
         path, out = tmp_path / "cfg.json", tmp_path / "samples.csv"
-        path.write_text(json.dumps({"target": {"kind": "standard_gaussian", "dim": 2},
-                                    "kernel": kernel}))
+        path.write_text(json.dumps({"target": {"kind": kind, "dim": 2}, "kernel": kernel}))
         env = dict(os.environ, PYTHONPATH=str(Path(dynhmc.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(path), str(out)],
                               env=env, capture_output=True, text=True, timeout=120)
@@ -534,6 +550,11 @@ class TestImports:
 
     def test_identity_mass_loads_no_scipy(self, tmp_path):
         assert self._sample(tmp_path, {"kind": "nuts_iterative", "h": 0.5}) == "[]\n"
+
+    @pytest.mark.parametrize("kind", ["gaussian", "perturbed_gaussian"])
+    def test_no_sigma_loads_no_scipy(self, tmp_path, kind):
+        # without a sigma the precision is the identity, and no product is taken
+        assert self._sample(tmp_path, {"kind": "nuts_iterative", "h": 0.5}, kind) == "[]\n"
 
     def test_dense_mass_runs(self, tmp_path):
         mass = {"kind": "dense", "matrix": [[1.0, 0.2], [0.2, 1.0]]}

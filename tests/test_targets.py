@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -109,20 +110,33 @@ class TestBuiltinConstants:
         assert np.allclose(t.gradient(q), q)
         assert t.lipschitz_l1 == 1.0
 
-    def test_standard_gaussian_builds_no_matrix_at_large_d(self):
+    @pytest.mark.parametrize("kind,l1", [("standard_gaussian", 1.0), ("gaussian", 1.0),
+                                         ("perturbed_gaussian", 1.5)])
+    def test_identity_precision_builds_no_matrix_at_large_d(self, kind, l1):
+        # a gaussian or perturbed_gaussian given no sigma takes the standard
+        # Gaussian's identity path
         d = 20_000
         tracemalloc.start()
         try:
-            t = builtin_target("standard_gaussian", d)
+            t = builtin_target(kind, d, a5=0.5)
+            q = np.ones(d)
+            t.gradient(q)
+            t.potential(q)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * d * 10  # a d x d identity would take 3.2 GB
-        assert t.lipschitz_l1 == 1.0
-        assert t.constants == {"m": 2.0, "M1": 1.0, "A1": 1.0, "A2": 0.0}
+        assert t.lipschitz_l1 == l1
+        constants = {"m": 2.0, "M1": l1, "A1": 1.0, "A2": 0.0}
+        if kind == "perturbed_gaussian":
+            constants.update(A2=0.5 * math.sqrt(d), A5=0.5, rho=1.0)
+        assert t.constants == constants
 
     @pytest.mark.parametrize("mass_kind", [None, "identity", "diagonal", "dense"])
-    def test_standard_gaussian_constants_match_identity_sigma(self, mass_kind):
+    @pytest.mark.parametrize("kind", ["standard_gaussian", "gaussian", "perturbed_gaussian"])
+    def test_identity_precision_matches_identity_sigma(self, kind, mass_kind):
+        # the identity path gives the values of a product with I; at a signed
+        # zero of q it keeps -0.0 where the product gives +0.0
         d = 4
         rng = np.random.default_rng(3)
         a = rng.standard_normal((d, d))
@@ -132,14 +146,50 @@ class TestBuiltinConstants:
             "diagonal": MassMatrix.diagonal(rng.random(d) + 0.5),
             "dense": MassMatrix.dense(a @ a.T / d + np.eye(d)),
         }[mass_kind]
-        fast = builtin_target("standard_gaussian", d, mass=mass)
-        ref = builtin_target("gaussian", d, sigma=np.eye(d), mass=mass)
+        fast = builtin_target(kind, d, a5=-0.5, mass=mass)
+        ref = builtin_target("gaussian" if kind == "standard_gaussian" else kind, d,
+                             sigma=np.eye(d), a5=-0.5, mass=mass)
         assert fast.lipschitz_l1 == ref.lipschitz_l1
         assert fast.constants == ref.constants
         assert (fast.growth_class, fast.dim) == (ref.growth_class, ref.dim)
-        q = rng.standard_normal(d)
-        assert fast.potential(q) == ref.potential(q)
-        assert np.array_equal(fast.gradient(q), ref.gradient(q))
+        for q in (rng.standard_normal(d), np.array([-0.0, 1.5, -0.0, 0.0]), np.full(d, -0.0)):
+            assert fast.potential(q) == ref.potential(q)
+            assert np.array_equal(fast.gradient(q), ref.gradient(q))
+        rows = rng.standard_normal((6, d))
+        assert np.array_equal(fast.potential_rows(rows), ref.potential_rows(rows))
+        assert np.array_equal(fast.gradient_rows(rows), ref.gradient_rows(rows))
+
+    def test_spectrum_waits_for_the_first_read(self, monkeypatch):
+        # a copy made by dataclasses.replace, as a tracer wraps a target's
+        # functions, shares the constants and computes them once
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        t = builtin_target("perturbed_gaussian", 3, sigma=SIGMA3, a5=0.5, mass=MASSES3["dense"])
+        copy = dataclasses.replace(t, gradient=lambda q: t.gradient(q))
+        assert calls == []
+        assert copy.lipschitz_l1 == t.lipschitz_l1 and copy.constants is t.constants
+        assert calls == [(3, 3), (3, 3)]  # Sigma and M^{-1}, once each
+        assert t.constants["A1"] == pytest.approx(float(eigvalsh(SIGMA3)[0]), rel=0, abs=0)
+
+    def test_near_symmetric_sigma_has_the_gradient_of_its_potential(self):
+        # allclose accepts a sigma asymmetric by 1e-9 relative; U = q' Sigma q / 2
+        # sees only the symmetric part (Sigma + Sigma') / 2, so that is the
+        # gradient, not Sigma q
+        rng = np.random.default_rng(4)
+        sigma = SIGMA3 * (1.0 + 1e-9 * rng.standard_normal((3, 3)))
+        assert np.allclose(sigma, sigma.T) and not np.array_equal(sigma, sigma.T)
+        sym = 0.5 * (sigma + sigma.T)
+        t = builtin_target("gaussian", 3, sigma=sigma)
+        for q in 3.0 * rng.standard_normal((20, 3)):
+            g = t.gradient(q)
+            assert np.allclose(g, sym @ q, rtol=0, atol=1e-13)
+            # the check tells the two apart
+            assert not np.allclose(sigma @ q, sym @ q, rtol=0, atol=1e-13)
+            # U is quadratic: central differences are exact up to rounding
+            fd = finite_difference_grad(t, q, eps=1e-3)
+            assert np.allclose(g, fd, rtol=0, atol=1e-11)
+            assert not np.allclose(sigma @ q, fd, rtol=0, atol=1e-11)
 
     def test_diag_precision_l1(self):
         t = builtin_target("gaussian", 2, sigma=np.diag([1.0, 4.0]))
@@ -162,6 +212,14 @@ class TestBuiltinConstants:
             builtin_target("gaussian", 2, sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
             builtin_target("gaussian", 2, sigma=np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "perturbed_gaussian"])
+    def test_position_of_wrong_length_rejected(self, kind):
+        t = builtin_target(kind, 3, sigma=SIGMA3)
+        for q in (np.ones(2), np.ones(4)):
+            for f in (t.gradient, t.potential):
+                with pytest.raises(ValueError, match="position has shape"):
+                    f(q)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -216,6 +274,21 @@ class TestSharedSigmaProduct:
         g *= -3.0
         g[0] = np.inf
         assert target.potential(q) == formula(q)
+
+
+@pytest.mark.parametrize("d", [5, 300])
+@pytest.mark.parametrize("kind", ["gaussian", "perturbed_gaussian"])
+def test_potential_bits_do_not_depend_on_the_gradient(kind, d):
+    # the potential's own product and the one its gradient kept are the same
+    # function, so a point has one potential whichever came first
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d))
+    t = builtin_target(kind, d, sigma=a @ a.T / d + np.eye(d), a5=0.5)
+    for _ in range(20):
+        q = 2.0 * rng.standard_normal(d)
+        cold = t.potential(q)
+        t.gradient(q)
+        assert t.potential(q.copy()).hex() == cold.hex()
 
 
 class TestHamiltonian:
