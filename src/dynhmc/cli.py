@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -153,11 +154,17 @@ def _load_config(path: str | None) -> dict:
                     raise ConfigError(f"unknown config key {key + '.' if key else ''}{name}; "
                                       f"{key or 'the top level'} takes {', '.join(known)}")
         if key == "target.dim":
-            try:
-                np.empty(values[key])  # a d-vector, which every command allocates
-            except (MemoryError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"target.dim {values[key]} is too large: {exc}") from exc
+            _check_allocatable(values[key], key)
     return values
+
+
+def _check_allocatable(dim: int, name: str) -> None:
+    """A config error naming ``name`` unless a d-vector, which every command
+    allocates, fits in memory."""
+    try:
+        np.empty(dim)
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} {dim} is too large: {exc}") from exc
 
 
 def _read(key: str, value, dim: int | None = None, name: str | None = None):
@@ -419,7 +426,9 @@ def _format_rows(values: np.ndarray) -> list[str | None]:
     for j in range(5):
         field[:, 9 - 2 * j] = _CHUNK[t[j]]
     frac = np.maximum(20 - zeros - 4 * (e >> 2), 0)
-    text = field.view(np.uint8)[_KEEP[((x < 0) * 20 + e) * 21 + frac]].tobytes().decode()
+    keep = _KEEP[((x < 0) * 20 + e) * 21 + frac]
+    # compress walks the flat mask and bytes once, faster than a mask index
+    text = np.compress(keep.ravel(), field.view(np.uint8).ravel()).tobytes().decode()
     return [row if ok else None
             for row, ok in zip(text.split("\n")[1:], fast.reshape(rows, d).all(axis=1))]
 
@@ -735,6 +744,7 @@ def cmd_bench(args) -> int:
     steps = args.steps
     if dim < 1 or steps < 1:
         raise ConfigError(f"--dim and --steps must be >= 1, got {dim} and {steps}")
+    _check_allocatable(dim, "--dim")
     seed = _resolve_seed(args, SCHEMA["seed"].default)
     target = builtin_target("standard_gaussian", dim)
     mass = MassMatrix.identity(dim)
@@ -761,7 +771,10 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call: building it costs about 1.5 ms, more than a short run."""
     parser = argparse.ArgumentParser(prog="dynhmc", description=__doc__)
     parser.add_argument("--version", action="version", version=f"dynhmc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -772,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", help="CSV output path (stdout if omitted)")
     p_sample.add_argument("--chains", type=int)
     p_sample.add_argument("--iters", type=int)
-    p_sample.set_defaults(func=cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("--config", help="JSON config file")
@@ -784,18 +796,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["always-swap"],
         help="debug: run mutation-sensitive checks with a broken kernel (negative control)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_pmf = sub.add_parser("pmf", help="exact one-step transition pmf at a phase point")
     p_pmf.add_argument("--config", help="JSON config file")
     p_pmf.add_argument("--q", required=True, help="comma-separated position")
     p_pmf.add_argument("--p", help="comma-separated momentum (drawn from N(0,M) if omitted)")
     p_pmf.add_argument("--seed", type=int)
-    p_pmf.set_defaults(func=cmd_pmf)
 
     p_cond = sub.add_parser("conditions", help="evaluate step-size condition validators")
     p_cond.add_argument("--config", help="JSON config file with a 'conditions' section")
-    p_cond.set_defaults(func=cmd_conditions)
 
     p_traj = sub.add_parser(
         "trajectory", help="solve the two-point leapfrog boundary value problem"
@@ -804,21 +813,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--q0", required=True, help="comma-separated start position")
     p_traj.add_argument("--qT", required=True, help="comma-separated end position")
     p_traj.add_argument("--steps", type=int, required=True, help="number of leapfrog steps T")
-    p_traj.set_defaults(func=cmd_trajectory)
 
     p_bench = sub.add_parser("bench", help="throughput benchmark of the kernels")
     p_bench.add_argument("--dim", type=int, default=100)
     p_bench.add_argument("--steps", type=int, default=1000)
     p_bench.add_argument("--seed", type=int)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command that ``argv`` names (by default ``sys.argv[1:]``)
+    and return its exit code.
+
+    The command runs as ``cmd_<command>`` of this module, looked up by name
+    at each call rather than bound when the parser is built: the parser is
+    built once per process, and a command patched after the first call (a
+    tracer wrapping ``cmd_sample``) must still be the one that runs.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -98,6 +98,9 @@ class WeightTree:
             prev = levels[-1]
             levels.append(np.logaddexp(prev[..., 0::2], prev[..., 1::2]))
         self._levels = levels[::-1]  # _levels[n] has 2^n entries per tree
+        # and each tree as a heap, node u of level n at slot 2^n + u (slot 0
+        # unused), to read a node of every level at once
+        self._nodes = np.concatenate([leaf_logw[..., :1], *self._levels], axis=-1)
 
     def level(self, n: int) -> np.ndarray:
         return self._levels[n]
@@ -106,33 +109,47 @@ class WeightTree:
     def leaves(self) -> np.ndarray:
         return self._levels[self.k]
 
-    def qhat_row_log(self, a: int) -> np.ndarray:
+    def qhat_row_log(self, a) -> np.ndarray:
         """Log-probabilities ``log qhat(a, b)`` for all leaves ``b``, shape ``(..., 2^K)``.
 
-        One pass down the levels gives the rows of every tree of the batch.
-        At level ``n`` the sibling subtree of ``a``'s receives
-        ``(log Pi + log R_n) + leaves - log w_sib``, with the swap ratio
-        ``R_n`` of :func:`accept_log_ratio`.  A one-leaf tree's row is ``[0.0]``.
+        ``a`` is the origin leaf: one int for every tree of the batch, or an
+        integer array over the leading axes, one leaf per tree.  The swap
+        ratios ``R_n`` of :func:`accept_log_ratio` along ``a``'s path, and the
+        rejection products ``Pi(a, n)``, come first, all levels at once; the
+        leaf ``b`` in the sibling subtree split off at level ``n`` then
+        receives ``(log Pi(a, n) + log R_n) + leaves[b] - log w_sib``.  A
+        one-leaf tree's row is ``[0.0]``.
         """
-        k, leaves = self.k, self.leaves
-        row = np.full(leaves.shape, NEG_INF)
-        log_pi = np.zeros(leaves.shape[:-1])  # log Pi(a, n), updated level by level
+        k, shape = self.k, self.leaves.shape
+        if k == 0:
+            return np.zeros(shape)
+        nodes, leaves = self._nodes, self.leaves
+        if np.ndim(a):  # one origin per tree: the trees in a row, indexed (tree, entry)
+            at = (np.arange(math.prod(shape[:-1]))[:, None],)
+            a = np.broadcast_to(a, shape[:-1]).reshape(-1, 1)
+            nodes, leaves = nodes.reshape(-1, 2 << k), leaves.reshape(-1, 1 << k)
+        else:
+            at, a = (Ellipsis,), np.reshape(a, 1)
+        n = np.arange(k)
+        own = (2 << n) + (a >> (k - 1 - n))  # the slot of a's node at level n + 1
+        log_own, log_sib = nodes[(*at, own)], nodes[(*at, own ^ 1)]
         # log(0), and inf - inf at a sibling of weight zero, which is masked out
         with np.errstate(divide="ignore", invalid="ignore"):
-            for n in range(k):
-                shift = k - 1 - n
-                own = a >> shift
-                lvl = self._levels[n + 1]
-                log_sib = lvl[..., own ^ 1]
-                live = log_sib > NEG_INF  # a sibling of weight zero is never taken
-                log_r = np.where(live, np.minimum(0.0, log_sib - lvl[..., own]), NEG_INF)
-                sib = slice((own ^ 1) << shift, ((own ^ 1) + 1) << shift)
-                block = (log_pi + log_r)[..., None] + leaves[..., sib] - log_sib[..., None]
-                row[..., sib] = np.where(live[..., None], block, NEG_INF)
-                # Pi(a, n+1) = Pi(a, n) * (1 - R_n), with 1 - exp stabilized
-                log_pi = log_pi + np.log(-np.expm1(log_r))
-        row[..., a] = log_pi
-        return row
+            live = log_sib > NEG_INF  # a sibling of weight zero is never taken
+            log_r = np.where(live, np.minimum(0.0, log_sib - log_own), NEG_INF)
+            # log Pi(a, n) for n = 0 .. K: Pi(a, n+1) = Pi(a, n) * (1 - R_n),
+            # with 1 - exp stabilized
+            log_keep = np.log(-np.expm1(log_r))
+            log_pi = np.zeros(log_r.shape[:-1] + (k + 1,))
+            for m in range(k):
+                log_pi[..., m + 1] = log_pi[..., m] + log_keep[..., m]
+            # the level at which each leaf b splits off from a (a itself: any)
+            b = np.arange(1 << k)
+            split = (*at, np.minimum(k - np.frexp(a ^ b)[1], k - 1))
+            row = np.where(live[split], (log_pi[..., :-1] + log_r)[split] + leaves
+                           - log_sib[split], NEG_INF)
+        row[(*at, a)] = log_pi[..., -1:]
+        return row.reshape(shape)
 
     def qhat_matrix(self) -> np.ndarray:
         """The transition matrices ``qhat(a, b)``, shape ``(..., 2^K, 2^K)``."""

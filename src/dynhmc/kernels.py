@@ -559,12 +559,22 @@ def nuts_exact_pmf(target: Target, cfg: KernelConfig, x0: PhasePoint) -> ExactPM
     cache = OrbitCache(target, cfg.params, x0)
     if cache.diverged(0):
         return ExactPMF(anchor=x0, entries=[(0, 1.0, x0.q)])
+    law = orbit_select_pmf(cache, cfg.k_m)
+    los = np.array([lo for (lo, _), _ in law])
+    sizes = np.array([hi - lo + 1 for (lo, hi), _ in law])
+    first, width = los.min(), sizes.max()
+    logw = cache.logw_range(first, (los + sizes).max() - 1)
+    # one batch of trees for every interval: each fills the left of a row as
+    # wide as the widest, the leaves past it of weight zero.  The levels above
+    # its own subtree offer only siblings of weight zero, which take no swap
+    # and add 0.0 to log Pi, so its entries keep the bits of its own tree's
+    window = np.minimum((los - first)[:, None] + np.arange(width), logw.size - 1)
+    leaves = np.where(np.arange(width) < sizes[:, None], logw[window], -np.inf)
+    rows = np.exp(WeightTree(leaves).qhat_row_log(-los))  # leaf -lo is index 0
     off = (1 << cfg.k_m) - 1  # index j at probs[j + off], j in [-off, off]
     probs = np.zeros(2 * off + 1)
-    for (lo, hi), frac in orbit_select_pmf(cache, cfg.k_m):
-        # leaf -lo is index 0
-        row = WeightTree(cache.logw_range(lo, hi)).qhat_row_log(-lo)
-        probs[lo + off:hi + off + 1] += float(frac) * np.exp(row)
+    for ((lo, hi), frac), row in zip(law, rows):  # summed in the walk's order
+        probs[lo + off:hi + off + 1] += float(frac) * row[:hi - lo + 1]
     entries = [(j - off, probs[j], cache.state(j - off).q) for j in np.flatnonzero(probs).tolist()]
     return ExactPMF(anchor=x0, entries=entries)
 

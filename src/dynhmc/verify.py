@@ -173,10 +173,12 @@ def check_detailed_balance(
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
         for (lo, hi), _ in orbit_select_pmf(cache, cfg.k_m):
-            tree = WeightTree(cache.logw_range(lo, hi))
-            # log flux[a, b] = log w(a) qhat(a, b), compared with flux[b, a] for a < b
+            # log flux[a, b] = log w(a) qhat(a, b), compared with flux[b, a] for a < b;
+            # row a comes from the a-th copy of the interval's tree
             n = hi - lo + 1
-            flux = tree.leaves[:, None] + np.stack([tree.qhat_row_log(a) for a in range(n)])
+            logw = cache.logw_range(lo, hi)
+            copies = WeightTree(np.broadcast_to(logw, (n, n)))
+            flux = logw[:, None] + copies.qhat_row_log(np.arange(n))
             pairs = np.triu_indices(n, 1)
             lhs, rhs = flux[pairs], flux.T[pairs]
             live = (lhs > -math.inf) | (rhs > -math.inf)  # zero flux both ways passes

@@ -807,6 +807,38 @@ class TestConditions:
         assert json.loads(capsys.readouterr().out)["doubling_stability"]["pass"] is False
 
 
+class TestRepeatedCalls:
+    def test_second_call_in_one_process_gives_the_same_codes_and_bytes(self, gauss2_config,
+                                                                      tmp_path, capsys):
+        # main builds its parser once per process and shares it between calls
+        pmf_config = tmp_path / "pmf.json"
+        pmf_config.write_text(json.dumps({"target": {"dim": 2}, "kernel": {"h": 0.4, "k_m": 6}}))
+        out = tmp_path / "s.csv"
+        summary = Path(str(out) + ".summary.json")
+
+        def run(argv):
+            for path in (out, summary):
+                path.unlink(missing_ok=True)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # a usage error, from argparse
+                rc = exc.code
+            streams = capsys.readouterr()
+            files = [out.read_bytes()] if out.exists() else []
+            if summary.exists():
+                files.append({k: v for k, v in json.loads(summary.read_text()).items()
+                              if k not in ("wall_time_s", "grad_evals_per_s")})
+            return rc, streams.out, streams.err, files
+
+        pmf = ["pmf", "--config", str(pmf_config), "--q", "0.3,-0.2", "--seed", "5"]
+        for argv, rc in ((["sample", "--config", gauss2_config, "--out", str(out)], 0),
+                         (["verify", "--suite", "conditions"], 0), (pmf, 0),
+                         (["sample", "--chains", "two"], 2)):
+            first = run(argv)
+            assert first[0] == rc and any(first[1:])
+            assert run(argv) == first
+
+
 class TestBench:
     def test_smoke(self, capsys):
         rc = main(["bench", "--dim", "10", "--steps", "20"])
@@ -816,7 +848,8 @@ class TestBench:
         # the rate is of transitions, as the header counts them
         assert "transitions/s" in out and "steps/s" not in out
 
-    @pytest.mark.parametrize("flag,value", [("--dim", "0"), ("--steps", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--dim", "0"), ("--steps", "-1"),
+                                            ("--dim", "1000000000000000")])
     def test_bad_size_exit_2_naming_flag(self, flag, value, capsys):
         assert main(["bench", flag, value]) == 2
         assert flag in capsys.readouterr().err

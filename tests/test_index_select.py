@@ -60,6 +60,54 @@ class TestWeightTree:
                 assert np.array_equal(rows[i], WeightTree(logw[i]).qhat_row_log(a))
             assert not np.isnan(rows).any()
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_one_origin_per_tree_equals_single_tree_rows(self, k):
+        rng = np.random.default_rng(40 + k)
+        logw = 3.0 * rng.standard_normal((4, 3, 1 << k))
+        logw[rng.random(logw.shape) < 0.3] = -math.inf
+        origins = rng.integers(0, 1 << k, (4, 3))
+        rows = WeightTree(logw).qhat_row_log(origins)
+        assert rows.shape == logw.shape
+        for i in np.ndindex(origins.shape):
+            assert np.array_equal(rows[i], WeightTree(logw[i]).qhat_row_log(int(origins[i])))
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_rows_equal_the_per_level_loop_bit_for_bit(self, k):
+        # qhat_row_log reads every level at once; the per-level loop makes the
+        # same float operations in the same order, so the bits must agree
+        rng = np.random.default_rng(60 + k)
+        logw = 3.0 * rng.standard_normal((8, 1 << k)) * rng.choice([0.1, 1.0, 30.0], (8, 1))
+        logw[rng.random(logw.shape) < 0.3] = -math.inf
+        logw[0] = -0.0
+        for leaves in logw:
+            tree = WeightTree(leaves)
+            for a in range(1 << k):
+                got, want = tree.qhat_row_log(a), _row_by_level(leaves, a)
+                assert _bits(got).tolist() == _bits(want).tolist()
+
+
+def _row_by_level(leaves: np.ndarray, a: int) -> np.ndarray:
+    """``log qhat(a, .)`` on one tree, level by level: at level ``n`` the
+    sibling subtree of ``a``'s receives ``(log Pi + log R_n) + leaves - log w_sib``."""
+    levels = [leaves]
+    while len(levels[-1]) > 1:
+        levels.append(np.logaddexp(levels[-1][0::2], levels[-1][1::2]))
+    levels, k = levels[::-1], len(levels) - 1
+    row, log_pi = np.full(leaves.shape, -math.inf), 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for n in range(k):
+            shift = k - 1 - n
+            own = a >> shift
+            log_sib, log_own = levels[n + 1][own ^ 1], levels[n + 1][own]
+            log_r = -math.inf  # a sibling of weight zero is never taken
+            if log_sib > -math.inf:
+                log_r = min(0.0, log_sib - log_own)
+                sib = slice((own ^ 1) << shift, ((own ^ 1) + 1) << shift)
+                row[sib] = (log_pi + log_r) + leaves[sib] - log_sib
+            log_pi = log_pi + np.log(-np.expm1(log_r))
+    row[a] = log_pi
+    return row
+
 
 def rejection_product(tree: WeightTree, a: int, t: int) -> float:
     """``Pi(a, t)``, the paper's probability that the first ``t`` top-down

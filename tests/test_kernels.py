@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dynhmc.kernels
+from dynhmc.index_select import WeightTree
 from dynhmc.kernels import (
     KernelConfig,
     TransitionInfo,
@@ -1005,6 +1006,27 @@ class TestExactPmf:
         pmf = nuts_exact_pmf(STD1, cfg, PhasePoint(np.array([2.0]), np.array([0.5])))
         for j in pmf.support():
             assert -(2**3) + 1 <= j <= 2**3 - 1
+
+    @pytest.mark.parametrize("kind,h,k_m,q,p", [
+        ("standard_gaussian", 0.15, 8, (1.0, -0.5), (0.3, 0.8)),  # 32 intervals of 32
+        ("standard_gaussian", 0.15, 8, (1.5, 0.2), (0.1, -0.9)),  # of 16 and of 32
+        ("standard_gaussian", 1.8, 6, (0.896, -2.217), (1.567, -0.096)),
+        ("double_well", 0.25, 6, (5.0,), (0.0,)),  # divergent from |j| = 10 on
+    ])
+    def test_entries_equal_each_intervals_own_tree_bit_for_bit(self, kind, h, k_m, q, p):
+        # the intervals share one batch of trees, padded with leaves of weight
+        # zero to the widest; each keeps the bits of the rows of its own tree
+        target = builtin_target(kind, len(q))
+        cfg = KernelConfig("nuts_iterative", h=h, mass=MassMatrix.identity(len(q)), k_m=k_m)
+        x0 = PhasePoint(np.array(q), np.array(p))
+        cache = OrbitCache(target, cfg.params, x0)
+        off = (1 << k_m) - 1
+        probs = np.zeros(2 * off + 1)
+        for (lo, hi), frac in orbit_select_pmf(cache, k_m):
+            row = WeightTree(cache.logw_range(lo, hi)).qhat_row_log(-lo)
+            probs[lo + off:hi + off + 1] += float(frac) * np.exp(row)
+        want = [(j - off, probs[j]) for j in np.flatnonzero(probs).tolist()]
+        assert [(j, pr) for j, pr, _ in nuts_exact_pmf(target, cfg, x0).entries] == want
 
     def test_budget_guard(self):
         cfg = KernelConfig("nuts_iterative", h=1.0, mass=I1, k_m=9)

@@ -77,3 +77,22 @@ def test_install_counts_every_gradient_and_restore_undoes_it():
     for owner, snapshot in zip(OWNERS, before):
         now = vars(owner)
         assert all(now[name] is value for name, value in snapshot.items())
+
+
+def test_patched_sample_runs_after_an_earlier_main_call(tmp_path):
+    # main builds its parser once per process, so a command bound to the
+    # parser would keep the unpatched cmd_sample and record no span
+    tracing = _load_tracing()
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"target": {"kind": "standard_gaussian", "dim": 2},
+                                  "iters": 3}))
+    argv = ["sample", "--config", str(config), "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(argv) == 0
+    finally:
+        tracer.restore()
+    spans = tracer.spans()
+    assert spans.count(np.ones(len(tracer), bool), "cli.sample") == 1
