@@ -509,7 +509,7 @@ def cmd_sample(args) -> int:
             finally:
                 _write_rows(fh, block[:len(tails)], tails)
             wall = time.perf_counter() - t0
-        total = max(chains * iters, 1)
+        draws = chains * iters
         summary = {
             "version": __version__,
             "seed": seed,
@@ -517,10 +517,11 @@ def cmd_sample(args) -> int:
             "depth_histogram": {str(k): v for k, v in sorted(depth_hist.items())},
             "divergences": n_div,
             "acceptance_rate": (n_accept / n_accept_total) if n_accept_total else None,
+            # no draws, no moments: null, as the acceptance rate without HMC
             "moment_estimates": {
-                "mean": (moments / total).tolist(),
-                "second": (moments2 / total).tolist(),
-            },
+                "mean": (moments / draws).tolist(),
+                "second": (moments2 / draws).tolist(),
+            } if draws else None,
             "wall_time_s": wall,
             "grad_evals": n_grad,
             "grad_evals_per_s": n_grad / wall if wall > 0 else None,

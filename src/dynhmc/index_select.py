@@ -69,11 +69,16 @@ def logaddexp(x: float, y: float) -> float:
     return tmp
 
 
-def logsumexp(arr: np.ndarray) -> float:
-    m = float(arr.max())
+def logsumexp(values: list[float] | np.ndarray) -> float:
+    """``log(sum(exp(values)))`` of a list of floats or a 1-D array, no nan in it.
+
+    The largest value is taken by Python's ``max``, which on a list beats
+    building an array for numpy's; the exponentials and their sum are numpy's.
+    """
+    m = float(max(values))
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(float(np.exp(arr - m).sum()))
+    return m + math.log(float(np.exp(np.asarray(values) - m).sum()))
 
 
 class WeightTree:

@@ -231,22 +231,26 @@ def nuts_transition_iterative(
     it computes.  Stage 0 adds one state, whose log-weight is the new half's
     log-sum and which is its own pick; a later stage computes its log-sum
     always.  A swap replaces the running pick, so only the last later stage
-    whose swap took makes its multinomial pick, once the loop ends.  One
-    ``np.errstate`` holds every stage's checked growth.
+    whose swap took makes its multinomial pick, once the loop ends.  The
+    transition enters one ``np.errstate``, around the anchor's weighing and
+    every stage's checked growth, and reads the anchor and the result from
+    the cache's weighed states.
     """
     if mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
-    cache = OrbitCache(target, cfg.params, x0)
-    if cache.diverged(0):
-        return x0.q, TransitionInfo(0, (0, 0), 0, cache.n_grad, True)
-
-    j = 0
-    took = None  # the last later stage whose swap took: what its pick reads
-    logw_tot = cache.logw(0)
-    lo = hi = 0  # the accepted interval
-    k_f = 0
-    diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
+        cache = OrbitCache._held(target, cfg.params, x0)
+        states = cache._states  # in index order from cache.lo
+        anchor = states[0]
+        if anchor[4]:
+            return x0.q, TransitionInfo(0, (0, 0), 0, cache.n_grad, True)
+
+        j = 0
+        took = None  # the last later stage whose swap took: what its pick reads
+        logw_tot = anchor[3]
+        lo = hi = 0  # the accepted interval
+        k_f = 0
+        diverged = False
         for k in range(cfg.k_m):
             u_dir = rng.random()
             u_mult = rng.random()
@@ -263,8 +267,7 @@ def nuts_transition_iterative(
                 seg_logw, diverged = cache.extend_left(n, check=True)
             if seg_logw is None:
                 break
-            if k:
-                seg_logw = np.array(seg_logw)
+            if k:  # _weigh gives no nan, so logsumexp may take the list
                 logw_new = logsumexp(seg_logw)
             else:  # one state: its own log-sum and its own pick
                 logw_new = seg_logw[0]
@@ -281,9 +284,9 @@ def nuts_transition_iterative(
             k_f = k + 1
         if took is not None:
             seg_lo, seg_logw, u_mult, logw_new = took
-            j = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new)
+            j = seg_lo + multinomial_pick(np.array(seg_logw), u_mult, logw_new)
 
-    return cache.state(j).q, TransitionInfo(
+    return states[j - cache.lo][0], TransitionInfo(
         j_f=j, i_f=(lo, hi), k_f=k_f, n_grad=cache.n_grad, diverged=diverged
     )
 

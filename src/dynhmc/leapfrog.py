@@ -271,9 +271,10 @@ class TrajectorySolution:
 
     ``positions`` holds ``q_0 ... q_T`` (endpoints included), ``momenta``
     holds the reconstructed ``p_0 ... p_T``.  ``residual`` is the final
-    relative Frobenius update norm, ``contraction_observed`` the largest
-    per-iteration residual ratio, and ``roundtrip_error`` the norm
-    ``|proj_1 Phi^{(T)}(q0, p0) - qT|`` from re-integrating forward.
+    relative update norm (M-weighted Frobenius, see :func:`trajectory_solve`),
+    ``contraction_observed`` the largest per-iteration residual ratio, and
+    ``roundtrip_error`` the norm ``|proj_1 Phi^{(T)}(q0, p0) - qT|`` from
+    re-integrating forward.
     """
 
     positions: np.ndarray
@@ -286,6 +287,14 @@ class TrajectorySolution:
     @property
     def p0(self) -> np.ndarray:
         return self.momenta[0]
+
+
+def _norm_m(mass: MassMatrix, rows: np.ndarray) -> float:
+    """The M-weighted Frobenius norm ``sqrt(sum_i x_i' M x_i)`` of the rows
+    ``x_i``; under the identity mass ``np.linalg.norm``'s, bit for bit."""
+    x = rows.ravel()
+    # rounding may take the square of a tiny vector below 0 under a dense mass
+    return math.sqrt(max(float(x.dot(mass.mul(rows).ravel())), 0.0))
 
 
 def trajectory_solve(
@@ -305,10 +314,13 @@ def trajectory_solve(
     defaults to ``target.lipschitz_l1``; when known, the sharp condition
     ``L1 h^2 < 2 (1 - cos(pi/T))`` is enforced up front (otherwise the caller
     asserts contraction).  ``target.lipschitz_l1`` bounds ``M^{-1} grad U``
-    in the norm ``|v|_M = sqrt(v' M v)``, not in the Euclidean norm the
-    iteration's residual is measured in, so under a diagonal or dense mass
-    the condition does not by itself prove that the iteration contracts.  Momenta are reconstructed from the position
-    differences and the trajectory is re-integrated forward as an
+    in the norm ``|v|_M = sqrt(v' M v)``, so the updates, the residual and
+    its scale are measured in the M-weighted Frobenius norm
+    ``sqrt(sum_i Q_i' M Q_i)`` over the interior rows ``Q_i`` (the
+    Frobenius norm under the identity mass), in which ``A`` keeps its
+    spectral radius ``cos(pi/T)`` and each update's ratio to the last is at
+    most ``cos(pi/T) + L1 h^2 / 2``.  Momenta are reconstructed from the
+    position differences and the trajectory is re-integrated forward as an
     independent round-trip check.
     """
     h, mass = params.h, params.mass
@@ -340,7 +352,7 @@ def trajectory_solve(
         lam = np.linspace(0.0, 1.0, t + 1)[1:-1, None]
         interior = (1.0 - lam) * q0[None, :] + lam * q_t[None, :]
         with np.errstate(over="ignore"):
-            scale = max(1.0, float(np.linalg.norm(interior)))
+            scale = max(1.0, _norm_m(mass, interior))
         if not math.isfinite(scale):
             # every residual would read 0 against an infinite scale
             raise NoConvergence("the norm of the interpolated interior positions overflows")
@@ -355,7 +367,7 @@ def trajectory_solve(
                 ext = np.vstack([q0[None, :], interior, q_t[None, :]])
                 grads = mass.inv_mul(gradient_rows(target, interior))
                 new_interior = 0.5 * (ext[:-2] + ext[2:]) + 0.5 * h * h * grads
-                diff = float(np.linalg.norm(new_interior - interior))
+                diff = _norm_m(mass, new_interior - interior)
                 # ratios are only meaningful while the updates sit above the
                 # floating-point noise floor of the fixed-point map
                 if prev_diff is not None and prev_diff > 1e-8 * scale:

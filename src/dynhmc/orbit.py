@@ -44,12 +44,14 @@ Stepping and weighing overflow on a divergent state, and that is flagged,
 not warned about.  The step, :func:`_weigh` and :func:`_advance` enter no
 ``np.errstate`` themselves: their caller holds ``np.errstate(over="ignore",
 invalid="ignore")`` around all the states it computes.  :class:`OrbitCache`
-enters it when it weighs its anchor and for each unchecked extension call.
-Its checked growth, the new half of a doubling stage, enters none: the
-iterative sampler holds one for its whole transition, as the recursive
-sampler, the rows sampler and HMC do.  :func:`_make_entry` enters it to
-weigh a single state, for the command line's check that a configured start
-is not divergent.
+enters it when it weighs its anchor and for each unchecked extension call,
+so a bare cache is silent.  The iterative sampler holds one for its whole
+transition, as the recursive sampler, the rows sampler and HMC do, and
+enters no other: it builds its cache with :meth:`OrbitCache._held`, which
+weighs the anchor in the caller's errstate, and grows it only by checked
+extensions, the new half of a doubling stage, which enter none.
+:func:`_make_entry` enters it to weigh a single state, for the command
+line's check that a configured start is not divergent.
 """
 
 from __future__ import annotations
@@ -167,15 +169,26 @@ class OrbitCache:
     """
 
     def __init__(self, target: Target, params: LeapfrogParams, anchor: PhasePoint):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._start(target, params, anchor)
+
+    @classmethod
+    def _held(cls, target: Target, params: LeapfrogParams, anchor: PhasePoint) -> OrbitCache:
+        """The cache of ``anchor``, weighed in the caller's
+        ``np.errstate(over="ignore", invalid="ignore")``."""
+        cache = cls.__new__(cls)
+        cache._start(target, params, anchor)
+        return cache
+
+    def _start(self, target: Target, params: LeapfrogParams, anchor: PhasePoint) -> None:
         self.target = target
         self.params = params
         self.mass = params.mass
         q0 = np.asarray(anchor.q, dtype=float)
         p0 = np.asarray(anchor.p, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the gradient first: a target may reuse its work in the potential
-            kick0 = params.steps[True].half * target.gradient(q0)
-            self._states = deque([_weigh(target, self.mass, q0, p0)])
+        # the gradient first: a target may reuse its work in the potential
+        kick0 = params.steps[True].half * target.gradient(q0)
+        self._states = deque([_weigh(target, self.mass, q0, p0)])
         self.lo = self.hi = 0
         self._kick = [-kick0, kick0]  # at the leftmost, the rightmost state
         self.n_grad = 1
@@ -204,13 +217,15 @@ class OrbitCache:
 
     def _grow(self, forward: bool, n: int, check: bool) -> tuple[list[float] | None, bool] | None:
         states = self._states
-        top = states[-1] if forward else states[0]
-        push = states.append if forward else states.appendleft
-        target, mass, kick = self.target, self.mass, self._kick[forward]
-        gradient, inv_mul = target.gradient, mass.inv_mul
-        step = self.params.steps[forward]
-        n_grad = 0
+        if forward:
+            top, push = states[-1], states.append
+        else:
+            top, push = states[0], states.appendleft
+        target, mass = self.target, self.mass
+        gradient, inv_mul, step = target.gradient, mass.inv_mul, self.params.steps[forward]
+        kick = self._kick[forward]
         logw: list[float] = []  # the new states' log-weights, in the order computed
+        i = n_grad = 0
         for i in range(1, n + 1):
             if not top[4]:
                 q, p, kick = leapfrog_step_with_grad(gradient, inv_mul, step, top[0], top[1], kick)
@@ -229,11 +244,10 @@ class OrbitCache:
                 if turned:
                     break
                 logw.append(top[3])
-        grown = len(states) - (self.hi - self.lo + 1)
         if forward:
-            self.hi += grown
+            self.hi += i
         else:
-            self.lo -= grown
+            self.lo -= i
         self._kick[forward] = kick
         self.n_grad += n_grad
         if not check:
@@ -282,7 +296,10 @@ class OrbitCache:
         hit = self._pair_memo.get(key)
         if hit is not None:
             return hit
-        left, right = self._entry(i_lo), self._entry(i_hi)
+        lo, hi = self.lo, self.hi
+        if not (lo <= i_lo <= hi and lo <= i_hi <= hi):
+            raise CacheCoverageError(f"pair ({i_lo}, {i_hi}) beyond cached range [{lo}, {hi}]")
+        left, right = self._states[i_lo - lo], self._states[i_hi - lo]
         res = left[4] or right[4] or is_uturn(left[0], left[2], right[0], right[2])
         self._pair_memo[key] = res
         return res

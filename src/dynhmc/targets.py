@@ -38,8 +38,8 @@ class MassMatrix:
 
     Supports identity, diagonal and dense kinds.  Provides the forward action
     ``M v``, the inverse action ``M^{-1} v`` and multiplication by the lower
-    Cholesky factor ``L`` (for momentum refresh ``p = L z``).  The inverse
-    action and the factor also take a ``(C, d)`` array of rows, each row
+    Cholesky factor ``L`` (for momentum refresh ``p = L z``).  The two
+    actions and the factor also take a ``(C, d)`` array of rows, each row
     giving the bytes a single vector would.  Immutable after construction.
     """
 
@@ -96,6 +96,8 @@ class MassMatrix:
             return v
         if self.kind == "diagonal":
             return self._diag * v
+        if v.ndim == 2:
+            return np.matmul(self._matrix, v[:, :, None])[:, :, 0]
         return self._matrix @ v
 
     def inv_mul(self, v: np.ndarray) -> np.ndarray:

@@ -110,6 +110,15 @@ class TestOrbitCache:
         with pytest.raises(CacheCoverageError):
             cache.state(1)
 
+    def test_pair_uturn_coverage_error(self):
+        cache = OrbitCache(STD1, LeapfrogParams(0.2, I1), PhasePoint(np.ones(1), np.ones(1)))
+        cache.extend_right(3)
+        cache.extend_left(2)
+        assert cache.pair_uturn(-2, 3) == cache_uturn(cache, -2, 3)
+        for pair in ((-3, 3), (-2, 4), (4, 5), (-4, -3), (0, 4), (-3, 0)):
+            with pytest.raises(CacheCoverageError):
+                cache.pair_uturn(*pair)
+
     def test_divergence_marks_tail(self):
         dw = builtin_target("double_well", 1)
         cache = OrbitCache(dw, LeapfrogParams(5.0, I1), PhasePoint(np.array([10.0]), np.zeros(1)))

@@ -361,6 +361,20 @@ class TestMassMatrix:
             w = mass.inv_mul(mass.mul(v))
             assert np.linalg.norm(w - v) <= 1e-12 * max(1.0, np.linalg.norm(v))
 
+    @pytest.mark.parametrize(
+        "mass",
+        [
+            MassMatrix.identity(3),
+            MassMatrix.diagonal(np.array([0.5, 2.0, 4.0])),
+            MassMatrix.dense(np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.1], [0.0, 0.1, 0.7]])),
+        ],
+        ids=["identity", "diagonal", "dense"],
+    )
+    def test_rows_act_as_single_vectors(self, mass):
+        v = np.random.default_rng(1).standard_normal((5, 3))
+        for act in (mass.mul, mass.inv_mul, mass.chol_mul):
+            assert act(v).tobytes() == np.stack([act(row) for row in v]).tobytes()
+
     def test_not_spd_rejected(self):
         with pytest.raises(ValueError):
             MassMatrix.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
