@@ -35,6 +35,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .kernels import K_M_MAX, KERNEL_KINDS, T_MAX, KernelConfig, make_kernel, nuts_exact_pmf
-from .orbit import _make_entry
+from .orbit import _weigh
 from .targets import (MASS_KINDS, TARGET_KINDS, MassMatrix, PhasePoint, Target, builtin_target,
                       momentum_refresh)
 
@@ -258,10 +259,11 @@ def _built(key: str, make, *args, **kwargs):
 def _check_finite_energy(target: Target, mass: MassMatrix, key: str, q: np.ndarray,
                          p: np.ndarray | None = None) -> None:
     """A config error naming ``key`` if the phase point ``(q, p)``, ``p = 0``
-    by default, is divergent by the samplers' own rule (``orbit._make_entry``)."""
+    by default, is divergent by the samplers' own rule (``orbit._weigh``)."""
     p = np.zeros_like(q) if p is None else p
-    if _make_entry(target, mass, PhasePoint(q, p))[4]:  # the divergence flag
-        raise ConfigError(f"{key}: the energy there is not finite, a divergent state")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _weigh(target, mass, q, p)[4]:  # the divergence flag
+            raise ConfigError(f"{key}: the energy there is not finite, a divergent state")
 
 
 def _resolve_seed(args, config_seed: int) -> int:
@@ -814,6 +816,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.add_argument("--q0", required=True, help="comma-separated start position")
     p_traj.add_argument("--qT", required=True, help="comma-separated end position")
     p_traj.add_argument("--steps", type=int, required=True, help="number of leapfrog steps T")
+
+    # argparse's negative-number test, widened to comma lists such as "-0.3,0.8"
+    for takes_lists in (p_pmf, p_traj):
+        takes_lists._negative_number_matcher = re.compile(r"-\.?\d")
 
     p_bench = sub.add_parser("bench", help="throughput benchmark of the kernels")
     p_bench.add_argument("--dim", type=int, default=100)

@@ -14,6 +14,9 @@ first split off at depth ``n`` receives ``Pi(a, n) * min(1, w_sib/w_own) *
 w_b / w_sib``, and ``b = a`` receives ``Pi(a, K)``.  The rejection product
 ``Pi(a, t)``, the probability that the first ``t`` top-down swap proposals
 at leaf ``a`` are all rejected, is accumulated level by level in that row.
+Each tree is one heap of ``2^(K+1)`` slots along the last axis, node ``u``
+of depth ``n`` at slot ``2^n + u`` (slot 0 unused), so a row reads a node of
+every depth at once; a depth's nodes, the leaves included, are a view of it.
 
 Everything runs on unnormalized log-weights; ratios make normalization
 immaterial.  Ratios ``0/0`` (both subtrees entirely diverged) are defined as
@@ -85,11 +88,11 @@ class WeightTree:
     """Complete binary trees of subtree log-weights over 2^K leaves.
 
     ``leaf_logw`` has shape ``(..., 2^K)``: one tree per index of its leading
-    axes, all of depth K.  ``level(n)``, of shape ``(..., 2^n)``, holds for
-    each depth-n node the log-sum of the leaf weights below it; ``level(0)``
-    is the total and ``level(K)`` the leaves themselves.  Node ``u`` at level
-    ``n`` covers leaves ``[u * 2^(K-n), (u+1) * 2^(K-n))``.  Immutable after
-    construction.
+    axes, all of depth K, each a heap (see the module docstring).  ``level(n)``,
+    of shape ``(..., 2^n)``, holds for each depth-n node the log-sum of the
+    leaf weights below it; ``level(0)`` is the total and ``level(K)`` the
+    ``leaves``.  Node ``u`` at level ``n`` covers leaves ``[u * 2^(K-n),
+    (u+1) * 2^(K-n))``.  Immutable after construction.
     """
 
     def __init__(self, leaf_logw: np.ndarray):
@@ -98,21 +101,19 @@ class WeightTree:
         if n < 1 or n & (n - 1):
             raise ValueError(f"number of leaves {n} is not a power of two")
         self.k = n.bit_length() - 1
-        levels = [leaf_logw]
-        while levels[-1].shape[-1] > 1:
-            prev = levels[-1]
-            levels.append(np.logaddexp(prev[..., 0::2], prev[..., 1::2]))
-        self._levels = levels[::-1]  # _levels[n] has 2^n entries per tree
-        # and each tree as a heap, node u of level n at slot 2^n + u (slot 0
-        # unused), to read a node of every level at once
-        self._nodes = np.concatenate([leaf_logw[..., :1], *self._levels], axis=-1)
+        self._nodes = np.empty(leaf_logw.shape[:-1] + (2 * n,))
+        self._nodes[..., n:] = level = leaf_logw
+        while n > 1:  # each level whole from the one below it, then into the heap
+            level = np.logaddexp(level[..., 0::2], level[..., 1::2])
+            n >>= 1
+            self._nodes[..., n:2 * n] = level
 
     def level(self, n: int) -> np.ndarray:
-        return self._levels[n]
+        return self._nodes[..., 1 << n:2 << n]
 
     @property
     def leaves(self) -> np.ndarray:
-        return self._levels[self.k]
+        return self.level(self.k)
 
     def qhat_row_log(self, a) -> np.ndarray:
         """Log-probabilities ``log qhat(a, b)`` for all leaves ``b``, shape ``(..., 2^K)``.
@@ -128,13 +129,14 @@ class WeightTree:
         k, shape = self.k, self.leaves.shape
         if k == 0:
             return np.zeros(shape)
-        nodes, leaves = self._nodes, self.leaves
+        nodes = self._nodes
         if np.ndim(a):  # one origin per tree: the trees in a row, indexed (tree, entry)
             at = (np.arange(math.prod(shape[:-1]))[:, None],)
             a = np.broadcast_to(a, shape[:-1]).reshape(-1, 1)
-            nodes, leaves = nodes.reshape(-1, 2 << k), leaves.reshape(-1, 1 << k)
+            nodes = nodes.reshape(-1, 2 << k)
         else:
             at, a = (Ellipsis,), np.reshape(a, 1)
+        leaves = nodes[..., 1 << k:]
         n = np.arange(k)
         own = (2 << n) + (a >> (k - 1 - n))  # the slot of a's node at level n + 1
         log_own, log_sib = nodes[(*at, own)], nodes[(*at, own ^ 1)]

@@ -70,6 +70,7 @@ from .leapfrog import (  # noqa: F401
 from .orbit import (  # noqa: F401
     OrbitCache,
     _advance,
+    _anchor,
     _weigh,
     _weigh_rows,
     is_uturn,
@@ -511,9 +512,7 @@ def nuts_transition_recursive(
     mass, steps = cfg.mass, cfg.params.steps
     # one errstate for every state the recursion steps and weighs
     with np.errstate(over="ignore", invalid="ignore"):
-        # the gradient before the potential, as in OrbitCache
-        kick0 = steps[True].half * target.gradient(x0.q)
-        entry0 = _weigh(target, mass, x0.q, x0.p)
+        entry0, kick0 = _anchor(target, mass, steps[True], x0.q, x0.p)
         n_grad = 1  # the anchor's gradient
         if entry0[4]:
             return x0.q, TransitionInfo(0, (0, 0), 0, n_grad, True)
@@ -599,10 +598,7 @@ def hmc_step(
     q0 = np.asarray(q, dtype=float)
     # one errstate for both ends and the trajectory between them
     with np.errstate(over="ignore", invalid="ignore"):
-        # the gradient first, as in OrbitCache: a target may reuse its work in
-        # the potential, and the trajectory starts from this gradient
-        kick0 = step.half * target.gradient(q0)
-        logw0 = _weigh(target, mass, q0, p)[3]
+        (_, _, _, logw0, _), kick0 = _anchor(target, mass, step, q0, p)
         q_t, p_t, n_grad = _trajectory(target.gradient, mass.inv_mul, step, q0, p, kick0, t)
         _, _, _, logw_t, diverged = _weigh(target, mass, q_t, p_t)
     # index selection on the two-point orbit {0, T}: the NUTS swap coin

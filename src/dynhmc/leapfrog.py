@@ -331,9 +331,7 @@ def trajectory_solve(
     if l1 is None:
         l1 = target.lipschitz_l1
 
-    if t == 1:
-        # p0 = M (q1 - q0)/h + (h/2) grad U(q0), exact (no condition needed)
-        p0 = mass.mul((q_t - q0) / h) + 0.5 * h * target.gradient(q0)
+    if t == 1:  # exact, no condition needed
         positions = np.stack([q0, q_t])
         sol_iters, residual, contraction = 1, 0.0, 0.0
     else:
@@ -382,10 +380,10 @@ def trajectory_solve(
                 f"residual {residual:.3e} above tolerance {tol:.3e} after {sol_iters} iterations"
             )
         positions = np.vstack([q0[None, :], interior, q_t[None, :]])
-        p0 = mass.mul((positions[1] - q0) / h) + 0.5 * h * target.gradient(q0)
 
     momenta = np.empty_like(positions)
-    momenta[0] = p0
+    # p0 = M (q1 - q0)/h + (h/2) grad U(q0)
+    momenta[0] = mass.mul((positions[1] - q0) / h) + 0.5 * h * target.gradient(q0)
     grads = gradient_rows(target, positions)
     for i in range(1, len(positions)):
         momenta[i] = momenta[i - 1] - 0.5 * h * (grads[i - 1] + grads[i])

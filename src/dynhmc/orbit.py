@@ -25,12 +25,18 @@ The resulting orbit-selection law is purely combinatorial: conditionally on
 the U-turn geometry, each final interval receives a dyadic rational mass, so
 :func:`orbit_select_pmf` computes it exactly with ``Fraction`` arithmetic, in
 one walk over the tree of records, stepping the orbit as far as it reaches.
+The new halves of different records share blocks, so the walk keeps one dict
+of clean-block verdicts keyed ``(lo, n)``, which :func:`_block_ok` reads and
+fills: each block of a law is judged once.  :class:`OrbitCache` is the orbit
+table and nothing else.
 
-This module owns, for every sampler, how a state is weighed
-(:func:`_weigh`) and what a U-turn is (:func:`is_uturn`).  :func:`_advance`
-takes one step and weighs its result, returning the weighed tuple with the
-new half-kick appended; the recursive sampler grows its trees with it.
-Every sampler takes its steps through
+This module owns, for every sampler, how the anchor is taken
+(:func:`_anchor`: its gradient first, as a target may reuse its work in the
+potential, then its weighed state; the rows sampler does the same as rows),
+how a state is weighed (:func:`_weigh`) and what a U-turn is
+(:func:`is_uturn`).  :func:`_advance` takes one step and weighs its result,
+returning the weighed tuple with the new half-kick appended; the recursive
+sampler grows its trees with it.  Every sampler takes its steps through
 :func:`leapfrog.leapfrog_step_with_grad`, carrying the half-kick of the
 state it steps from, with the step constants of
 :attr:`leapfrog.LeapfrogParams.steps` signed by the direction except in the
@@ -41,17 +47,16 @@ state is divergent, with weight zero, on non-finite states or energies, or a
 squared norm ``|q|^2 + |p|^2`` that overflows.
 
 Stepping and weighing overflow on a divergent state, and that is flagged,
-not warned about.  The step, :func:`_weigh` and :func:`_advance` enter no
-``np.errstate`` themselves: their caller holds ``np.errstate(over="ignore",
-invalid="ignore")`` around all the states it computes.  :class:`OrbitCache`
-enters it when it weighs its anchor and for each unchecked extension call,
-so a bare cache is silent.  The iterative sampler holds one for its whole
-transition, as the recursive sampler, the rows sampler and HMC do, and
-enters no other: it builds its cache with :meth:`OrbitCache._held`, which
-weighs the anchor in the caller's errstate, and grows it only by checked
-extensions, the new half of a doubling stage, which enter none.
-:func:`_make_entry` enters it to weigh a single state, for the command
-line's check that a configured start is not divergent.
+not warned about.  The step, :func:`_anchor`, :func:`_weigh` and
+:func:`_advance` enter no ``np.errstate`` themselves: their caller holds
+``np.errstate(over="ignore", invalid="ignore")`` around all the states it
+computes.  :class:`OrbitCache` enters it when it weighs its anchor and for
+each unchecked extension call, so a bare cache is silent.  The iterative
+sampler holds one for its whole transition, as the recursive sampler, the
+rows sampler and HMC do, and enters no other: it builds its cache with
+:meth:`OrbitCache._held`, which weighs the anchor in the caller's errstate,
+and grows it only by checked extensions, the new half of a doubling stage,
+which enter none.
 """
 
 from __future__ import annotations
@@ -92,6 +97,15 @@ def _weigh(target: Target, mass: MassMatrix, q: np.ndarray, p: np.ndarray) -> tu
     return q, p, vel, logw, False
 
 
+def _anchor(
+    target: Target, mass: MassMatrix, step: Step, q: np.ndarray, p: np.ndarray
+) -> tuple[tuple, np.ndarray]:
+    """The anchor ``(q, p)`` weighed, and its half-kick ``step.half * grad U(q)``,
+    taken first.  Enters no ``np.errstate``."""
+    kick = step.half * target.gradient(q)
+    return _weigh(target, mass, q, p), kick
+
+
 def _advance(
     target: Target, mass: MassMatrix, step: Step, q: np.ndarray, p: np.ndarray, kick: np.ndarray
 ) -> tuple:
@@ -127,12 +141,6 @@ def _weigh_rows(
     diverged = ~np.isfinite(logw)
     logw[diverged] = -math.inf
     return vel, logw, diverged
-
-
-def _make_entry(target: Target, mass: MassMatrix, x: PhasePoint) -> tuple:
-    """:func:`_weigh` for a single state, in its own ``np.errstate``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _weigh(target, mass, x.q, x.p)
 
 
 def is_uturn(q_lo: np.ndarray, vel_lo: np.ndarray, q_hi: np.ndarray, vel_hi: np.ndarray) -> bool:
@@ -186,13 +194,11 @@ class OrbitCache:
         self.mass = params.mass
         q0 = np.asarray(anchor.q, dtype=float)
         p0 = np.asarray(anchor.p, dtype=float)
-        # the gradient first: a target may reuse its work in the potential
-        kick0 = params.steps[True].half * target.gradient(q0)
-        self._states = deque([_weigh(target, self.mass, q0, p0)])
+        state0, kick0 = _anchor(target, self.mass, params.steps[True], q0, p0)
+        self._states = deque([state0])
         self.lo = self.hi = 0
         self._kick = [-kick0, kick0]  # at the leftmost, the rightmost state
         self.n_grad = 1
-        self._pair_memo: dict[tuple[int, int], bool] = {}
 
     def _entry(self, j: int) -> tuple:
         if not self.lo <= j <= self.hi:
@@ -291,28 +297,25 @@ class OrbitCache:
             self.extend_left(self.lo - lo)
 
     def pair_uturn(self, i_lo: int, i_hi: int) -> bool:
-        """U-turn indicator for the (left, right) index pair, memoized."""
-        key = (i_lo, i_hi)
-        hit = self._pair_memo.get(key)
-        if hit is not None:
-            return hit
-        lo, hi = self.lo, self.hi
-        if not (lo <= i_lo <= hi and lo <= i_hi <= hi):
-            raise CacheCoverageError(f"pair ({i_lo}, {i_hi}) beyond cached range [{lo}, {hi}]")
-        left, right = self._states[i_lo - lo], self._states[i_hi - lo]
-        res = left[4] or right[4] or is_uturn(left[0], left[2], right[0], right[2])
-        self._pair_memo[key] = res
-        return res
+        """U-turn indicator for the (left, right) index pair; a divergent
+        state at either end counts as a U-turn."""
+        left, right = self._entry(i_lo), self._entry(i_hi)
+        return left[4] or right[4] or is_uturn(left[0], left[2], right[0], right[2])
 
 
-def _block_ok(cache: OrbitCache, lo: int, n: int) -> bool:
+def _block_ok(cache: OrbitCache, lo: int, n: int, memo: dict[tuple[int, int], bool]) -> bool:
     """Whether the ``n = 2^k`` states from ``lo`` are a clean block: none diverged,
-    and no aligned block inside, the whole one included, has endpoints that turn."""
+    and no aligned block inside, the whole one included, has endpoints that turn.
+    ``memo`` maps each block of two or more states judged so far, ``(lo, n)``, to its verdict."""
     if n == 1:
         return not cache.diverged(lo)
-    half = n >> 1
-    return (_block_ok(cache, lo, half) and _block_ok(cache, lo + half, half)
-            and not cache.pair_uturn(lo, lo + n - 1))
+    ok = memo.get((lo, n))
+    if ok is None:
+        half = n >> 1
+        ok = (_block_ok(cache, lo, half, memo) and _block_ok(cache, lo + half, half, memo)
+              and not cache.pair_uturn(lo, lo + n - 1))
+        memo[lo, n] = ok
+    return ok
 
 
 def no_uturns(lo: int, hi: int, cache: OrbitCache) -> bool:
@@ -330,7 +333,7 @@ def no_uturns(lo: int, hi: int, cache: OrbitCache) -> bool:
     if lo < cache.lo or hi > cache.hi:
         raise CacheCoverageError(f"cache [{cache.lo}, {cache.hi}] does not cover [{lo}, {hi}]")
     n >>= 1
-    return _block_ok(cache, lo, n) and _block_ok(cache, lo + n, n)
+    return _block_ok(cache, lo, n, {}) and _block_ok(cache, lo + n, n, {})
 
 
 def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[tuple[int, int], Fraction]]:
@@ -346,6 +349,7 @@ def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[tuple[int, int],
     to 1, sorted by interval.  Extends the cache on demand, a new half at a time.
     """
     masses: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    memo: dict[tuple[int, int], bool] = {}
 
     def walk(lo: int, hi: int, mass: Fraction) -> None:
         n = hi - lo + 1
@@ -354,7 +358,7 @@ def orbit_select_pmf(cache: OrbitCache, k_m: int) -> list[tuple[tuple[int, int],
             half = mass / 2
             for a in (lo - n, hi + 1):
                 cache.extend_to(a, a + n - 1)
-                if _block_ok(cache, a, n):
+                if _block_ok(cache, a, n, memo):
                     walk(min(lo, a), max(hi, a + n - 1), half)
                     mass -= half
         if mass:

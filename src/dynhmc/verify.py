@@ -117,9 +117,8 @@ def check_ph_symmetry(
     if cfg.k_m > 4:
         raise ValueError("symmetry enumeration budget is k_m <= 4")
     params = cfg.params
-    mismatches = 0
     cases = 0
-    details = []
+    details = []  # one per mismatch
     for x0 in anchors:
         cache = OrbitCache(target, params, x0)
         for (lo, hi), fr in orbit_select_pmf(cache, cfg.k_m):
@@ -131,7 +130,6 @@ def check_ph_symmetry(
                 cache_s = OrbitCache(target, params, x_shift)
                 got = dict(orbit_select_pmf(cache_s, cfg.k_m)).get((lo + j, hi + j))
                 if got != fr:
-                    mismatches += 1
                     details.append(
                         {
                             "interval": [lo, hi],
@@ -142,9 +140,9 @@ def check_ph_symmetry(
                     )
     return CheckReport(
         check="ph_symmetry",
-        passed=mismatches == 0,
+        passed=not details,
         tolerance=0.0,
-        violation=float(mismatches),
+        violation=float(len(details)),
         seed=seed,
         config={"k_m": cfg.k_m, "h": cfg.h, "anchors": len(anchors), "cases": cases},
         details=details[:20],
@@ -255,6 +253,27 @@ def random_weight_trees(n: int, k_max: int, rng: np.random.Generator) -> list[We
 # --- stationarity by quadrature ------------------------------------------------
 
 
+def _moment_verdict(check: str, push: dict, ref: dict, tol_mean: float, tol_rel: float,
+                    seed: int | None, config: dict) -> CheckReport:
+    """The verdict of a stationarity oracle: the pushforward moments ``push``
+    of orders 1, 2 and 4 against the target's ``ref``, the mean's absolute
+    error within ``tol_mean`` and the others' relative errors within
+    ``tol_rel``.  The violation is on ``tol_rel``'s scale."""
+    err_mean = abs(push[1] - ref[1])
+    err_var = abs(push[2] - ref[2]) / abs(ref[2])
+    err_m4 = abs(push[4] - ref[4]) / abs(ref[4])
+    return CheckReport(
+        check=check,
+        passed=err_mean <= tol_mean and err_var <= tol_rel and err_m4 <= tol_rel,
+        tolerance=tol_rel,
+        violation=max(err_mean / tol_mean * tol_rel, err_var, err_m4),
+        seed=seed,
+        config=config,
+        details=[{"push_mean": push[1], "push_var": push[2], "push_m4": push[4],
+                  "err_mean": err_mean, "err_var_rel": err_var, "err_m4_rel": err_m4}],
+    )
+
+
 def stationarity_quadrature(
     target: Target,
     cfg: KernelConfig,
@@ -302,31 +321,10 @@ def stationarity_quadrature(
                 push[2] += node * pr * x * x
                 push[4] += node * pr * x**4
 
-    err_mean = abs(push[1] - ref[1])
-    err_var = abs(push[2] - ref[2]) / max(abs(ref[2]), 1e-300)
-    err_m4 = abs(push[4] - ref[4]) / max(abs(ref[4]), 1e-300)
-    worst = max(err_mean / max(tol_mean, 1e-300), err_var / tol_rel, err_m4 / tol_rel)
-    return CheckReport(
-        check="stationarity_quadrature",
-        passed=err_mean <= tol_mean and err_var <= tol_rel and err_m4 <= tol_rel,
-        tolerance=tol_rel,
-        violation=worst * tol_rel,
-        seed=seed,
-        config={"n_q": n_q, "h": cfg.h, "k_m": cfg.k_m, "target": target.name},
-        details=[
-            {
-                "push_mean": push[1],
-                "push_var": push[2],
-                "push_m4": push[4],
-                "ref_mean": ref[1],
-                "ref_var": ref[2],
-                "ref_m4": ref[4],
-                "err_mean": err_mean,
-                "err_var_rel": err_var,
-                "err_m4_rel": err_m4,
-            }
-        ],
-    )
+    report = _moment_verdict("stationarity_quadrature", push, ref, tol_mean, tol_rel, seed,
+                             {"n_q": n_q, "h": cfg.h, "k_m": cfg.k_m, "target": target.name})
+    report.details[0].update(ref_mean=ref[1], ref_var=ref[2], ref_m4=ref[4])
+    return report
 
 
 # the polar oracle's radial cut-off in u = r^2/2 (e^{-45} is below double
@@ -407,7 +405,7 @@ def stationarity_polar_exact(
     cuts = cuts[np.diff(cuts, prepend=-1.0) > 1e-12]  # one cut per ray
     panels = np.concatenate([[0.0], cuts, [2.0 * math.pi]])
 
-    # radial rule: Gauss-Legendre panels in u = r^2/2 against e^{-u}
+    # Gauss-Legendre panels: radial in u = r^2/2 against e^{-u}, then angular
     gl_x, gl_w = np.polynomial.legendre.leggauss(_POLAR_GL_NODES)
     edges = np.linspace(0.0, _POLAR_U_MAX, radial_panels + 1)
     u_nodes = []
@@ -421,14 +419,13 @@ def stationarity_polar_exact(
     u_weights = np.concatenate(u_weights)
     r_nodes = np.sqrt(2.0 * u_nodes)
 
-    ang_x, ang_w = np.polynomial.legendre.leggauss(_POLAR_GL_NODES)
     push = {1: 0.0, 2: 0.0, 4: 0.0}
     n_angles = 0
     for a_e, b_e in zip(panels[:-1], panels[1:]):
         if b_e - a_e < 1e-11:
             continue
         mid, half = 0.5 * (a_e + b_e), 0.5 * (b_e - a_e)
-        for xi, wi in zip(ang_x, ang_w):
+        for xi, wi in zip(gl_x, gl_w):
             psi = mid + half * xi
             w_ang = half * wi / (2.0 * math.pi)
             n_angles += 1
@@ -446,33 +443,13 @@ def stationarity_polar_exact(
                     )
 
     ref = {1: 0.0, 2: 1.0 / sigma, 4: 3.0 / sigma**2}
-    err_mean = abs(push[1] - ref[1])
-    err_var = abs(push[2] - ref[2]) / abs(ref[2])
-    err_m4 = abs(push[4] - ref[4]) / abs(ref[4])
-    return CheckReport(
-        check="stationarity_polar_exact",
-        passed=err_mean <= tol_mean and err_var <= tol_rel and err_m4 <= tol_rel,
-        tolerance=tol_rel,
-        violation=max(err_mean / tol_mean * tol_rel, err_var, err_m4),
-        seed=seed,
-        config={
-            "h": cfg.h,
-            "k_m": cfg.k_m,
-            "n_discontinuity_rays": int(cuts.size),
-            "angular_nodes": n_angles,
-            "radial_nodes": int(u_nodes.size),
-        },
-        details=[
-            {
-                "push_mean": push[1],
-                "push_var": push[2],
-                "push_m4": push[4],
-                "err_mean": err_mean,
-                "err_var_rel": err_var,
-                "err_m4_rel": err_m4,
-            }
-        ],
-    )
+    return _moment_verdict("stationarity_polar_exact", push, ref, tol_mean, tol_rel, seed, {
+        "h": cfg.h,
+        "k_m": cfg.k_m,
+        "n_discontinuity_rays": int(cuts.size),
+        "angular_nodes": n_angles,
+        "radial_nodes": int(u_nodes.size),
+    })
 
 
 # --- statistical invariance -----------------------------------------------------
@@ -672,7 +649,6 @@ def tail_conditions(
         worst_dh = -math.inf
         cap = rad**gamma
         for x0 in sample_points(rad, cap, count):
-            h0 = hamiltonian(target, cfg.mass, x0)
             cache = OrbitCache(target, params, x0)
             cache.extend_to(-j_max, j_max)
             for j in range(-j_max, j_max + 1):
@@ -682,7 +658,8 @@ def tail_conditions(
                 drop = float(np.linalg.norm(cache.state(j).q)) - rad
                 worst_drop = max(worst_drop, drop if math.isfinite(drop) else math.inf)
             for j in (-1, 1):
-                dh = hamiltonian(target, cfg.mass, cache.state(j)) - h0
+                # H(x_j) - H(x_0) to the bit: each log-weight is -H
+                dh = cache.logw(0) - cache.logw(j)
                 worst_dh = max(worst_dh, dh if math.isfinite(dh) else math.inf)
         return (worst_drop <= -1.0 and worst_dh <= 0.0), worst_drop, worst_dh
 
@@ -942,16 +919,13 @@ def ergodicity_run(
     worst = 0.0
     details = []
     for i in range(d):
-        if ref_mean is not None:
-            se = batch_means_se(post[:, i])
-            dev = abs(float(np.mean(post[:, i])) - float(ref_mean[i])) / se
-            worst = max(worst, dev)
-            details.append({"stat": f"mean[{i}]", "dev_se": dev})
-        if ref_second is not None:
-            se = batch_means_se(post[:, i] ** 2)
-            dev = abs(float(np.mean(post[:, i] ** 2)) - float(ref_second[i])) / se
-            worst = max(worst, dev)
-            details.append({"stat": f"second[{i}]", "dev_se": dev})
+        for stat, ref, values in (("mean", ref_mean, post[:, i]),
+                                  ("second", ref_second, post[:, i] ** 2)):
+            if ref is not None:
+                se = batch_means_se(values)
+                dev = abs(float(np.mean(values)) - float(ref[i])) / se
+                worst = max(worst, dev)
+                details.append({"stat": f"{stat}[{i}]", "dev_se": dev})
     visits_neg = int(np.sum(chain[:, 0] < 0.0))
     visits_pos = int(np.sum(chain[:, 0] > 0.0))
     details.append({"visits_negative": visits_neg, "visits_positive": visits_pos})

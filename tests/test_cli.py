@@ -671,6 +671,16 @@ class TestVerify:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("suite,check", [
+        ("balance", "detailed_balance"), ("drift", "drift"), ("tails", "tail_conditions"),
+        ("degeneracy", "uturn_degeneracy_scan"), ("ergodicity", "ergodicity_run")])
+    def test_suite_passes(self, suite, check, tmp_path):
+        out = str(tmp_path / "rep.json")
+        assert main(["verify", "--suite", suite, "--seed", "3", "--out", out]) == 0
+        payload = json.load(open(out))
+        assert payload["all_pass"] is True
+        assert [c["check"] for c in payload["checks"]] == [check]
+
     def test_mutated_invariance_suite_fails(self, tmp_path):
         # the documented negative control: broken kernel makes the suite exit 1
         out = str(tmp_path / "rep.json")
@@ -680,6 +690,38 @@ class TestVerify:
         assert rc == 1
         payload = json.load(open(out))
         assert payload["all_pass"] is False
+
+
+class TestNegativeCommaLists:
+    """A comma list whose first value is negative is its flag's value, not an
+    option, for each of the four flags that take a point."""
+
+    ARGV = {"pmf": ["pmf", "--q", "0.5,0.1", "--p", "0.5,0.1"],
+            "trajectory": ["trajectory", "--q0", "0.5,0.1", "--qT", "0.5,0.1", "--steps", "4"]}
+    FLAGS = [("pmf", "--q"), ("pmf", "--p"), ("trajectory", "--q0"), ("trajectory", "--qT")]
+
+    def _run(self, command, flag, value, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"target": {"dim": 2}, "kernel": {"h": 0.5, "k_m": 2}}))
+        argv = self.ARGV[command] + ["--config", str(path)]
+        argv[argv.index(flag) + 1] = value
+        return main(argv)
+
+    @pytest.mark.parametrize("command,flag", FLAGS)
+    def test_negative_first_value_is_read(self, command, flag, tmp_path, capsys):
+        assert self._run(command, flag, "-0.3,0.8", tmp_path) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == "pmf":
+            got = payload[flag[2:]]
+        else:
+            got = payload["positions"][0 if flag == "--q0" else -1]
+        assert got == [-0.3, 0.8]
+
+    @pytest.mark.parametrize("command,flag", FLAGS)
+    def test_non_numeric_value_exit_2_naming_flag(self, command, flag, tmp_path, capsys):
+        assert self._run(command, flag, "-0.3,x", tmp_path) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"{flag} must hold numbers" in out.err
 
 
 class TestTrajectory:

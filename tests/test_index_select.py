@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynhmc.index_select import WeightTree, accept_log_ratio, logaddexp
+from dynhmc.index_select import (WeightTree, accept_log_ratio, logaddexp, logsumexp,
+                                 multinomial_pick)
 from dynhmc.leapfrog import LeapfrogParams
 from dynhmc.orbit import OrbitCache
 from dynhmc.kernels import KernelConfig, nuts_transition_iterative, nuts_transition_recursive
@@ -315,6 +316,18 @@ class TestLogaddexp:
         assert np.array_equal(_bits(got), _bits(want))
         assert logaddexp(-inf, -inf) == -inf and logaddexp(-inf, 3.0) == 3.0
         assert logaddexp(2.0, 2.0) == 2.0 + math.log(2.0)
+
+
+class TestWeightZero:
+    """The log-sum and the pick on weights that are all zero."""
+
+    def test_logsumexp_of_all_minus_inf_is_minus_inf(self):
+        assert logsumexp([-math.inf, -math.inf]) == -math.inf
+        assert logsumexp(np.full(4, -math.inf)) == -math.inf
+
+    def test_multinomial_pick_of_total_minus_inf_is_the_first_index(self):
+        for u in (0.0, 0.5, 0.999):
+            assert multinomial_pick(np.full(4, -math.inf), u, -math.inf) == 0
 
 
 def _line_orbit(log_w: dict[int, float]) -> Target:

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dynhmc import verify
 from dynhmc.kernels import KernelConfig, nuts_step_iterative_rows, nuts_step_recursive
 from dynhmc.targets import MassMatrix, PhasePoint, builtin_target, momentum_refresh
 from dynhmc.verify import (
@@ -31,6 +33,7 @@ STD1 = builtin_target("standard_gaussian", 1)
 STD2 = builtin_target("standard_gaussian", 2)
 I1 = MassMatrix.identity(1)
 I2 = MassMatrix.identity(2)
+DENSE_SIGMA3 = np.array([[2.0, 0.6, 0.3], [0.6, 1.0, 0.2], [0.3, 0.2, 0.5]])
 
 
 def anchors(dim, mass, n, seed):
@@ -48,6 +51,28 @@ class TestSymmetryCheck:
             cfg = KernelConfig("nuts_iterative", h=1.0, mass=mass, k_m=2)
             rep = check_ph_symmetry(target, cfg, anchors(dim, mass, 4, dim), seed=dim)
             assert rep.passed and rep.violation == 0.0
+
+    def test_moved_mass_fails_with_its_mismatches(self, monkeypatch):
+        # the law at every shifted anchor moves half of each interval's mass
+        # to an interval outside the orbit: each case is a mismatch
+        x0 = anchors(1, I1, 1, 0)[0]
+        exact = verify.orbit_select_pmf
+
+        def moved(cache, k_m):
+            law = exact(cache, k_m)
+            if np.array_equal(cache.state(0).q, x0.q):
+                return law
+            return [(iv, fr / 2) for iv, fr in law] + [((99, 99), Fraction(1, 2))]
+
+        monkeypatch.setattr(verify, "orbit_select_pmf", moved)
+        cfg = KernelConfig("nuts_iterative", h=1.0, mass=I1, k_m=3)
+        rep = check_ph_symmetry(STD1, cfg, [x0], seed=0)
+        cases = rep.config["cases"]
+        assert not rep.passed and cases > 0 and rep.violation == cases
+        assert len(rep.details) == min(cases, 20)
+        for mismatch in rep.details:
+            assert set(mismatch) == {"interval", "shift", "expected", "got"}
+            assert Fraction(mismatch["got"]) == Fraction(mismatch["expected"]) / 2
 
     def test_budget_guard(self):
         cfg = KernelConfig("nuts_iterative", h=1.0, mass=I1, k_m=5)
@@ -155,6 +180,17 @@ class TestStatisticalInvariance:
         diff = after[:, 1] - before[:, 1]
         z = float(np.mean(diff)) / (float(np.std(diff, ddof=1)) / math.sqrt(1500))
         assert rep.details[1] == {"test": "mean[1]", "z": z}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dense_sigma_draws_exactly(self, seed):
+        # a gaussian target with a dense precision starts from exact draws
+        # L^{-T} z; its negative control fails at the same seed
+        target = builtin_target("gaussian", 3, sigma=DENSE_SIGMA3)
+        cfg = KernelConfig("nuts_iterative", h=0.9, mass=MassMatrix.identity(3), k_m=4)
+        rep = statistical_invariance(target, cfg, n=20_000, seed=seed)
+        assert rep.passed and not rep.underpowered
+        ctrl = statistical_invariance(target, cfg, n=20_000, seed=seed, mutate="always-swap")
+        assert not ctrl.passed and ctrl.violation > ctrl.tolerance
 
     def test_underpowered_guard(self):
         cfg = KernelConfig("nuts_iterative", h=0.4, mass=I2, k_m=4)
