@@ -27,6 +27,8 @@ finite-weight states.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,13 +44,19 @@ def accept_log_ratio(log_new: float, log_old: float) -> float:
     return min(0.0, log_new - log_old)
 
 
-def multinomial_pick(log_weights: np.ndarray, u: float, total: float) -> int:
-    """Inverse-CDF pick over ascending indices from unnormalized log-weights
-    whose :func:`logsumexp` is ``total``."""
+def multinomial_pick(log_weights: list[float] | np.ndarray, u: float, total: float) -> int:
+    """Inverse-CDF pick over ascending indices from unnormalized log-weights,
+    a list of floats or a 1-D array, whose :func:`logsumexp` is ``total``.
+
+    The index is ``np.exp(log_weights - total).cumsum().searchsorted(u,
+    side="right")``, at most the last, bit for bit: numpy computes only the
+    exponentials, ``itertools.accumulate`` sums them in order as ``cumsum``
+    does, and ``bisect_right`` on the non-decreasing sums is ``searchsorted``.
+    """
     if total == NEG_INF:
         return 0
-    cum = np.exp(log_weights - total).cumsum()
-    return min(int(cum.searchsorted(u, side="right")), len(log_weights) - 1)
+    cum = list(accumulate(np.exp(np.subtract(log_weights, total)).tolist()))
+    return min(bisect_right(cum, u), len(cum) - 1)
 
 
 _LOG2 = math.log(2.0)
@@ -76,12 +84,13 @@ def logsumexp(values: list[float] | np.ndarray) -> float:
     """``log(sum(exp(values)))`` of a list of floats or a 1-D array, no nan in it.
 
     The largest value is taken by Python's ``max``, which on a list beats
-    building an array for numpy's; the exponentials and their sum are numpy's.
+    building an array for numpy's; the exponentials and their sum are numpy's,
+    the sum by ``np.add.reduce``, the reduction ``.sum()`` calls.
     """
     m = float(max(values))
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(float(np.exp(np.asarray(values) - m).sum()))
+    return m + math.log(float(np.add.reduce(np.exp(np.subtract(values, m)))))
 
 
 class WeightTree:

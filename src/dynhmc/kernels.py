@@ -35,10 +35,10 @@ per state, and weighs states through :mod:`orbit`, so all share its
 divergence rule: non-finite states or energies, or a squared norm
 ``|q|^2 + |p|^2`` that overflows.  A divergent state has weight zero.  A
 weighed state is :func:`orbit._weigh`'s plain tuple
-``(q, p, vel, logw, diverged)``.  The recursive sampler steps and weighs
-each state with :func:`orbit._advance` and holds its states and subtrees as
-plain tuples too (their layouts are in :func:`_build_tree`): it builds no
-object per state or per node.
+``(q, p, vel, logw, diverged)``.  The recursive sampler steps each leaf by
+this module's name for the step and weighs it with :func:`orbit._weigh`,
+and holds its states and subtrees as plain tuples too (their layouts are in
+:func:`_build_tree`): it builds no object per state or per node.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from .index_select import (
 )
 # perfbench/tracing.py wraps leapfrog_step_with_grad under leapfrog, orbit and
 # this module, and no_uturns under orbit and this module.  The rows sampler
-# steps by this module's name, the recursive one through orbit._advance, so by
-# orbit's; no_uturns stays importable from here
+# and the recursive sampler's leaf step by this module's name, OrbitCache by
+# orbit's and HMC by leapfrog's; no_uturns stays importable from here
 from .leapfrog import (  # noqa: F401
     LeapfrogParams,
     Step,
@@ -69,7 +69,6 @@ from .leapfrog import (  # noqa: F401
 )
 from .orbit import (  # noqa: F401
     OrbitCache,
-    _advance,
     _anchor,
     _weigh,
     _weigh_rows,
@@ -125,7 +124,7 @@ class KernelConfig:
         return LeapfrogParams(self.h, self.mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TransitionInfo:
     """Per-transition diagnostics.  Carries no momentum state by design.
 
@@ -140,6 +139,13 @@ class TransitionInfo:
     diverged: bool
     accepted: bool | None = None  # HMC only
     t: int | None = None  # HMC/rHMC number of leapfrog steps
+
+    def __init__(self, j_f, i_f, k_f, n_grad, diverged, accepted=None, t=None):
+        # every transition builds one: the generated __init__ of a frozen
+        # dataclass sets each field by its own object.__setattr__ call, and
+        # one update of the instance dict sets them all at half the cost
+        self.__dict__.update(j_f=j_f, i_f=i_f, k_f=k_f, n_grad=n_grad, diverged=diverged,
+                             accepted=accepted, t=t)
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,7 @@ def nuts_transition_iterative(
             k_f = k + 1
         if took is not None:
             seg_lo, seg_logw, u_mult, logw_new = took
-            j = seg_lo + multinomial_pick(np.array(seg_logw), u_mult, logw_new)
+            j = seg_lo + multinomial_pick(seg_logw, u_mult, logw_new)
 
     return states[j - cache.lo][0], TransitionInfo(
         j_f=j, i_f=(lo, hi), k_f=k_f, n_grad=cache.n_grad, diverged=diverged
@@ -453,7 +459,7 @@ def _build_tree(
     backward with ``steps[forward]``.
 
     A state is the plain tuple ``(q, p, vel, logw, diverged, kick, idx)``:
-    :func:`orbit._advance`'s weighed state and half-kick, the kick signed
+    :func:`orbit._weigh`'s weighed state, the half-kick of its step, signed
     for a step away from the anchor, and its orbit index.  A subtree is the
     tuple ``(lo, hi, end, sel, logw, stop, diverged, n)``: its boundary
     states, the state it ended on, its candidate, its log-weight, whether it
@@ -461,8 +467,9 @@ def _build_tree(
     gradients it took.
     """
     if depth == 0:
-        st = _advance(target, mass, steps[forward], frm[0], frm[1], frm[5])
-        st += (frm[6] + 1 if forward else frm[6] - 1,)
+        q, p, kick = leapfrog_step_with_grad(
+            target.gradient, mass.inv_mul, steps[forward], frm[0], frm[1], frm[5])
+        st = _weigh(target, mass, q, p) + (kick, frm[6] + 1 if forward else frm[6] - 1)
         return st, st, st, st, st[3], st[4], st[4], 1
     t1 = _build_tree(target, mass, steps, forward, frm, depth - 1, rng)
     if t1[5]:
@@ -614,9 +621,15 @@ def rhmc_step(
     q: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, TransitionInfo]:
-    """Randomized-T HMC: draw T from the mixture weights, then one HMC step."""
+    """Randomized-T HMC: draw T from the mixture weights, then one HMC step.
+
+    A uniform at or above the rounded cumulative sum of the weights, which
+    may fall short of 1, takes the last T of positive weight: a T of weight
+    zero is never drawn.
+    """
     cum = np.cumsum(cfg.weights)
-    t = 1 + min(int(np.searchsorted(cum, rng.random(), side="right")), cfg.weights.size - 1)
+    last = int(np.flatnonzero(cfg.weights)[-1])
+    t = 1 + min(int(np.searchsorted(cum, rng.random(), side="right")), last)
     return hmc_step(target, cfg, q, rng, t=t)
 
 

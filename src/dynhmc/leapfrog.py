@@ -14,8 +14,10 @@ reversibility checks.
 Every sampler takes its steps through :func:`leapfrog_step_with_grad`, one
 call per orbit state: the step loop of :func:`leapfrog_forward` (HMC,
 :func:`leapfrog_iter` and the trajectory solver), :class:`orbit.OrbitCache`
-(iterative NUTS and the exact law), :func:`orbit._advance` (recursive NUTS)
-and the rows NUTS sampler.
+(iterative NUTS and the exact law), the leaf of :func:`kernels._build_tree`
+(recursive NUTS) and the rows NUTS sampler.  The step writes into no array
+it is given: two of its operations run in place on arrays it made itself,
+so a caller may keep the states it passes in.
 The step carries the half-kick ``(h/2) grad U(q)``: it finishes the step
 that reached ``q`` and starts the step that leaves it, so each gradient is
 scaled once, and the two half-kicks are not merged into one full kick, which
@@ -115,10 +117,14 @@ def leapfrog_step_with_grad(
     invalid="ignore")``.
     """
     h, half = step
-    p_half = p - kick
-    q1 = q + h * inv_mul(p_half)
+    # two of the five operations run in place on the step's own fresh arrays,
+    # never on q, p or kick: h v + q is q + h v, as IEEE addition commutes
+    p1 = p - kick
+    q1 = h * inv_mul(p1)
+    q1 += q
     kick1 = half * gradient(q1)
-    return q1, p_half - kick1, kick1
+    p1 -= kick1
+    return q1, p1, kick1
 
 
 def leapfrog_iter(target: Target, params: LeapfrogParams, x: PhasePoint, j: int) -> PhasePoint:

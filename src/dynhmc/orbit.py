@@ -34,9 +34,7 @@ This module owns, for every sampler, how the anchor is taken
 (:func:`_anchor`: its gradient first, as a target may reuse its work in the
 potential, then its weighed state; the rows sampler does the same as rows),
 how a state is weighed (:func:`_weigh`) and what a U-turn is
-(:func:`is_uturn`).  :func:`_advance` takes one step and weighs its result,
-returning the weighed tuple with the new half-kick appended; the recursive
-sampler grows its trees with it.  Every sampler takes its steps through
+(:func:`is_uturn`).  Every sampler takes its steps through
 :func:`leapfrog.leapfrog_step_with_grad`, carrying the half-kick of the
 state it steps from, with the step constants of
 :attr:`leapfrog.LeapfrogParams.steps` signed by the direction except in the
@@ -47,8 +45,8 @@ state is divergent, with weight zero, on non-finite states or energies, or a
 squared norm ``|q|^2 + |p|^2`` that overflows.
 
 Stepping and weighing overflow on a divergent state, and that is flagged,
-not warned about.  The step, :func:`_anchor`, :func:`_weigh` and
-:func:`_advance` enter no ``np.errstate`` themselves: their caller holds
+not warned about.  The step, :func:`_anchor` and :func:`_weigh` enter no
+``np.errstate`` themselves: their caller holds
 ``np.errstate(over="ignore", invalid="ignore")`` around all the states it
 computes.  :class:`OrbitCache` enters it when it weighs its anchor and for
 each unchecked extension call, so a bare cache is silent.  The iterative
@@ -104,16 +102,6 @@ def _anchor(
     taken first.  Enters no ``np.errstate``."""
     kick = step.half * target.gradient(q)
     return _weigh(target, mass, q, p), kick
-
-
-def _advance(
-    target: Target, mass: MassMatrix, step: Step, q: np.ndarray, p: np.ndarray, kick: np.ndarray
-) -> tuple:
-    """One step from ``(q, p)`` with its half-kick, weighed:
-    ``(q1, p1, vel1, logw1, diverged1, kick1)``, :func:`_weigh`'s tuple with
-    the new half-kick appended.  Enters no ``np.errstate``."""
-    q, p, kick = leapfrog_step_with_grad(target.gradient, mass.inv_mul, step, q, p, kick)
-    return _weigh(target, mass, q, p) + (kick,)
 
 
 def _weigh_rows(
@@ -299,7 +287,10 @@ class OrbitCache:
     def pair_uturn(self, i_lo: int, i_hi: int) -> bool:
         """U-turn indicator for the (left, right) index pair; a divergent
         state at either end counts as a U-turn."""
-        left, right = self._entry(i_lo), self._entry(i_hi)
+        lo, hi = self.lo, self.hi
+        if not (lo <= i_lo <= hi and lo <= i_hi <= hi):
+            self._entry(i_lo), self._entry(i_hi)  # raises for the first index outside
+        left, right = self._states[i_lo - lo], self._states[i_hi - lo]
         return left[4] or right[4] or is_uturn(left[0], left[2], right[0], right[2])
 
 

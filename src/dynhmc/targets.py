@@ -33,6 +33,11 @@ def flip(x: PhasePoint) -> PhasePoint:
 MASS_KINDS = ("identity", "diagonal", "dense")
 
 
+def _unchanged(v: np.ndarray) -> np.ndarray:
+    """Every action of the identity mass: its argument itself."""
+    return v
+
+
 class MassMatrix:
     """Symmetric positive definite mass matrix with cached factorizations.
 
@@ -40,7 +45,9 @@ class MassMatrix:
     ``M v``, the inverse action ``M^{-1} v`` and multiplication by the lower
     Cholesky factor ``L`` (for momentum refresh ``p = L z``).  The two
     actions and the factor also take a ``(C, d)`` array of rows, each row
-    giving the bytes a single vector would.  Immutable after construction.
+    giving the bytes a single vector would.  The identity binds all three
+    actions to one function that returns its argument, so no call
+    dispatches on ``kind``.  Immutable after construction.
     """
 
     def __init__(self, kind: str, dim: int, diag=None, matrix=None):
@@ -50,7 +57,7 @@ class MassMatrix:
         self._diag = diag
         self._matrix = matrix
         if kind == "identity":
-            pass
+            self.mul = self.inv_mul = self.chol_mul = _unchanged
         elif kind == "diagonal":
             with np.errstate(divide="ignore", over="ignore"):
                 self._inv = 1.0 / diag
@@ -92,8 +99,6 @@ class MassMatrix:
 
     def mul(self, v: np.ndarray) -> np.ndarray:
         """Forward action ``M v``."""
-        if self.kind == "identity":
-            return v
         if self.kind == "diagonal":
             return self._diag * v
         if v.ndim == 2:
@@ -102,8 +107,6 @@ class MassMatrix:
 
     def inv_mul(self, v: np.ndarray) -> np.ndarray:
         """Inverse action ``M^{-1} v``."""
-        if self.kind == "identity":
-            return v
         if self.kind == "diagonal":
             return self._inv * v
         if v.ndim == 2:  # one solve with the rows as right-hand sides
@@ -115,8 +118,6 @@ class MassMatrix:
 
     def chol_mul(self, z: np.ndarray) -> np.ndarray:
         """Multiplication by the lower Cholesky factor, ``L z``."""
-        if self.kind == "identity":
-            return z
         if self.kind == "diagonal":
             return self._sqrt * z
         if z.ndim == 2:

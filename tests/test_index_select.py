@@ -330,6 +330,38 @@ class TestWeightZero:
             assert multinomial_pick(np.full(4, -math.inf), u, -math.inf) == 0
 
 
+class TestMultinomialPick:
+    """The pick equals numpy's inverse CDF, ``cumsum`` then ``searchsorted``
+    on the right, capped at the last index, on a list or an array."""
+
+    @staticmethod
+    def _numpy_pick(w: np.ndarray, u: float, total: float) -> int:
+        return min(int(np.exp(w - total).cumsum().searchsorted(u, "right")), w.size - 1)
+
+    def test_equals_the_numpy_inverse_cdf(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            w = rng.normal(0.0, 3.0, n)
+            w[rng.random(n) < 0.2] = -math.inf
+            total = logsumexp(w)
+            if total == -math.inf:
+                continue
+            cum = np.exp(w - total).cumsum()
+            # uniforms inside a step, on a cumulative boundary, and at the ends
+            us = [rng.random(), float(cum[rng.integers(n)]), 0.0, 1.0 - 2.0**-53]
+            for u in us:
+                want = self._numpy_pick(w, u, total)
+                assert multinomial_pick(w, u, total) == want
+                assert multinomial_pick(w.tolist(), u, total) == want
+
+    def test_u_on_a_boundary_takes_the_next_index(self):
+        w = np.log([0.25, 0.25, 0.5])
+        assert multinomial_pick(w.tolist(), 0.25, 0.0) == 1
+        assert multinomial_pick(w.tolist(), 0.5, 0.0) == 2
+        assert multinomial_pick(w.tolist(), 1.0, 0.0) == 2  # capped at the last index
+
+
 def _line_orbit(log_w: dict[int, float]) -> Target:
     """A 1-D target whose orbit from ``(0, 1)`` at ``h = 1`` is the flat flow
     ``q = j``, weighted ``-H(j) = log_w[j] - 1/2``; a weight of ``-inf`` is a

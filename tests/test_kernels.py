@@ -550,6 +550,46 @@ class _Script:
         return next(self._values)
 
 
+class TestTransitionInfo:
+    """A frozen dataclass, however its instances are built."""
+
+    def test_frozen_dataclass_contract(self):
+        info = TransitionInfo(3, (-4, 3), 3, 8, False)
+        assert [f.name for f in dataclasses.fields(TransitionInfo)] == [
+            "j_f", "i_f", "k_f", "n_grad", "diverged", "accepted", "t"]
+        assert info.accepted is None and info.t is None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            info.j_f = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del info.k_f
+        same = TransitionInfo(j_f=3, i_f=(-4, 3), k_f=3, n_grad=8, diverged=False)
+        assert info == same and hash(info) == hash(same)
+        assert info != TransitionInfo(3, (-4, 3), 3, 8, True)
+        moved = dataclasses.replace(info, j_f=4, accepted=True, t=4)
+        assert moved == TransitionInfo(4, (-4, 3), 3, 8, False, True, 4) and info.j_f == 3
+        assert repr(info) == ("TransitionInfo(j_f=3, i_f=(-4, 3), k_f=3, n_grad=8, "
+                              "diverged=False, accepted=None, t=None)")
+        with pytest.raises(TypeError):
+            TransitionInfo(3, (-4, 3), 3, 8)
+
+
+class TestRhmcNeverDrawsWeightZero:
+    def test_largest_uniform_takes_the_last_positive_weight(self):
+        weights = np.array([0.7, 0.2, 0.1, 0.0])
+        # the cumulative sum falls short of 1 by one ulp, which numpy's
+        # largest uniform reaches
+        u = 1.0 - 2.0**-53
+        assert np.cumsum(weights)[-1] == u
+
+        class Scripted(_Script):
+            def standard_normal(self, size):
+                return np.zeros(size)
+
+        cfg = KernelConfig("rhmc", h=0.2, mass=I1, weights=weights)
+        _, info = rhmc_step(STD1, cfg, np.array([0.5]), Scripted([u, 0.5]))
+        assert info.t == 3
+
+
 def _double_well_anchors(rng):
     # the states of the double-well orbit from (5, 0) at h = 0.25, which
     # overflows at its tenth state on either side, and nearby random ones

@@ -227,6 +227,41 @@ class TestStepConstants:
         assert np.isfinite(got_q).all() == (state == "finite")
 
 
+class TestStepLeavesItsArguments:
+    """The step writes only into arrays it made: the bytes of the ``q``, ``p``
+    and ``kick`` it is given stay as they were, and it returns none of them."""
+
+    MASSES = {
+        "identity": MassMatrix.identity(3),
+        "diagonal": MassMatrix.diagonal(np.array([0.5, 2.0, 4.0])),
+        "dense": MassMatrix.dense(np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.1], [0.0, 0.1, 0.7]])),
+    }
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("kind", ["standard_gaussian", "perturbed_gaussian"])
+    @pytest.mark.parametrize("rows", [None, 4])
+    @pytest.mark.parametrize("mass_kind", list(MASSES))
+    def test_arguments_keep_their_bytes(self, mass_kind, rows, kind, forward):
+        mass, target = self.MASSES[mass_kind], builtin_target(kind, 3)
+        step = LeapfrogParams(0.3, mass).steps[forward]
+        if rows is None:
+            gradient = target.gradient
+        else:
+            def gradient(q):
+                return gradient_rows(target, q)
+        rng = np.random.default_rng(rows or 1)
+        shape = (3,) if rows is None else (rows, 3)
+        q, p = rng.standard_normal(shape), rng.standard_normal(shape)
+        kick = step.half * gradient(q)
+        before = [a.tobytes() for a in (q, p, kick)]
+        for _ in range(3):
+            out = leapfrog_step_with_grad(gradient, mass.inv_mul, step, q, p, kick)
+            assert [a.tobytes() for a in (q, p, kick)] == before
+            assert not any(np.shares_memory(a, b) for a in out for b in (q, p, kick))
+            q, p, kick = out
+            before = [a.tobytes() for a in out]
+
+
 class TestLeapfrogIter:
     def test_zero_is_identity_bit_for_bit(self):
         params = LeapfrogParams(0.5, I1)

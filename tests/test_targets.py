@@ -375,6 +375,13 @@ class TestMassMatrix:
         for act in (mass.mul, mass.inv_mul, mass.chol_mul):
             assert act(v).tobytes() == np.stack([act(row) for row in v]).tobytes()
 
+    def test_identity_actions_return_their_argument(self):
+        mass = MassMatrix.identity(3)
+        rng = np.random.default_rng(2)
+        for v in (rng.standard_normal(3), rng.standard_normal((5, 3))):
+            for act in (mass.mul, mass.inv_mul, mass.chol_mul):
+                assert act(v) is v
+
     def test_not_spd_rejected(self):
         with pytest.raises(ValueError):
             MassMatrix.dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
